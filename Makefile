@@ -62,7 +62,7 @@ MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkM
 OBS_BENCHES      = ^BenchmarkMatrixTelemetry$$
 SNAPSHOT_BENCHES = ^BenchmarkBootEnvironment$$|^BenchmarkSnapshotBuild$$|^BenchmarkCellFork$$
 
-.PHONY: all build test race vet bench benchdiff check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
+.PHONY: all build test race vet bench benchdiff bench-check check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
 
 all: check
 
@@ -156,7 +156,12 @@ ledger-baseline:
 	cp ledger-ci/*/record.json LEDGER_baseline.json
 	@echo "wrote LEDGER_baseline.json"
 
-check: build vet lint-scenarios test race chaos equivalence spans stream-demo cover-matrix ledger-diff
+# bench/ is a nested module, so the root ./... patterns never compile
+# it; bench-check vets and tests it against the current tree's API.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet lint-scenarios test race chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
 
 clean:
 	rm -f BENCH_matrix.json BENCH_obs.json BENCH_snapshot.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt

@@ -51,12 +51,12 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII runs the full RQ2/RQ3 injection campaign (4 use
+// BenchmarkTableIII runs the full RQ2/RQ3 injection campaign (17 use
 // cases x 2 non-vulnerable versions, fresh environment each) and renders
 // the table.
 func BenchmarkTableIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := campaign.RunTable3()
+		rows, err := (&campaign.Runner{Workers: 1}).RunTable3Context(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 runs the full RQ1 validation (4 use cases x exploit and
+// BenchmarkFig4 runs the full RQ1 validation (17 use cases x exploit and
 // injection on 4.6) and renders the comparison.
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := campaign.RunFig4()
+		rows, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,11 +97,11 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkFullMatrix runs the complete 24-run campaign the repro binary
+// BenchmarkFullMatrix runs the complete 102-cell campaign the repro binary
 // prints with -matrix, on the serial (Workers: 1) path.
 func BenchmarkFullMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		entries, err := campaign.RunMatrix()
+		entries, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkFullMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixParallel runs the same 24-run campaign through the
+// BenchmarkMatrixParallel runs the same 102-cell campaign through the
 // parallel engine at increasing pool sizes. Output is byte-identical to
 // the serial path at every size; on a machine with >= 4 CPUs the larger
 // pools should cut wall-clock time by the core count (each cell is an
@@ -120,7 +120,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			r := &campaign.Runner{Workers: w}
 			for i := 0; i < b.N; i++ {
-				entries, err := r.RunMatrix()
+				entries, err := r.RunMatrixContext(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixTelemetry runs the 24-run campaign with telemetry off
+// BenchmarkMatrixTelemetry runs the 102-cell campaign with telemetry off
 // (nil registry: every instrumented path takes the predicted-not-taken
 // nil branch), on (per-cell recorder, ring events, counter merges
 // into the shared registry), and on with the live observability server
@@ -150,7 +150,7 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 	run := func(b *testing.B, reg *telemetry.Registry, progress campaign.Progress, cov *coverage.Collector, sched campaign.SchedObserver) {
 		r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: progress, Coverage: cov, Sched: sched}
 		for i := 0; i < b.N; i++ {
-			entries, err := r.RunMatrix()
+			entries, err := r.RunMatrixContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -427,7 +427,7 @@ func BenchmarkInjectorWriteLinear(b *testing.B) {
 // environment (the per-run cost of a campaign cell).
 func BenchmarkExploitScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := campaign.Run(hv.Version46(), "XSA-182-test", campaign.ModeExploit); err != nil {
+		if _, err := (&campaign.Runner{Workers: 1}).RunContext(context.Background(), hv.Version46(), "XSA-182-test", campaign.ModeExploit); err != nil {
 			b.Fatal(err)
 		}
 	}

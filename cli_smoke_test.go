@@ -276,6 +276,42 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
+	// -matrix with -equivalence runs the matrix once: the coverage
+	// collector sees each of the 102 cells exactly once, so the report
+	// matches the committed baseline byte for byte.
+	t.Run("matrix-equivalence-coverage", func(t *testing.T) {
+		cov := filepath.Join(t.TempDir(), "cov.json")
+		out, err := exec.Command(filepath.Join(dir, "repro"),
+			"-matrix", "-equivalence", "-workers", "2", "-coverage", cov).CombinedOutput()
+		if err != nil {
+			t.Fatalf("repro -matrix -equivalence -coverage: %v\n%s", err, out)
+		}
+		for _, want := range []string{"FULL CAMPAIGN MATRIX", "51/51 cells trace-equivalent"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
+		}
+		var rep, base struct {
+			Digest string            `json:"digest"`
+			Cells  []json.RawMessage `json:"cells"`
+		}
+		for path, into := range map[string]any{cov: &rep, "COVERAGE_matrix.json": &base} {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, into); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+		if len(rep.Cells) != 102 {
+			t.Errorf("coverage report has %d cells, want 102", len(rep.Cells))
+		}
+		if rep.Digest != base.Digest {
+			t.Errorf("coverage digest %s, want the committed %s", rep.Digest, base.Digest)
+		}
+	})
+
 	// -listen wires the observability server into a campaign run and
 	// logs the bound address.
 	t.Run("listen", func(t *testing.T) {

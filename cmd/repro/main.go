@@ -6,7 +6,7 @@
 //	repro                    # everything
 //	repro -table 3           # one table (1..3)
 //	repro -figure 4          # one figure (1..4)
-//	repro -matrix            # the full 24-run campaign matrix
+//	repro -matrix            # the full 102-cell campaign matrix
 //	repro -matrix -workers 8 # the matrix on an 8-worker pool
 //
 // Campaign cells always run in fresh, isolated environments, so they
@@ -36,9 +36,10 @@
 // -equivalence runs the full matrix with telemetry and structurally
 // compares each scenario's exploit trace against its injection trace
 // per version (canonicalized: addresses folded to layout roles, version
-// and mode banners masked), reporting identical /
-// equivalent-modulo-noise / divergent per cell and exiting non-zero on
-// any divergence.
+// and mode banners masked), reporting equivalent-modulo-noise or
+// divergent per cell and exiting non-zero on any divergence. Cells are
+// graded from their persisted effect streams, the same grader a -ledger
+// record uses. With -matrix the one matrix run renders both artifacts.
 //
 // Causal spans (RQ3):
 //
@@ -591,15 +592,8 @@ func run(out io.Writer) (err error) {
 				if !ok {
 					return errors.New("equivalence: run record is not fully graded (failed or missing cells)")
 				}
-				fmt.Fprintln(out, report.TraceEquivalence(verdicts))
-				divergent := 0
-				for _, cv := range verdicts {
-					if !cv.Equivalent() {
-						divergent++
-					}
-				}
-				if divergent > 0 {
-					return fmt.Errorf("equivalence: %d of %d cells divergent", divergent, len(verdicts))
+				if err := printEquivalence(out, verdicts); err != nil {
+					return err
 				}
 			}
 			if *covOut != "" {
@@ -611,7 +605,9 @@ func run(out io.Writer) (err error) {
 				fmt.Fprintln(out, report.CoverageSummary(rep))
 			}
 		}
-		if (all || *matrix) && *ledgerDir == "" {
+		if (all || *matrix || *equivalence) && *ledgerDir == "" {
+			// One matrix run serves both the rendered matrix and the
+			// equivalence grading, so every collector sees each cell once.
 			entries, err := runner.RunMatrixContext(ctx)
 			if err != nil {
 				return fmt.Errorf("full matrix: %w", err)
@@ -619,29 +615,17 @@ func run(out io.Writer) (err error) {
 			for _, e := range entries {
 				collect(e.Result)
 			}
-			fmt.Fprintln(out, report.Matrix(entries))
-		}
-		if *equivalence && *ledgerDir == "" {
-			entries, err := runner.RunMatrixContext(ctx)
-			if err != nil {
-				return fmt.Errorf("equivalence matrix: %w", err)
+			if all || *matrix {
+				fmt.Fprintln(out, report.Matrix(entries))
 			}
-			for _, e := range entries {
-				collect(e.Result)
-			}
-			verdicts, err := tracediff.MatrixEquivalence(entries)
-			if err != nil {
-				return fmt.Errorf("equivalence: %w", err)
-			}
-			fmt.Fprintln(out, report.TraceEquivalence(verdicts))
-			divergent := 0
-			for _, cv := range verdicts {
-				if !cv.Equivalent() {
-					divergent++
+			if *equivalence {
+				verdicts, err := tracediff.MatrixEquivalence(entries)
+				if err != nil {
+					return fmt.Errorf("equivalence: %w", err)
 				}
-			}
-			if divergent > 0 {
-				return fmt.Errorf("equivalence: %d of %d cells divergent", divergent, len(verdicts))
+				if err := printEquivalence(out, verdicts); err != nil {
+					return err
+				}
 			}
 		}
 		if *fuzz > 0 {
@@ -786,6 +770,22 @@ func run(out io.Writer) (err error) {
 		bus.Close()
 	}
 	return errors.Join(append([]error{bodyErr}, flushErrs...)...)
+}
+
+// printEquivalence renders the RQ2 table and fails on any divergent
+// cell.
+func printEquivalence(out io.Writer, verdicts []tracediff.CellVerdict) error {
+	fmt.Fprintln(out, report.TraceEquivalence(verdicts))
+	divergent := 0
+	for _, cv := range verdicts {
+		if !cv.Equivalent() {
+			divergent++
+		}
+	}
+	if divergent > 0 {
+		return fmt.Errorf("equivalence: %d of %d cells divergent", divergent, len(verdicts))
+	}
+	return nil
 }
 
 func writeTrace(path string, profiles []*telemetry.CellProfile) error {

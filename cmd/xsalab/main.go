@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/exploits"
@@ -24,8 +25,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("xsalab: ")
 	versionName := flag.String("version", "4.6", "hypervisor version (4.6, 4.8, 4.13)")
-	useCase := flag.String("case", "XSA-212-crash", "use case (XSA-212-crash, XSA-212-priv, XSA-148-priv, XSA-182-test)")
-	all := flag.Bool("all", false, "run every use case on every version (12 transcripts)")
+	useCase := flag.String("case", "XSA-212-crash", "use case ("+strings.Join(exploits.SpecNames(), ", ")+")")
+	all := flag.Bool("all", false, fmt.Sprintf("run every use case on every version (%d transcripts)",
+		len(exploits.Scenarios())*len(hv.Versions())))
 	flag.Parse()
 
 	if *all {

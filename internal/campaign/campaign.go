@@ -180,10 +180,3 @@ type RunResult struct {
 	// under a profiling Runner.
 	Profile *telemetry.CellProfile
 }
-
-// Run executes one (version, use case, mode) cell in a fresh
-// environment, without telemetry or fault injection. Use a Runner with
-// a Telemetry registry to profile cells.
-func Run(v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	return runCell(cell{version: v, useCase: useCase, mode: mode}, nil, nil)
-}

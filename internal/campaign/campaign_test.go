@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,9 +61,9 @@ var paperResults = map[string]map[string]map[Mode]expectation{
 // paper's reported numbers for the original scenarios, the pinned
 // family shapes for the corpus extensions.
 func TestFullMatrixMatchesPaper(t *testing.T) {
-	entries, err := RunMatrix()
+	entries, err := (&Runner{Workers: 1}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+		t.Fatalf("RunMatrixContext: %v", err)
 	}
 	if len(entries) != 102 {
 		t.Fatalf("matrix has %d entries, want 102", len(entries))
@@ -83,9 +84,9 @@ func TestFullMatrixMatchesPaper(t *testing.T) {
 // TestFig4Equivalence asserts RQ1: on 4.6 the injected states and the
 // resulting violations are the same as the exploits'.
 func TestFig4Equivalence(t *testing.T) {
-	rows, err := RunFig4()
+	rows, err := (&Runner{Workers: 1}).RunFig4Context(context.Background())
 	if err != nil {
-		t.Fatalf("RunFig4: %v", err)
+		t.Fatalf("RunFig4Context: %v", err)
 	}
 	if len(rows) != 17 {
 		t.Fatalf("fig4 rows = %d, want 17", len(rows))
@@ -108,9 +109,9 @@ func TestFig4Equivalence(t *testing.T) {
 // TestTable3 asserts the published Table III shape: every injected state
 // lands on both versions; 4.13 handles XSA-212-priv and XSA-182-test.
 func TestTable3(t *testing.T) {
-	rows, err := RunTable3()
+	rows, err := (&Runner{Workers: 1}).RunTable3Context(context.Background())
 	if err != nil {
-		t.Fatalf("RunTable3: %v", err)
+		t.Fatalf("RunTable3Context: %v", err)
 	}
 	want := map[string]map[string]Table3Cell{
 		"XSA-212-crash": {"4.8": {true, true}, "4.13": {true, true}},
@@ -177,7 +178,7 @@ func TestEnvironmentShape(t *testing.T) {
 
 // TestRunUnknownUseCase covers the error path.
 func TestRunUnknownUseCase(t *testing.T) {
-	if _, err := Run(hv.Version46(), "XSA-000", ModeExploit); err == nil {
+	if _, err := (&Runner{Workers: 1}).RunContext(context.Background(), hv.Version46(), "XSA-000", ModeExploit); err == nil {
 		t.Error("unknown use case accepted")
 	}
 }
@@ -201,7 +202,7 @@ func TestInjectorAbsentOnExploitBuilds(t *testing.T) {
 // additionally handles XSA-212-priv and XSA-182-test (resilience 3/17);
 // all injections succeed everywhere.
 func TestSecurityBenchmark(t *testing.T) {
-	scores, err := SecurityBenchmark()
+	scores, err := (&Runner{Workers: 1}).SecurityBenchmarkContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

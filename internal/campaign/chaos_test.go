@@ -165,7 +165,7 @@ func TestWatchdogClassifiesWedgedCellAsHang(t *testing.T) {
 	const target = "4.6/XSA-182-test/exploit"
 	plan := faults.NewPlan(0, 0).ArmCell(target, faults.SiteWedge, 1)
 	r := &campaign.Runner{Workers: 1, CellTimeout: 50 * time.Millisecond, Faults: plan}
-	_, err := r.Run(hv.Version46(), "XSA-182-test", campaign.ModeExploit)
+	_, err := r.RunContext(context.Background(), hv.Version46(), "XSA-182-test", campaign.ModeExploit)
 	var ce *campaign.CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want a *CellError", err)

@@ -14,13 +14,6 @@ type Fig4Row struct {
 	ViolationsMatch bool
 }
 
-// RunFig4 executes the RQ1 experiment: every use case, exploit vs
-// injection, on the vulnerable 4.6 version, each in a fresh environment.
-// Cells run serially; use a Runner to spread them over a worker pool.
-func RunFig4() ([]Fig4Row, error) {
-	return (&Runner{Workers: 1}).RunFig4()
-}
-
 // Table3Cell is one (use case, version) cell of Table III.
 type Table3Cell struct {
 	ErrState bool
@@ -40,13 +33,6 @@ func Table3Versions() []hv.Version {
 	return []hv.Version{hv.Version48(), hv.Version413()}
 }
 
-// RunTable3 executes the RQ2/RQ3 injection campaign: every use case's
-// injection script against 4.8 and 4.13. Cells run serially; use a
-// Runner to spread them over a worker pool.
-func RunTable3() ([]Table3Row, error) {
-	return (&Runner{Workers: 1}).RunTable3()
-}
-
 // MatrixEntry is one cell of the full campaign: every version, use case
 // and mode. The exploit rows on fixed versions document Section VII's
 // "we could not induce the erroneous states" with the original PoCs.
@@ -61,11 +47,4 @@ type MatrixEntry struct {
 	// Populated only by ContinueOnError campaigns; the default mode
 	// reports the first failure as the campaign error instead.
 	Err *CellError
-}
-
-// RunMatrix executes the full 3 versions x 4 use cases x 2 modes
-// campaign (24 runs, each in a fresh environment). Cells run serially;
-// use a Runner to spread them over a worker pool.
-func RunMatrix() ([]MatrixEntry, error) {
-	return (&Runner{Workers: 1}).RunMatrix()
 }

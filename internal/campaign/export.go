@@ -82,46 +82,25 @@ func exportRun(version, useCase string, mode Mode, res *RunResult, cerr *CellErr
 	return out
 }
 
-// ExportMatrix runs the full campaign serially and writes the JSON
-// artifact, including the per-version security-benchmark scores. Use a
-// Runner's ExportMatrix to spread the runs over a worker pool.
-func ExportMatrix(w io.Writer) error {
-	return (&Runner{Workers: 1}).ExportMatrix(w)
-}
-
-// ExportMatrix runs the full campaign across the pool and writes the
-// JSON artifact, including the per-version security-benchmark scores.
-func (r *Runner) ExportMatrix(w io.Writer) error {
-	return r.ExportMatrixContext(context.Background(), w)
-}
-
-// ExportMatrixContext is ExportMatrix under a context. Under
-// ContinueOnError the artifact always materializes: failed cells carry
-// their per-cell error records, and the benchmark scores are omitted
-// when the benchmark's own cells fail (the per-cell records already
-// describe the failures).
+// ExportMatrixContext runs the full campaign across the pool and writes
+// the JSON artifact, including the per-version security-benchmark
+// scores. Under ContinueOnError the artifact always materializes: failed
+// cells carry their per-cell error records, and the benchmark scores
+// are omitted when the benchmark's own cells fail (the per-cell records
+// already describe the failures).
 func (r *Runner) ExportMatrixContext(ctx context.Context, w io.Writer) error {
-	return r.exportMatrixSpecs(ctx, w, nil)
+	return r.ExportMatrixSpecs(ctx, w, campaignPlan().specs)
 }
 
 // ExportMatrixSpecs is ExportMatrixContext scoped to an explicit
 // registry subset, like RunMatrixSpecs. The seed-identity regression
 // uses it to re-derive the frozen pre-expansion JSON artifact.
 func (r *Runner) ExportMatrixSpecs(ctx context.Context, w io.Writer, specs []exploits.Spec) error {
-	return r.exportMatrixSpecs(ctx, w, specs)
-}
-
-// exportMatrixSpecs materializes the artifact; a nil spec list means the
-// full registry.
-func (r *Runner) exportMatrixSpecs(ctx context.Context, w io.Writer, specs []exploits.Spec) error {
-	if specs == nil {
-		specs = campaignPlan().specs
-	}
-	entries, err := r.runMatrixSpecs(ctx, specs)
+	entries, err := r.RunMatrixSpecs(ctx, specs)
 	if err != nil {
 		return err
 	}
-	scores, err := r.securityBenchmarkSpecs(ctx, specs)
+	scores, err := r.SecurityBenchmarkSpecs(ctx, specs)
 	if err != nil {
 		if !r.ContinueOnError {
 			return err

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -127,7 +128,7 @@ func TestOutcomeClassStrings(t *testing.T) {
 
 func TestExportMatrixProducesValidArtifact(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ExportMatrix(&buf); err != nil {
+	if err := (&Runner{Workers: 1}).ExportMatrixContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	var artifact ExportedCampaign

@@ -66,11 +66,12 @@ type Runner struct {
 	Faults *faults.Plan
 
 	// ContinueOnError keeps the campaign going past failing cells:
-	// instead of reporting the first error in cell order, RunMatrix and
-	// ExportMatrix carry a per-cell *CellError record for every failed
-	// cell alongside the successful results. Experiments whose row
-	// shapes need every cell (RunFig4, RunTable3, SecurityBenchmark)
-	// still run all cells but return the first failure. The default
+	// instead of reporting the first error in cell order,
+	// RunMatrixContext and ExportMatrixContext carry a per-cell
+	// *CellError record for every failed cell alongside the successful
+	// results. Experiments whose row shapes need every cell
+	// (RunFig4Context, RunTable3Context, SecurityBenchmarkContext) still
+	// run all cells but return the first failure. The default
 	// (false) preserves first-error-in-cell-order semantics exactly.
 	ContinueOnError bool
 
@@ -328,54 +329,36 @@ func (c cell) String() string {
 	return c.version.Name + "/" + c.useCase + "/" + string(c.mode)
 }
 
-// runCell executes one cell in its own fresh environment. It is the
-// unit of work a pool worker owns; nothing it touches outlives the call
-// or is shared with another cell. A non-nil registry gives the cell its
-// own Recorder and merges the resulting profile; the recorder is
-// single-goroutine by design, matching one-cell-one-worker ownership.
-// A non-nil injector arms the cell's substrate fault plane the same
-// way: one cell, one injector.
-func runCell(c cell, reg *telemetry.Registry, inj *faults.Injector) (*RunResult, error) {
-	var rec *telemetry.Recorder
-	var start time.Time
-	if reg != nil {
-		rec = telemetry.NewRecorder(0)
-		rec.AttachFaults(inj)
-		start = time.Now()
-	}
-	return runCellWith(c, reg, rec, inj, nil, start, nil)
-}
-
-// runCellWith is runCell with the recorder owned by the caller, so the
-// guarded path can snapshot a salvage profile from a cell that errors
-// or panics mid-run. The recorder (and start, its creation time) must
-// come from the same goroutine that calls this. tree, when non-nil, is
-// the cell's span tree: the lifecycle phases (boot, exploit/inject,
-// assess) open under its root, and the environment is built with the
-// tree installed so hypercall and mm-op spans nest inside them. Error
-// returns leave the failing phase open — the guarded caller's Abort
-// closes and marks it. abandoned, when non-nil, is set by the guarded
-// caller once it stops waiting for this cell (watchdog or cancel); a
-// cell that finishes after that point must not recycle its machine fork
-// — the runner already wrote it off as poisoned.
-func runCellWith(c cell, reg *telemetry.Registry, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree, start time.Time, abandoned *atomic.Bool) (*RunResult, error) {
+// runScenario executes one cell's lifecycle in its own fresh
+// environment: boot (or fork), run the scenario in the cell's mode,
+// assess. It is the cell body runGuarded owns; nothing it touches
+// outlives the cell or is shared with another cell. rec and inj are the
+// cell's own recorder and fault injector (either may be nil). tree,
+// when non-nil, is the cell's span tree: the lifecycle phases (boot,
+// exploit/inject, assess) open under its root, and the environment is
+// built with the tree installed so hypercall and mm-op spans nest
+// inside them. Error returns leave the failing phase open — the
+// caller's Abort closes and marks it. The returned recycle func is
+// non-nil only for a forked environment; the caller invokes it once the
+// cell has settled cleanly.
+func runScenario(c cell, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree) (*RunResult, func(), error) {
 	p := campaignPlan()
 	scen, ok := p.scenarios[c.useCase]
 	if !ok {
 		// Fall through to the canonical lookup for its error message.
 		var err error
 		if scen, err = exploits.ScenarioByName(c.useCase); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	boot := tree.Phase(span.PhaseBoot)
 	e, recycle, err := cellEnvironment(p, c, rec, inj, tree)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	env, err := e.ScenarioEnv(c.mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tree.End(boot)
 	// The attack phase is named after the cell's mode, so exploit and
@@ -390,20 +373,7 @@ func runCellWith(c cell, reg *telemetry.Registry, rec *telemetry.Recorder, inj *
 	as := tree.Phase(span.PhaseAssess)
 	verdict := monitor.Assess(e.HV, e.Guests, outcome)
 	tree.End(as)
-	res := &RunResult{Outcome: outcome, Verdict: verdict}
-	if reg != nil {
-		res.Profile = rec.Profile(c.String(), time.Since(start).Nanoseconds())
-		reg.Record(res.Profile)
-	}
-	// Only a cleanly completed cell that the runner is still waiting for
-	// returns its machine fork to the snapshot pool; every error path
-	// above — and a cell the watchdog or a cancellation already wrote
-	// off, even if it later unwedges and finishes — abandons a possibly
-	// poisoned fork to the collector instead.
-	if recycle != nil && (abandoned == nil || !abandoned.Load()) {
-		recycle()
-	}
-	return res, nil
+	return &RunResult{Outcome: outcome, Verdict: verdict}, recycle, nil
 }
 
 // cellOutcome pairs one cell's result with its failure record; exactly
@@ -422,6 +392,51 @@ type cellOutcome struct {
 	cov     *coverage.Map
 }
 
+// finishCell assembles a cell's outcome on its own goroutine, the one
+// place every exit of the cell body — clean return, error, recovered
+// panic — passes through. It closes the span tree (Finish on success,
+// Abort marking the failing phase otherwise), snapshots the telemetry
+// profile, records a successful profile in the registry, and returns a
+// cleanly completed fork to the snapshot pool. A failed cell carries
+// its salvage profile for the flight recorder; a successful one carries
+// a profile only when the registry or the observer consumes it.
+func (r *Runner) finishCell(id string, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func(), abandoned *atomic.Bool) cellOutcome {
+	out := cellOutcome{res: res, err: cerr, tree: tree, cov: rec.Coverage()}
+	if cerr != nil {
+		tree.Abort()
+		out.profile = rec.Profile(id, time.Since(start).Nanoseconds())
+	} else {
+		if r.Telemetry != nil || r.Observer != nil {
+			res.Profile = rec.Profile(id, time.Since(start).Nanoseconds())
+			out.profile = res.Profile
+			if r.Telemetry != nil {
+				r.Telemetry.Record(res.Profile)
+			}
+		}
+		tree.Finish()
+		// Only a cleanly completed cell that the runner is still waiting
+		// for returns its machine fork to the snapshot pool; a failed cell
+		// — and a cell the watchdog or a cancellation already wrote off,
+		// even if it later unwedges and finishes — abandons a possibly
+		// poisoned fork to the collector instead.
+		if recycle != nil && !abandoned.Load() {
+			recycle()
+		}
+	}
+	if tree != nil {
+		// No event lands after the profile snapshot, so its copy of the
+		// ring serves the latency scan when there is one.
+		var evs []telemetry.Event
+		if out.profile != nil {
+			evs = out.profile.Events
+		} else {
+			evs = rec.Events()
+		}
+		out.latency = span.DetectionLatency(tree, evs)
+	}
+	return out
+}
+
 // runGuarded executes one cell behind the engine's fault barriers: a
 // recover() that converts a worker panic into a FailPanic record (with
 // sanitized stack), a watchdog that classifies a runaway cell as
@@ -433,7 +448,7 @@ type cellOutcome struct {
 func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt time.Time) cellOutcome {
 	id := c.String()
 	if err := ctx.Err(); err != nil {
-		return r.settle(id, -1, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
+		return r.settle(id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
 	}
 	var inj *faults.Injector
 	if r.Faults != nil {
@@ -485,37 +500,26 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 		if r.Spans != nil || r.Observer != nil {
 			tree = span.NewTree(id, rec.Emitted)
 		}
-		salvage := func() *telemetry.CellProfile {
-			if rec == nil {
-				return nil
-			}
-			return rec.Profile(id, time.Since(start).Nanoseconds())
-		}
+		var (
+			res     *RunResult
+			recycle func()
+			cerr    *CellError
+		)
 		defer func() {
 			if p := recover(); p != nil {
-				tree.Abort()
-				done <- cellOutcome{err: &CellError{
+				res, cerr = nil, &CellError{
 					Cell:    id,
 					Class:   FailPanic,
 					Message: fmt.Sprint(p),
 					Stack:   sanitizeStack(debug.Stack()),
-				}, profile: salvage(), tree: tree, latency: span.DetectionLatency(tree, rec.Events()), cov: rec.Coverage()}
+				}
 			}
+			done <- r.finishCell(id, res, cerr, rec, tree, start, recycle, &abandoned)
 		}()
-		res, err := runCellWith(c, r.Telemetry, rec, inj, tree, start, &abandoned)
-		if err != nil {
-			tree.Abort()
-			done <- cellOutcome{err: &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err},
-				profile: salvage(), tree: tree, latency: span.DetectionLatency(tree, rec.Events()), cov: rec.Coverage()}
-			return
+		var err error
+		if res, recycle, err = runScenario(c, rec, inj, tree); err != nil {
+			cerr = &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err}
 		}
-		tree.Finish()
-		if res.Profile == nil && r.Observer != nil {
-			// An observer receives the full outcome even without a
-			// registry: the ledger persists the profile's effect stream.
-			res.Profile = salvage()
-		}
-		done <- cellOutcome{res: res, profile: res.Profile, tree: tree, latency: span.DetectionLatency(tree, rec.Events()), cov: rec.Coverage()}
 	})
 
 	var watchdog <-chan time.Time
@@ -524,29 +528,52 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 		defer t.Stop()
 		watchdog = t.C
 	}
+	var out cellOutcome
 	select {
-	case out := <-done:
-		return r.settleSpans(id, worker, began, queueNS, time.Since(began), out)
+	case out = <-done:
 	case <-watchdog:
 		abandoned.Store(true)
-		return r.settleSpans(id, worker, began, queueNS, time.Since(began), cellOutcome{err: &CellError{
+		out.err = &CellError{
 			Cell:    id,
 			Class:   FailHang,
 			Message: fmt.Sprintf("cell exceeded the %s watchdog deadline", r.cellTimeout()),
-		}})
+		}
 	case <-ctx.Done():
 		abandoned.Store(true)
-		return r.settleSpans(id, worker, began, queueNS, time.Since(began), cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: ctx.Err().Error(), cause: ctx.Err()}})
+		out.err = &CellError{Cell: id, Class: FailCanceled, Message: ctx.Err().Error(), cause: ctx.Err()}
 	}
+	return r.settle(id, worker, began, queueNS, time.Since(began), out)
 }
 
-// settle notifies the progress observer of a cell's settled outcome,
-// files its coverage map, and passes it through. Every cell outcome —
-// success, error, panic, hang, cancel, even cells never dispatched —
-// funnels through here, so the coverage collector sees exactly one
-// FinishCell per cell (abandoned cells file a nil map, which settles
-// as empty coverage deterministically).
-func (r *Runner) settle(id string, worker int, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
+// settle notifies the observers of a cell's settled outcome, files its
+// span capture and coverage map, and passes it through. Every cell
+// outcome — success, error, panic, hang, cancel, even cells never
+// dispatched — funnels through here, so the coverage collector sees
+// exactly one FinishCell per cell (abandoned cells file a nil map,
+// which settles as empty coverage deterministically). A dispatched cell
+// (non-zero began) also files its span capture with the collector and
+// feeds the RQ3 detection-latency histogram; an abandoned cell (hang,
+// cancel while running) carries no tree — its stub records only worker,
+// wall placement and failure class, and the racing goroutine keeps its
+// tree. Cells canceled before dispatch file no spans.
+func (r *Runner) settle(id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
+	if r.Spans != nil && !began.IsZero() {
+		cs := &span.CellSpans{
+			Cell:     id,
+			Worker:   worker,
+			OffsetNS: began.Sub(r.Spans.Epoch()).Nanoseconds(),
+			WallNS:   wall.Nanoseconds(),
+			Latency:  out.latency,
+			Tree:     out.tree,
+		}
+		if out.err != nil {
+			cs.Class = string(out.err.Class)
+		}
+		r.Spans.FinishCell(cs)
+		if r.Telemetry != nil && out.latency.Found && out.latency.Events >= 0 {
+			r.Telemetry.Histogram(telemetry.DetectionLatencyHistogram).Observe(uint64(out.latency.Events))
+		}
+	}
 	if r.Coverage != nil {
 		r.Coverage.FinishCell(id, out.cov)
 	}
@@ -584,32 +611,6 @@ func rootSpanV(t *span.Tree) uint64 {
 		return 0
 	}
 	return spans[0].EndV - spans[0].StartV
-}
-
-// settleSpans is settle for cells that actually started: it also files
-// the cell's span capture with the collector and feeds the RQ3
-// detection-latency histogram. Abandoned cells (hang, cancel while
-// running) carry no tree — the stub records only worker, wall placement
-// and failure class, and the racing goroutine keeps its tree.
-func (r *Runner) settleSpans(id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
-	if r.Spans != nil {
-		cs := &span.CellSpans{
-			Cell:     id,
-			Worker:   worker,
-			OffsetNS: began.Sub(r.Spans.Epoch()).Nanoseconds(),
-			WallNS:   wall.Nanoseconds(),
-			Latency:  out.latency,
-			Tree:     out.tree,
-		}
-		if out.err != nil {
-			cs.Class = string(out.err.Class)
-		}
-		r.Spans.FinishCell(cs)
-		if r.Telemetry != nil && out.latency.Found && out.latency.Events >= 0 {
-			r.Telemetry.Histogram(telemetry.DetectionLatencyHistogram).Observe(uint64(out.latency.Events))
-		}
-	}
-	return r.settle(id, worker, queueNS, wall, out)
 }
 
 // runCellsDetailed executes a batch of cells and returns one outcome
@@ -670,7 +671,7 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 		case <-ctx.Done():
 			err := ctx.Err()
 			for j := i; j < len(cells); j++ {
-				outs[j] = r.settle(cells[j].String(), -1, 0, 0, cellOutcome{err: &CellError{
+				outs[j] = r.settle(cells[j].String(), -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{
 					Cell: cells[j].String(), Class: FailCanceled, Message: err.Error(), cause: err,
 				}})
 			}
@@ -730,17 +731,12 @@ func firstFailure(cells []cell, cerrs []*CellError, wrap func(cell, error) error
 	return nil
 }
 
-// Run executes one cell under the runner's telemetry and fault
+// RunContext executes one cell under the runner's telemetry and fault
 // configuration: the single-cell entry point behind the CLI's -cell
 // flag. It runs behind the same barriers as a campaign cell, so a
 // panicking or wedged cell reports a classified error instead of
-// killing the caller.
-func (r *Runner) Run(v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	return r.RunContext(context.Background(), v, useCase, mode)
-}
-
-// RunContext is Run under a context: cancellation classifies the cell
-// as canceled instead of letting it run to completion.
+// killing the caller, and cancellation classifies the cell as canceled
+// instead of letting it run to completion.
 func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, mode Mode) (*RunResult, error) {
 	out := r.runGuarded(ctx, cell{version: v, useCase: useCase, mode: mode}, 0, time.Now())
 	if out.err != nil {
@@ -750,12 +746,6 @@ func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, m
 		return nil, out.err
 	}
 	return out.res, nil
-}
-
-// RunFig4 executes the RQ1 experiment (every use case, exploit vs
-// injection, on the vulnerable 4.6 version) across the pool.
-func (r *Runner) RunFig4() ([]Fig4Row, error) {
-	return r.RunFig4Context(context.Background())
 }
 
 // applicable filters the registry to the specs scheduling cells on the
@@ -770,10 +760,11 @@ func applicable(specs []exploits.Spec, version string) []exploits.Spec {
 	return out
 }
 
-// RunFig4Context is RunFig4 under a context: cancellation stops
-// dispatching cells and reports the first unfinished cell. The figure's
-// rows need every cell, so a failed cell is an error even under
-// ContinueOnError.
+// RunFig4Context executes the RQ1 experiment (every use case, exploit
+// vs injection, on the vulnerable 4.6 version) across the pool.
+// Cancellation stops dispatching cells and reports the first unfinished
+// cell. The figure's rows need every cell, so a failed cell is an error
+// even under ContinueOnError.
 func (r *Runner) RunFig4Context(ctx context.Context) ([]Fig4Row, error) {
 	v := hv.Version46()
 	specs := applicable(campaignPlan().specs, v.Name)
@@ -807,14 +798,10 @@ func (r *Runner) RunFig4Context(ctx context.Context) ([]Fig4Row, error) {
 	return rows, nil
 }
 
-// RunTable3 executes the RQ2/RQ3 injection campaign (every use case's
-// injection script against 4.8 and 4.13) across the pool.
-func (r *Runner) RunTable3() ([]Table3Row, error) {
-	return r.RunTable3Context(context.Background())
-}
-
-// RunTable3Context is RunTable3 under a context. The table's rows need
-// every cell, so a failed cell is an error even under ContinueOnError.
+// RunTable3Context executes the RQ2/RQ3 injection campaign (every use
+// case's injection script against 4.8 and 4.13) across the pool. The
+// table's rows need every cell, so a failed cell is an error even under
+// ContinueOnError.
 func (r *Runner) RunTable3Context(ctx context.Context) ([]Table3Row, error) {
 	p := campaignPlan()
 	versions := Table3Versions()
@@ -856,18 +843,13 @@ func (r *Runner) RunTable3Context(ctx context.Context) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// RunMatrix executes the full campaign — every version, every registry
-// spec applicable to it, both modes, each cell in a fresh environment —
-// across the pool.
-func (r *Runner) RunMatrix() ([]MatrixEntry, error) {
-	return r.RunMatrixContext(context.Background())
-}
-
-// RunMatrixContext is RunMatrix under a context. Under ContinueOnError
-// it never fails: every cell appears in the returned entries, failed
-// ones carrying their *CellError in Err with a nil Result.
+// RunMatrixContext executes the full campaign — every version, every
+// registry spec applicable to it, both modes, each cell in a fresh
+// environment — across the pool. Under ContinueOnError it never fails:
+// every cell appears in the returned entries, failed ones carrying
+// their *CellError in Err with a nil Result.
 func (r *Runner) RunMatrixContext(ctx context.Context) ([]MatrixEntry, error) {
-	return r.runMatrixSpecs(ctx, campaignPlan().specs)
+	return r.RunMatrixSpecs(ctx, campaignPlan().specs)
 }
 
 // RunMatrixSpecs is RunMatrixContext over an explicit spec list: the
@@ -876,7 +858,18 @@ func (r *Runner) RunMatrixContext(ctx context.Context) ([]MatrixEntry, error) {
 // original paper scenarios alone and diff their artifacts against the
 // frozen pre-expansion output.
 func (r *Runner) RunMatrixSpecs(ctx context.Context, specs []exploits.Spec) ([]MatrixEntry, error) {
-	return r.runMatrixSpecs(ctx, specs)
+	var cells []cell
+	for _, v := range hv.Versions() {
+		for _, s := range specs {
+			if !s.AppliesTo(v.Name) {
+				continue
+			}
+			for _, mode := range []Mode{ModeExploit, ModeInjection} {
+				cells = append(cells, cell{v, s.Name, mode})
+			}
+		}
+	}
+	return r.runEntries(ctx, cells)
 }
 
 // CellRef identifies one campaign cell by name — the resumable-campaign
@@ -904,6 +897,12 @@ func (r *Runner) RunCellRefs(ctx context.Context, refs []CellRef) ([]MatrixEntry
 		}
 		cells = append(cells, cell{v, ref.UseCase, ref.Mode})
 	}
+	return r.runEntries(ctx, cells)
+}
+
+// runEntries runs matrix cells and turns them into entries, the tail
+// RunMatrixSpecs and RunCellRefs share.
+func (r *Runner) runEntries(ctx context.Context, cells []cell) ([]MatrixEntry, error) {
 	results, cerrs, err := r.runCells(ctx, cells, func(c cell, err error) error {
 		return fmt.Errorf("campaign: matrix %s/%s/%s: %w", c.version.Name, c.useCase, c.mode, err)
 	})
@@ -917,56 +916,18 @@ func (r *Runner) RunCellRefs(ctx context.Context, refs []CellRef) ([]MatrixEntry
 	return out, nil
 }
 
-// runMatrixSpecs is RunMatrixContext over an explicit spec list, so the
-// seed-identity tests can run the original scenarios alone.
-func (r *Runner) runMatrixSpecs(ctx context.Context, specs []exploits.Spec) ([]MatrixEntry, error) {
-	var cells []cell
-	for _, v := range hv.Versions() {
-		for _, s := range specs {
-			if !s.AppliesTo(v.Name) {
-				continue
-			}
-			for _, mode := range []Mode{ModeExploit, ModeInjection} {
-				cells = append(cells, cell{v, s.Name, mode})
-			}
-		}
-	}
-	results, cerrs, err := r.runCells(ctx, cells, func(c cell, err error) error {
-		return fmt.Errorf("campaign: matrix %s/%s/%s: %w", c.version.Name, c.useCase, c.mode, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MatrixEntry, len(cells))
-	for i, c := range cells {
-		out[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: results[i], Err: cerrs[i]}
-	}
-	return out, nil
-}
-
-// SecurityBenchmark runs the injection campaign (all use cases) against
-// every version across the pool and aggregates per-version scores.
-func (r *Runner) SecurityBenchmark() ([]Score, error) {
-	return r.SecurityBenchmarkContext(context.Background())
-}
-
-// SecurityBenchmarkContext is SecurityBenchmark under a context. The
-// aggregate scores need every cell, so a failed cell is an error even
-// under ContinueOnError.
+// SecurityBenchmarkContext runs the injection campaign (all use cases)
+// against every version across the pool and aggregates per-version
+// scores. On the paper's data the expected ranking is 4.13 (0.50) >
+// 4.8 (0.00) = 4.6 (0.00). The aggregate scores need every cell, so a
+// failed cell is an error even under ContinueOnError.
 func (r *Runner) SecurityBenchmarkContext(ctx context.Context) ([]Score, error) {
-	return r.securityBenchmarkSpecs(ctx, campaignPlan().specs)
+	return r.SecurityBenchmarkSpecs(ctx, campaignPlan().specs)
 }
 
 // SecurityBenchmarkSpecs is SecurityBenchmarkContext over an explicit
 // spec list, scoped like RunMatrixSpecs.
 func (r *Runner) SecurityBenchmarkSpecs(ctx context.Context, specs []exploits.Spec) ([]Score, error) {
-	return r.securityBenchmarkSpecs(ctx, specs)
-}
-
-// securityBenchmarkSpecs is SecurityBenchmarkContext over an explicit
-// spec list, so the seed-identity tests can score the original
-// scenarios alone.
-func (r *Runner) securityBenchmarkSpecs(ctx context.Context, specs []exploits.Spec) ([]Score, error) {
 	versions := hv.Versions()
 	cells := make([]cell, 0, len(versions)*len(specs))
 	for _, v := range versions {

@@ -9,6 +9,7 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,16 +20,16 @@ import (
 var workerCounts = []int{1, 4, 8}
 
 func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
-	entries, err := campaign.RunMatrix()
+	entries, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("serial RunMatrix: %v", err)
+		t.Fatalf("serial RunMatrixContext: %v", err)
 	}
 	serial := report.Matrix(entries)
 	for _, w := range workerCounts {
 		r := &campaign.Runner{Workers: w}
-		entries, err := r.RunMatrix()
+		entries, err := r.RunMatrixContext(context.Background())
 		if err != nil {
-			t.Fatalf("Workers=%d RunMatrix: %v", w, err)
+			t.Fatalf("Workers=%d RunMatrixContext: %v", w, err)
 		}
 		if got := report.Matrix(entries); got != serial {
 			t.Errorf("Workers=%d matrix differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
@@ -39,16 +40,16 @@ func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestRunnerTable3DeterministicAcrossWorkerCounts(t *testing.T) {
 	versions := []string{"4.8", "4.13"}
-	rows, err := campaign.RunTable3()
+	rows, err := (&campaign.Runner{Workers: 1}).RunTable3Context(context.Background())
 	if err != nil {
-		t.Fatalf("serial RunTable3: %v", err)
+		t.Fatalf("serial RunTable3Context: %v", err)
 	}
 	serial := report.TableIII(rows, versions)
 	for _, w := range workerCounts {
 		r := &campaign.Runner{Workers: w}
-		rows, err := r.RunTable3()
+		rows, err := r.RunTable3Context(context.Background())
 		if err != nil {
-			t.Fatalf("Workers=%d RunTable3: %v", w, err)
+			t.Fatalf("Workers=%d RunTable3Context: %v", w, err)
 		}
 		if got := report.TableIII(rows, versions); got != serial {
 			t.Errorf("Workers=%d Table III differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
@@ -58,16 +59,16 @@ func TestRunnerTable3DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunnerFig4DeterministicAcrossWorkerCounts(t *testing.T) {
-	rows, err := campaign.RunFig4()
+	rows, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
 	if err != nil {
-		t.Fatalf("serial RunFig4: %v", err)
+		t.Fatalf("serial RunFig4Context: %v", err)
 	}
 	serial := report.Fig4(rows)
 	for _, w := range workerCounts {
 		r := &campaign.Runner{Workers: w}
-		rows, err := r.RunFig4()
+		rows, err := r.RunFig4Context(context.Background())
 		if err != nil {
-			t.Fatalf("Workers=%d RunFig4: %v", w, err)
+			t.Fatalf("Workers=%d RunFig4Context: %v", w, err)
 		}
 		if got := report.Fig4(rows); got != serial {
 			t.Errorf("Workers=%d Fig. 4 differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
@@ -78,13 +79,13 @@ func TestRunnerFig4DeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestRunnerExportMatrixDeterministic(t *testing.T) {
 	var serial bytes.Buffer
-	if err := campaign.ExportMatrix(&serial); err != nil {
-		t.Fatalf("serial ExportMatrix: %v", err)
+	if err := (&campaign.Runner{Workers: 1}).ExportMatrixContext(context.Background(), &serial); err != nil {
+		t.Fatalf("serial ExportMatrixContext: %v", err)
 	}
 	var parallel bytes.Buffer
 	r := &campaign.Runner{Workers: 6}
-	if err := r.ExportMatrix(&parallel); err != nil {
-		t.Fatalf("parallel ExportMatrix: %v", err)
+	if err := r.ExportMatrixContext(context.Background(), &parallel); err != nil {
+		t.Fatalf("parallel ExportMatrixContext: %v", err)
 	}
 	if serial.String() != parallel.String() {
 		t.Error("parallel JSON export differs from serial")
@@ -92,14 +93,14 @@ func TestRunnerExportMatrixDeterministic(t *testing.T) {
 }
 
 func TestRunnerSecurityBenchmarkDeterministic(t *testing.T) {
-	serial, err := campaign.SecurityBenchmark()
+	serial, err := (&campaign.Runner{Workers: 1}).SecurityBenchmarkContext(context.Background())
 	if err != nil {
-		t.Fatalf("serial SecurityBenchmark: %v", err)
+		t.Fatalf("serial SecurityBenchmarkContext: %v", err)
 	}
 	r := &campaign.Runner{Workers: 4}
-	parallel, err := r.SecurityBenchmark()
+	parallel, err := r.SecurityBenchmarkContext(context.Background())
 	if err != nil {
-		t.Fatalf("parallel SecurityBenchmark: %v", err)
+		t.Fatalf("parallel SecurityBenchmarkContext: %v", err)
 	}
 	if len(serial) != len(parallel) {
 		t.Fatalf("score count: serial %d, parallel %d", len(serial), len(parallel))
@@ -116,7 +117,7 @@ func TestRunnerSecurityBenchmarkDeterministic(t *testing.T) {
 // matter which worker hit it.
 func TestRunnerUnknownUseCaseError(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		_, err := campaign.Run(campaign.Table3Versions()[0], "XSA-0-bogus", campaign.ModeInjection)
+		_, err := (&campaign.Runner{Workers: w}).RunContext(context.Background(), campaign.Table3Versions()[0], "XSA-0-bogus", campaign.ModeInjection)
 		if err == nil {
 			t.Fatalf("Workers=%d: run of unknown use case succeeded", w)
 		}
@@ -129,9 +130,9 @@ func TestRunnerUnknownUseCaseError(t *testing.T) {
 // A zero-value Runner must resolve to a positive pool size.
 func TestRunnerDefaultWorkers(t *testing.T) {
 	r := &campaign.Runner{}
-	rows, err := r.RunFig4()
+	rows, err := r.RunFig4Context(context.Background())
 	if err != nil {
-		t.Fatalf("zero-value Runner RunFig4: %v", err)
+		t.Fatalf("zero-value Runner RunFig4Context: %v", err)
 	}
 	if len(rows) != 17 {
 		t.Errorf("got %d Fig. 4 rows, want 17", len(rows))
@@ -142,13 +143,13 @@ func TestRunnerDefaultWorkers(t *testing.T) {
 // surprising a library caller with a fan-out (the CLI rejects negatives
 // before they get here). The output must match the serial run exactly.
 func TestRunnerNegativeWorkersClampToSerial(t *testing.T) {
-	serial, err := (&campaign.Runner{Workers: 1}).RunFig4()
+	serial, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
 	if err != nil {
-		t.Fatalf("serial RunFig4: %v", err)
+		t.Fatalf("serial RunFig4Context: %v", err)
 	}
-	neg, err := (&campaign.Runner{Workers: -3}).RunFig4()
+	neg, err := (&campaign.Runner{Workers: -3}).RunFig4Context(context.Background())
 	if err != nil {
-		t.Fatalf("Workers=-3 RunFig4: %v", err)
+		t.Fatalf("Workers=-3 RunFig4Context: %v", err)
 	}
 	if got, want := report.Fig4(neg), report.Fig4(serial); got != want {
 		t.Errorf("Workers=-3 output differs from serial:\n%s\nvs\n%s", got, want)

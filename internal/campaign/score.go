@@ -35,11 +35,3 @@ func (s Score) String() string {
 	return fmt.Sprintf("Xen %-5s states=%d violations=%d handled=%d resilience=%.2f",
 		s.Version, s.StatesInjected, s.Violations, s.Handled, s.Resilience())
 }
-
-// SecurityBenchmark runs the injection campaign (all use cases) against
-// every version and aggregates the per-version scores. On the paper's
-// data the expected ranking is 4.13 (0.50) > 4.8 (0.00) = 4.6 (0.00).
-// Cells run serially; use a Runner to spread them over a worker pool.
-func SecurityBenchmark() ([]Score, error) {
-	return (&Runner{Workers: 1}).SecurityBenchmark()
-}

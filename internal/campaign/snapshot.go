@@ -46,8 +46,8 @@ func EnableSnapshots(on bool) { snapshotsOn.Store(on) }
 func SnapshotsEnabled() bool { return snapshotsOn.Load() }
 
 // snapKey identifies one snapshot: the full version profile (not just
-// its name — Runner.Run accepts custom Version values) plus the mode,
-// which decides whether the injector hypercall is compiled in.
+// its name — Runner.RunContext accepts custom Version values) plus the
+// mode, which decides whether the injector hypercall is compiled in.
 type snapKey struct {
 	version hv.Version
 	mode    Mode

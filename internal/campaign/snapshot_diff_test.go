@@ -80,7 +80,7 @@ func TestForkVsFreshCanonicalTracesIdentical(t *testing.T) {
 		set(snapshots)
 		reg := telemetry.NewRegistry()
 		r := &campaign.Runner{Workers: 4, Telemetry: reg}
-		if _, err := r.RunMatrix(); err != nil {
+		if _, err := r.RunMatrixContext(context.Background()); err != nil {
 			t.Fatalf("snapshots=%v: %v", snapshots, err)
 		}
 		out := make(map[string]string)
@@ -128,7 +128,7 @@ func TestForkVsFreshSpanForestIdentical(t *testing.T) {
 		set(snapshots)
 		col := span.NewCollector()
 		r := &campaign.Runner{Workers: workers, Spans: col}
-		if _, err := r.RunMatrix(); err != nil {
+		if _, err := r.RunMatrixContext(context.Background()); err != nil {
 			t.Fatalf("snapshots=%v workers=%d: %v", snapshots, workers, err)
 		}
 		return col.Forest().Canonical()

@@ -7,6 +7,7 @@ package campaign
 // are abandoned to the collector instead of returning to the pool.
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -24,6 +25,12 @@ func poolVersion(t *testing.T) hv.Version {
 	return v
 }
 
+// runPoolCell runs one cell through a serial Runner, armed with plan
+// (nil for a clean run).
+func runPoolCell(plan *faults.Plan, v hv.Version, useCase string) (*RunResult, error) {
+	return (&Runner{Workers: 1, Faults: plan}).RunContext(context.Background(), v, useCase, ModeExploit)
+}
+
 func TestCleanForkReturnsToPool(t *testing.T) {
 	v := poolVersion(t)
 	s := snapshotFor(campaignPlan(), v, ModeExploit)
@@ -33,7 +40,7 @@ func TestCleanForkReturnsToPool(t *testing.T) {
 	if got := s.ms.PoolSize(); got != 0 {
 		t.Fatalf("fresh snapshot pool size %d, want 0", got)
 	}
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ms.PoolSize(); got != 1 {
@@ -50,7 +57,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	id := v.Name + "/XSA-182-test/exploit"
 	// Prime the pool with one clean run, so the panicking cell provably
 	// consumes the pooled fork and fails to return it.
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ms.PoolSize(); got != 1 {
@@ -58,7 +65,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	}
 	plan := faults.NewPlan(0, 0).ArmCell(id, faults.SiteHypercallPanic, 1)
 	r := &Runner{Workers: 1, Faults: plan}
-	_, err := r.Run(v, "XSA-182-test", ModeExploit)
+	_, err := r.RunContext(context.Background(), v, "XSA-182-test", ModeExploit)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Class != FailPanic {
 		t.Fatalf("err = %v, want a FailPanic record", err)
@@ -68,7 +75,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	}
 	// The snapshot itself is uncorrupted: the next clean run succeeds
 	// and recycles a fresh fork.
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatalf("clean run after panicked fork: %v", err)
 	}
 	if got := s.ms.PoolSize(); got != 1 {
@@ -85,20 +92,20 @@ func TestWedgedForkIsAbandonedNotPooled(t *testing.T) {
 	id := v.Name + "/XSA-182-test/exploit"
 	plan := faults.NewPlan(0, 0).ArmCell(id, faults.SiteWedge, 1)
 	r := &Runner{Workers: 1, CellTimeout: 50 * time.Millisecond, Faults: plan}
-	_, err := r.Run(v, "XSA-182-test", ModeExploit)
+	_, err := r.RunContext(context.Background(), v, "XSA-182-test", ModeExploit)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Class != FailHang {
 		t.Fatalf("err = %v, want a FailHang record", err)
 	}
 	plan.ReleaseAll()
 	// Give the released goroutine a moment to drain; it must not
-	// recycle its fork even after release (its runCellWith unwound
+	// recycle its fork even after release (its runScenario unwound
 	// through the wedged hypercall's error path).
 	time.Sleep(50 * time.Millisecond)
 	if got := s.ms.PoolSize(); got != 0 {
 		t.Errorf("pool size %d after a wedged cell, want 0", got)
 	}
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatalf("clean run after wedged fork: %v", err)
 	}
 }
@@ -115,9 +122,9 @@ func TestBootWindowAllocFaultBootsFresh(t *testing.T) {
 	if s.ms.BootAllocConsults() == 0 {
 		t.Fatal("boot recorded no alloc consults; the boot-window check is vacuous")
 	}
+	id := v.Name + "/XSA-182-test/exploit"
 	run := func() string {
-		inj := faults.NewInjector().Arm(faults.SiteAlloc, 1)
-		_, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, inj)
+		_, err := runPoolCell(faults.NewPlan(0, 0).ArmCell(id, faults.SiteAlloc, 1), v, "XSA-182-test")
 		if err == nil {
 			t.Fatal("boot-window alloc fault did not fail the cell")
 		}
@@ -149,9 +156,8 @@ func TestPostBootAllocFaultFiresInForkOnly(t *testing.T) {
 		t.Fatal(s.err)
 	}
 	boot := s.ms.BootAllocConsults()
-	inj := faults.NewInjector().Arm(faults.SiteAlloc, boot+1)
-	c := cell{version: v, useCase: "XSA-212-crash", mode: ModeExploit}
-	res, err := runCell(c, nil, inj)
+	plan := faults.NewPlan(0, 0).ArmCell(v.Name+"/XSA-212-crash/exploit", faults.SiteAlloc, boot+1)
+	res, err := runPoolCell(plan, v, "XSA-212-crash")
 	if err != nil {
 		t.Fatalf("post-boot fault should land in the outcome, not fail the cell: %v", err)
 	}
@@ -161,7 +167,7 @@ func TestPostBootAllocFaultFiresInForkOnly(t *testing.T) {
 		t.Fatalf("outcome error = %v, want an injected allocation failure", res.Outcome.Err)
 	}
 	// The same cell with no faults reproduces the pristine result.
-	clean, err := runCell(c, nil, nil)
+	clean, err := runPoolCell(nil, v, "XSA-212-crash")
 	if err != nil {
 		t.Fatalf("clean run after faulted fork: %v", err)
 	}

@@ -32,7 +32,7 @@ func matrixForest(t *testing.T, workers int, opts func(*campaign.Runner)) *span.
 		opts(r)
 	}
 	if _, err := r.RunMatrixContext(context.Background()); err != nil {
-		t.Fatalf("workers=%d RunMatrix: %v", workers, err)
+		t.Fatalf("workers=%d RunMatrixContext: %v", workers, err)
 	}
 	return r.Spans.Forest()
 }
@@ -136,14 +136,14 @@ func TestDetectionLatencyGolden(t *testing.T) {
 // Installing the span collector must not perturb the campaign's
 // rendered artifact — spans observe the run, they don't participate.
 func TestMatrixOutputUnchangedBySpans(t *testing.T) {
-	plain, err := (&campaign.Runner{Workers: 4}).RunMatrix()
+	plain, err := (&campaign.Runner{Workers: 4}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("plain RunMatrix: %v", err)
+		t.Fatalf("plain RunMatrixContext: %v", err)
 	}
 	r := &campaign.Runner{Workers: 4, Spans: span.NewCollector()}
-	spanned, err := r.RunMatrix()
+	spanned, err := r.RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("spanned RunMatrix: %v", err)
+		t.Fatalf("spanned RunMatrixContext: %v", err)
 	}
 	if got, want := report.Matrix(spanned), report.Matrix(plain); got != want {
 		t.Errorf("matrix report changed when span collection was enabled:\n--- plain ---\n%s\n--- spanned ---\n%s", want, got)
@@ -154,7 +154,7 @@ func TestMatrixOutputUnchangedBySpans(t *testing.T) {
 // tree, latency measured.
 func TestRunSingleCellCollectsSpans(t *testing.T) {
 	r := &campaign.Runner{Workers: 1, Spans: span.NewCollector()}
-	if _, err := r.Run(campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
+	if _, err := r.RunContext(context.Background(), campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	f := r.Spans.Forest()

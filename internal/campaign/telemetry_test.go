@@ -7,6 +7,7 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ import (
 func matrixProfiles(t *testing.T, workers int) map[string][]telemetry.CounterValue {
 	t.Helper()
 	r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -60,7 +61,7 @@ func TestPerCellCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 // is closed by a cell_end summary.
 func TestMatrixTraceCoversEveryCell(t *testing.T) {
 	r := &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestMatrixTraceCoversEveryCell(t *testing.T) {
 func TestTraceEventOrderDeterministic(t *testing.T) {
 	trace := func(workers int) []telemetry.TraceRecord {
 		r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry()}
-		entries, err := r.RunMatrix()
+		entries, err := r.RunMatrixContext(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -154,10 +155,10 @@ func TestTraceEventOrderDeterministic(t *testing.T) {
 // (so pre-telemetry artifacts remain byte-comparable).
 func TestExportCarriesTelemetryOnlyWhenProfiled(t *testing.T) {
 	var plain, profiled bytes.Buffer
-	if err := (&campaign.Runner{Workers: 4}).ExportMatrix(&plain); err != nil {
+	if err := (&campaign.Runner{Workers: 4}).ExportMatrixContext(context.Background(), &plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := (&campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}).ExportMatrix(&profiled); err != nil {
+	if err := (&campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}).ExportMatrixContext(context.Background(), &profiled); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(plain.Bytes(), []byte(`"counters"`)) || bytes.Contains(plain.Bytes(), []byte(`"wall_ns"`)) {

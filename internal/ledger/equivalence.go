@@ -8,85 +8,33 @@ import (
 )
 
 // Equivalence grades the RQ2 trace-equivalence verdicts from a record's
-// persisted canonical streams, mirroring tracediff.MatrixEquivalence
-// over live matrices: same basis selection (exploit@version where the
-// exploit induced the state, reference-exploit on fixed versions,
-// state-audit for handled cells), same verdict order (version-major,
-// scenario-minor). Because it reads only the record, a resumed run —
-// part reused entries, part re-executed — grades identically to an
-// uninterrupted one; that is what makes merged equivalence artifacts
-// byte-identical.
+// persisted canonical streams by projecting its entries into
+// tracediff.Grade, the same grader live matrices use, with the record's
+// version order as the reference order. Because it reads only the
+// record, a resumed run — part reused entries, part re-executed —
+// grades identically to an uninterrupted one; that is what makes merged
+// equivalence artifacts byte-identical.
 //
 // Like the live engine, a failed or unprofiled cell is an error: an
 // equivalence claim over a partial matrix would be vacuous.
 func Equivalence(rec *Record) ([]tracediff.CellVerdict, error) {
-	type mk struct{ version, scenario, mode string }
-	idx := make(map[mk]*Entry, len(rec.Entries))
-	for _, e := range rec.Entries {
+	cells := make([]tracediff.CellStreams, len(rec.Entries))
+	for i, e := range rec.Entries {
 		if e.Error != nil {
 			return nil, fmt.Errorf("ledger: cell %s/%s/%s failed: %s", e.Version, e.Scenario, e.Mode, e.Error)
 		}
 		if !e.Profiled || e.Verdict == nil {
 			return nil, fmt.Errorf("ledger: cell %s/%s/%s has no persisted trace streams (run with telemetry)", e.Version, e.Scenario, e.Mode)
 		}
-		idx[mk{e.Version, e.Scenario, e.Mode}] = e
+		cells[i] = tracediff.CellStreams{
+			Version:           e.Version,
+			UseCase:           e.Scenario,
+			Mode:              campaign.Mode(e.Mode),
+			ErroneousState:    e.Verdict.ErroneousState,
+			SecurityViolation: e.Verdict.SecurityViolation,
+			Effects:           e.Effects,
+			StateAudit:        e.StateAudit,
+		}
 	}
-
-	// Reference exploit per scenario: the earliest version (record's
-	// version order) whose exploit induced the erroneous state.
-	reference := func(scenario string) *Entry {
-		for _, v := range rec.Config.Versions {
-			if e, ok := idx[mk{v, scenario, string(campaign.ModeExploit)}]; ok && e.Verdict.ErroneousState {
-				return e
-			}
-		}
-		return nil
-	}
-
-	var out []tracediff.CellVerdict
-	for _, e := range rec.Entries {
-		if e.Mode != string(campaign.ModeExploit) {
-			continue
-		}
-		inj, ok := idx[mk{e.Version, e.Scenario, string(campaign.ModeInjection)}]
-		if !ok {
-			return nil, fmt.Errorf("ledger: cell %s/%s has no injection sibling in the record", e.Version, e.Scenario)
-		}
-		cv := tracediff.CellVerdict{UseCase: e.Scenario, Version: e.Version}
-
-		switch {
-		case e.Verdict.ErroneousState:
-			// The exploit worked here: strongest basis.
-			cv.Basis = tracediff.BasisExploit
-			cv.Tier, cv.Divergence = tracediff.CompareStreams(e.Effects, inj.Effects)
-			cv.BaseEvents, cv.InjectionEvents = len(e.Effects), len(inj.Effects)
-
-		default:
-			ref := reference(e.Scenario)
-			if ref == nil {
-				return nil, fmt.Errorf("ledger: %s: no version's exploit induced the erroneous state; no reference to compare %s's injection against", e.Scenario, e.Version)
-			}
-			cv.RefVersion = ref.Version
-			if inj.Verdict.SecurityViolation == ref.Verdict.SecurityViolation {
-				cv.Basis = tracediff.BasisReference
-				cv.Tier, cv.Divergence = tracediff.CompareStreams(ref.Effects, inj.Effects)
-				cv.BaseEvents, cv.InjectionEvents = len(ref.Effects), len(inj.Effects)
-			} else {
-				// Handled cell: compare the erroneous state itself.
-				cv.Basis = tracediff.BasisStateAudit
-				ra, ia := ref.StateAudit, inj.StateAudit
-				cv.BaseEvents, cv.InjectionEvents = len(ra), len(ia)
-				if len(ra) == 0 && len(ia) == 0 {
-					// Nothing attested on either side: vacuous equality
-					// is not equivalence evidence.
-					cv.Tier = tracediff.TierDivergent
-					cv.Divergence = &tracediff.Divergence{A: tracediff.Absent, B: tracediff.Absent}
-				} else {
-					cv.Tier, cv.Divergence = tracediff.CompareStreams(ra, ia)
-				}
-			}
-		}
-		out = append(out, cv)
-	}
-	return out, nil
+	return tracediff.Grade(cells, rec.Config.Versions)
 }

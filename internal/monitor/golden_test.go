@@ -9,6 +9,7 @@ package monitor_test
 // regression in the walkers/oracles the monitor relies on.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestVerdictEvidenceGoldens(t *testing.T) {
 		g := g
 		t.Run(g.version.Name+"/"+g.useCase, func(t *testing.T) {
 			t.Parallel()
-			res, err := campaign.Run(g.version, g.useCase, campaign.ModeInjection)
+			res, err := (&campaign.Runner{Workers: 1}).RunContext(context.Background(), g.version, g.useCase, campaign.ModeInjection)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,7 +27,7 @@ func TestFlightRecorderDumpsFailedCell(t *testing.T) {
 		Faults:          faults.NewPlan(0, 0).ArmCell(victim, faults.SiteHypercallPanic, 1),
 		Progress:        fr,
 	}
-	if _, err := r.RunMatrix(); err != nil {
+	if _, err := r.RunMatrixContext(context.Background()); err != nil {
 		t.Fatalf("matrix under continue-on-error: %v", err)
 	}
 

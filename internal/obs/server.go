@@ -195,7 +195,7 @@ func (s *Server) CellFinished(cell string, wall time.Duration, profile *telemetr
 }
 
 // track returns the cell's state, creating it as pending on first
-// sight (single cells run via Runner.Run never see a BatchStarted).
+// sight (single cells run via Runner.RunContext never see a BatchStarted).
 // Callers hold s.mu.
 func (s *Server) track(cell string) *CellState {
 	if st, ok := s.cells[cell]; ok {

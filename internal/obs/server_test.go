@@ -103,7 +103,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: srv}
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunMatrix()
+		_, err := r.RunMatrixContext(context.Background())
 		done <- err
 	}()
 

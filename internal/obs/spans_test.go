@@ -33,8 +33,8 @@ func sampleFamily(line string) string {
 func TestWriteMetricsEverySeriesDocumented(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r := &campaign.Runner{Workers: 4, Telemetry: reg, Spans: span.NewCollector()}
-	if _, err := r.RunMatrix(); err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+	if _, err := r.RunMatrixContext(context.Background()); err != nil {
+		t.Fatalf("RunMatrixContext: %v", err)
 	}
 
 	var b strings.Builder
@@ -124,7 +124,7 @@ func TestSpansEndpoint(t *testing.T) {
 
 	c := span.NewCollector()
 	r := &campaign.Runner{Workers: 1, Spans: c}
-	if _, err := r.Run(campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
+	if _, err := r.RunContext(context.Background(), campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	srv.SetSpans(c)

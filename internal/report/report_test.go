@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestFig3ExecutesEquivalenceCheck(t *testing.T) {
 }
 
 func TestFig4Rendering(t *testing.T) {
-	rows, err := campaign.RunFig4()
+	rows, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestFig4Rendering(t *testing.T) {
 }
 
 func TestMatrixRendering(t *testing.T) {
-	res, err := campaign.Run(hv.Version48(), "XSA-212-crash", campaign.ModeExploit)
+	res, err := (&campaign.Runner{Workers: 1}).RunContext(context.Background(), hv.Version48(), "XSA-212-crash", campaign.ModeExploit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestMatrixRendering(t *testing.T) {
 }
 
 func TestTranscriptRendering(t *testing.T) {
-	res, err := campaign.Run(hv.Version46(), "XSA-212-crash", campaign.ModeExploit)
+	res, err := (&campaign.Runner{Workers: 1}).RunContext(context.Background(), hv.Version46(), "XSA-212-crash", campaign.ModeExploit)
 	if err != nil {
 		t.Fatal(err)
 	}

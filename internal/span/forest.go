@@ -86,7 +86,7 @@ func (c *Collector) StartBatch(cells []string) {
 }
 
 // FinishCell records a settled cell. A cell settling outside any
-// announced batch (Runner.Run single-cell paths) gets an implicit
+// announced batch (Runner.RunContext single-cell paths) gets an implicit
 // one-cell batch.
 func (c *Collector) FinishCell(cs *CellSpans) {
 	c.mu.Lock()

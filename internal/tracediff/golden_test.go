@@ -1,6 +1,7 @@
 package tracediff
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 func runProfiledMatrix(t *testing.T) []campaign.MatrixEntry {
 	t.Helper()
 	r := &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+		t.Fatalf("RunMatrixContext: %v", err)
 	}
 	return entries
 }

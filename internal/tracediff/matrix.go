@@ -67,113 +67,124 @@ type CellVerdict struct {
 // equivalent-modulo-noise).
 func (cv *CellVerdict) Equivalent() bool { return cv.Tier != TierDivergent }
 
-// MatrixEquivalence computes per-cell trace-equivalence verdicts for a
-// profiled campaign matrix. Entries must come from a Runner with a
-// Telemetry registry (every cell needs its event trace) and a fully
-// successful run — a failed or unprofiled cell is an error, because an
-// equivalence claim over a partial matrix would be vacuous. Verdicts
-// are returned in matrix order (version-major, scenario-minor), one
-// per exploit/injection pair.
-func MatrixEquivalence(entries []campaign.MatrixEntry) ([]CellVerdict, error) {
+// CellStreams is one cell's persisted RQ2 evidence, the grader's only
+// input: the monitor's verdict booleans and the canonical effect and
+// state-audit streams in their persisted form (CanonicalStreams).
+type CellStreams struct {
+	Version string
+	UseCase string
+	Mode    campaign.Mode
+	// ErroneousState and SecurityViolation are the monitor's verdict.
+	ErroneousState    bool
+	SecurityViolation bool
+	// Effects and StateAudit are the rendered canonical streams.
+	Effects    []string
+	StateAudit []string
+}
+
+// Grade computes per-cell trace-equivalence verdicts from persisted
+// streams, the one RQ2 grader: live matrices and run-ledger records
+// both project into it. versions is the campaign's version order, the
+// order the reference exploit is searched in. Verdicts follow the
+// cells' order, one per exploit/injection pair (version-major,
+// scenario-minor for a dispatch-ordered matrix). Persisted streams
+// carry no mechanism events, so the strongest tier is
+// equivalent-modulo-noise (see CompareStreams).
+func Grade(cells []CellStreams, versions []string) ([]CellVerdict, error) {
 	type key struct {
 		version, useCase string
 		mode             campaign.Mode
 	}
-	idx := make(map[key]*campaign.MatrixEntry, len(entries))
-	for i := range entries {
-		e := &entries[i]
-		if e.Err != nil {
-			return nil, fmt.Errorf("tracediff: cell %s/%s/%s failed: %w", e.Version, e.UseCase, e.Mode, e.Err)
-		}
-		if e.Result == nil || e.Result.Profile == nil {
-			return nil, fmt.Errorf("tracediff: cell %s/%s/%s has no telemetry profile (run with a Telemetry registry)", e.Version, e.UseCase, e.Mode)
-		}
-		idx[key{e.Version, e.UseCase, e.Mode}] = e
+	idx := make(map[key]*CellStreams, len(cells))
+	for i := range cells {
+		c := &cells[i]
+		idx[key{c.Version, c.UseCase, c.Mode}] = c
 	}
 
-	// Reference exploit per scenario: the earliest release whose
-	// exploit induced the erroneous state.
-	reference := func(useCase string) *campaign.MatrixEntry {
-		for _, v := range hv.Versions() {
-			if e, ok := idx[key{v.Name, useCase, campaign.ModeExploit}]; ok && e.Result.Verdict.ErroneousState {
-				return e
+	// Reference exploit per scenario: the earliest version whose exploit
+	// induced the erroneous state.
+	reference := func(useCase string) *CellStreams {
+		for _, v := range versions {
+			if c, ok := idx[key{v, useCase, campaign.ModeExploit}]; ok && c.ErroneousState {
+				return c
 			}
 		}
 		return nil
 	}
 
-	// Canonical streams are cached per cell: the reference exploit's
-	// stream is reused by every fixed version of its scenario.
-	canon := make(map[key][]Event)
-	streamOf := func(e *campaign.MatrixEntry) []Event {
-		k := key{e.Version, e.UseCase, e.Mode}
-		if s, ok := canon[k]; ok {
-			return s
-		}
-		c := NewCanonicalizer(e.Version, campaign.MachineFrames)
-		s := c.Events(e.Result.Profile.Events)
-		canon[k] = s
-		return s
-	}
-
 	var out []CellVerdict
-	for i := range entries {
-		e := &entries[i]
+	for i := range cells {
+		e := &cells[i]
 		if e.Mode != campaign.ModeExploit {
 			continue
 		}
 		inj, ok := idx[key{e.Version, e.UseCase, campaign.ModeInjection}]
 		if !ok {
-			return nil, fmt.Errorf("tracediff: cell %s/%s has no injection sibling in the matrix", e.Version, e.UseCase)
+			return nil, fmt.Errorf("tracediff: cell %s/%s has no injection sibling", e.Version, e.UseCase)
 		}
 		cv := CellVerdict{UseCase: e.UseCase, Version: e.Version}
-		iStream := streamOf(inj)
-
+		base, injected := e.Effects, inj.Effects
 		switch {
-		case e.Result.Verdict.ErroneousState:
+		case e.ErroneousState:
 			// The exploit worked here: strongest basis.
 			cv.Basis = BasisExploit
-			eStream := streamOf(e)
-			cv.Tier, cv.Divergence = Compare(eStream, iStream)
-			cv.BaseEvents, cv.InjectionEvents = len(effects(eStream)), len(effects(iStream))
-
 		default:
 			ref := reference(e.UseCase)
 			if ref == nil {
 				return nil, fmt.Errorf("tracediff: %s: no version's exploit induced the erroneous state; no reference to compare %s's injection against", e.UseCase, e.Version)
 			}
 			cv.RefVersion = ref.Version
-			rStream := streamOf(ref)
-			if inj.Result.Verdict.SecurityViolation == ref.Result.Verdict.SecurityViolation {
-				cv.Basis = BasisReference
-				re, ie := effects(rStream), effects(iStream)
-				cv.BaseEvents, cv.InjectionEvents = len(re), len(ie)
-				if d := firstDivergence(re, ie); d != nil {
-					cv.Tier, cv.Divergence = TierDivergent, d
-				} else {
-					cv.Tier = TierEquivalent
-				}
+			if inj.SecurityViolation == ref.SecurityViolation {
+				cv.Basis, base = BasisReference, ref.Effects
 			} else {
 				// Handled cell: compare the erroneous state itself.
-				cv.Basis = BasisStateAudit
-				ra, ia := stateAudit(rStream), stateAudit(iStream)
-				cv.BaseEvents, cv.InjectionEvents = len(ra), len(ia)
-				switch {
-				case len(ra) == 0 && len(ia) == 0:
-					// Nothing attested on either side: vacuous equality
-					// is not equivalence evidence.
-					cv.Tier = TierDivergent
-					cv.Divergence = &Divergence{A: Absent, B: Absent}
-				default:
-					if d := firstDivergence(ra, ia); d != nil {
-						cv.Tier, cv.Divergence = TierDivergent, d
-					} else {
-						cv.Tier = TierEquivalent
-					}
-				}
+				cv.Basis, base, injected = BasisStateAudit, ref.StateAudit, inj.StateAudit
 			}
+		}
+		cv.BaseEvents, cv.InjectionEvents = len(base), len(injected)
+		if cv.Basis == BasisStateAudit && len(base) == 0 && len(injected) == 0 {
+			// Nothing attested on either side: vacuous equality is not
+			// equivalence evidence.
+			cv.Tier = TierDivergent
+			cv.Divergence = &Divergence{A: Absent, B: Absent}
+		} else {
+			cv.Tier, cv.Divergence = CompareStreams(base, injected)
 		}
 		out = append(out, cv)
 	}
 	return out, nil
+}
+
+// MatrixEquivalence grades a profiled campaign matrix by projecting
+// every cell's recorded events through CanonicalStreams into Grade.
+// Entries must come from a Runner with a Telemetry registry (every cell
+// needs its event trace) and a fully successful run — a failed or
+// unprofiled cell is an error, because an equivalence claim over a
+// partial matrix would be vacuous.
+func MatrixEquivalence(entries []campaign.MatrixEntry) ([]CellVerdict, error) {
+	cells := make([]CellStreams, len(entries))
+	for i, e := range entries {
+		if e.Err != nil {
+			return nil, fmt.Errorf("tracediff: cell %s/%s/%s failed: %w", e.Version, e.UseCase, e.Mode, e.Err)
+		}
+		if e.Result == nil || e.Result.Profile == nil {
+			return nil, fmt.Errorf("tracediff: cell %s/%s/%s has no telemetry profile (run with a Telemetry registry)", e.Version, e.UseCase, e.Mode)
+		}
+		eff, audit := CanonicalStreams(e.Version, campaign.MachineFrames, e.Result.Profile.Events)
+		cells[i] = CellStreams{
+			Version:           e.Version,
+			UseCase:           e.UseCase,
+			Mode:              e.Mode,
+			ErroneousState:    e.Result.Verdict.ErroneousState,
+			SecurityViolation: e.Result.Verdict.SecurityViolation,
+			Effects:           eff,
+			StateAudit:        audit,
+		}
+	}
+	vs := hv.Versions()
+	versions := make([]string, len(vs))
+	for i, v := range vs {
+		versions[i] = v.Name
+	}
+	return Grade(cells, versions)
 }
