@@ -134,7 +134,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // (nil registry: every instrumented path takes the predicted-not-taken
 // nil branch), on (per-cell recorder, ring events, counter merges
 // into the shared registry), and on with the live observability server
-// installed as the progress hook and listening (per-cell state updates
+// installed as the scheduler hook and listening (per-cell state updates
 // under the server mutex, plus a goroutine accepting scrapes). The
 // "off" sub-benchmark is the guard for the disabled-sink contract: it
 // must stay within noise of BenchmarkMatrixParallel's pre-telemetry
@@ -147,8 +147,8 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // scheduler-timeline overhead (-listen's bus with no subscriber
 // draining it, the common case of a campaign nobody is watching).
 func BenchmarkMatrixTelemetry(b *testing.B) {
-	run := func(b *testing.B, reg *telemetry.Registry, progress campaign.Progress, cov *coverage.Collector, sched campaign.SchedObserver) {
-		r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: progress, Coverage: cov, Sched: sched}
+	run := func(b *testing.B, reg *telemetry.Registry, cov *coverage.Collector, sched campaign.SchedObserver) {
+		r := &campaign.Runner{Workers: 4, Telemetry: reg, Coverage: cov, Sched: sched}
 		for i := 0; i < b.N; i++ {
 			entries, err := r.RunMatrixContext(context.Background())
 			if err != nil {
@@ -160,8 +160,8 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 			}
 		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, nil, nil, nil, nil) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), nil, nil, nil) })
+	b.Run("off", func(b *testing.B) { run(b, nil, nil, nil) })
+	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), nil, nil) })
 	b.Run("server", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
 		srv := obs.NewServer(reg)
@@ -170,15 +170,15 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 		}
 		defer srv.Shutdown(context.Background())
 		b.ResetTimer()
-		run(b, reg, srv, nil, nil)
+		run(b, reg, nil, srv)
 	})
 	b.Run("coverage", func(b *testing.B) {
-		run(b, telemetry.NewRegistry(), nil, coverage.NewCollector(), nil)
+		run(b, telemetry.NewRegistry(), coverage.NewCollector(), nil)
 	})
 	b.Run("stream", func(b *testing.B) {
 		bus := events.NewBus(0, 0)
 		defer bus.Close()
-		run(b, telemetry.NewRegistry(), nil, nil,
+		run(b, telemetry.NewRegistry(), nil,
 			events.Fanout{&events.Publisher{Bus: bus}, events.NewTimeline()})
 	})
 }

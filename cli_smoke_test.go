@@ -19,7 +19,7 @@ import (
 func buildCLIs(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, tool := range []string{"repro", "xsalab", "iinject", "tracecheck", "benchdiff"} {
+	for _, tool := range []string{"repro", "tracecheck", "benchdiff"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
 		cmd.Env = os.Environ()
 		out, err := cmd.CombinedOutput()
@@ -47,10 +47,8 @@ func TestCLISmoke(t *testing.T) {
 		{"fig3", "repro", []string{"-figure", "3"}, []string{"equivalence", "true"}},
 		{"score", "repro", []string{"-score"}, []string{"SECURITY BENCHMARK", "0.18"}},
 		{"matrix-parallel", "repro", []string{"-matrix", "-workers", "4"}, []string{"FULL CAMPAIGN MATRIX", "4.13"}},
-		{"xsalab", "xsalab", []string{"-version", "4.8", "-case", "XSA-182-test"}, []string{"not vulnerable", "err-state=no"}},
-		{"iinject", "iinject", []string{"-version", "4.13", "-case", "XSA-182-test"}, []string{"handled by the system"}},
-		{"iinject-models", "iinject", []string{"-models"}, []string{"Guest-Writable Page Table Entry", "grant-status-leak"}},
-		{"iinject-ext", "iinject", []string{"-case", "interrupt-flood"}, []string{"unconsumed events"}},
+		{"cell-exploit", "repro", []string{"-cell", "4.8/XSA-182-test/exploit"}, []string{"not vulnerable", "err-state=no", "functionality: Guest-Writable Page Table Entry", "--- hypervisor console (tail) ---"}},
+		{"cell-injection", "repro", []string{"-cell", "4.13/XSA-182-test/injection"}, []string{"handled by the system", "erroneous state: "}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -65,6 +63,24 @@ func TestCLISmoke(t *testing.T) {
 			}
 		})
 	}
+
+	// The assessment example drives every extension intrusion model
+	// through the state injector and prints the health probe's findings.
+	t.Run("assessment-example", func(t *testing.T) {
+		bin := filepath.Join(dir, "assessment")
+		if out, err := exec.Command("go", "build", "-o", bin, "./examples/assessment").CombinedOutput(); err != nil {
+			t.Fatalf("building examples/assessment: %v\n%s", err, out)
+		}
+		out, err := exec.Command(bin).CombinedOutput()
+		if err != nil {
+			t.Fatalf("examples/assessment: %v\n%s", err, out)
+		}
+		for _, want := range []string{"unconsumed events", "grant-status-leak", "fatal-exception", "hang-state", "interrupt-flood"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("assessment output missing %q:\n%s", want, out)
+			}
+		}
+	})
 
 	// Out-of-range flag values die with a one-line usage error before
 	// any experiment (or profile file) is started.

@@ -8,6 +8,14 @@
 //	repro -figure 4          # one figure (1..4)
 //	repro -matrix            # the full 102-cell campaign matrix
 //	repro -matrix -workers 8 # the matrix on an 8-worker pool
+//	repro -cell 4.6/XSA-212-crash/exploit     # one cell's transcript
+//	repro -cell 4.13/XSA-212-priv/injection
+//
+// -cell runs one (version, use case, mode) cell, the Section VI
+// workflow: the original PoC (exploit) or the injection script
+// (injection). It prints the use case's abusive functionality and
+// erroneous state, then the attacker terminal, the hypervisor console
+// tail and the monitor's verdict with its evidence.
 //
 // Campaign cells always run in fresh, isolated environments, so they
 // are spread over a worker pool (one worker per CPU by default;
@@ -16,9 +24,8 @@
 //
 // By default each (version, mode) environment boots once per process
 // and every cell runs on a copy-on-write fork of the sealed machine;
-// the output is byte-identical either way. -no-snapshot (or a
-// non-empty REPRO_NO_SNAPSHOT in the environment) forces every cell
-// through a full fresh boot — the escape hatch for bisecting a
+// the output is byte-identical either way. -no-snapshot forces every
+// cell through a full fresh boot — the escape hatch for bisecting a
 // suspected snapshot-path divergence.
 //
 // Observability:
@@ -182,27 +189,28 @@ import (
 )
 
 // parseCell splits a "version/use-case/mode" cell coordinate. The
-// use-case segment is validated against the scenario registry up front,
+// use-case segment is resolved against the scenario registry up front,
 // so a typo fails here with the valid names instead of deep inside the
 // campaign engine.
-func parseCell(s string) (hv.Version, string, campaign.Mode, error) {
+func parseCell(s string) (hv.Version, exploits.Spec, campaign.Mode, error) {
 	parts := strings.Split(s, "/")
 	if len(parts) != 3 {
-		return hv.Version{}, "", "", fmt.Errorf("cell %q: want version/use-case/mode", s)
+		return hv.Version{}, exploits.Spec{}, "", fmt.Errorf("cell %q: want version/use-case/mode", s)
 	}
 	v, err := hv.VersionByName(parts[0])
 	if err != nil {
-		return hv.Version{}, "", "", err
+		return hv.Version{}, exploits.Spec{}, "", err
 	}
-	if _, err := exploits.SpecByName(parts[1]); err != nil {
-		return hv.Version{}, "", "", fmt.Errorf("cell %q: %w (valid use cases: %s)",
+	spec, err := exploits.SpecByName(parts[1])
+	if err != nil {
+		return hv.Version{}, exploits.Spec{}, "", fmt.Errorf("cell %q: %w (valid use cases: %s)",
 			s, err, strings.Join(exploits.SpecNames(), ", "))
 	}
 	mode := campaign.Mode(parts[2])
 	if mode != campaign.ModeExploit && mode != campaign.ModeInjection {
-		return hv.Version{}, "", "", fmt.Errorf("cell %q: mode must be %q or %q", s, campaign.ModeExploit, campaign.ModeInjection)
+		return hv.Version{}, exploits.Spec{}, "", fmt.Errorf("cell %q: mode must be %q or %q", s, campaign.ModeExploit, campaign.ModeInjection)
 	}
-	return v, parts[1], mode, nil
+	return v, spec, mode, nil
 }
 
 func main() {
@@ -379,25 +387,23 @@ func run(out io.Writer) (err error) {
 
 	// The wall-clock observability plane: the scheduler timeline backs
 	// -schedule and /schedule, the event bus backs the SSE /events
-	// stream. Both hang off the runner's Sched hook and observe wall
-	// time only — none of it can reach a deterministic artifact.
+	// stream, and the server backs /cells. All three hang off the
+	// runner's Sched hook through one fan-out and observe wall time
+	// only — none of it can reach a deterministic artifact.
 	var (
+		sched     events.Fanout
 		bus       *events.Bus
 		publisher *events.Publisher
 		timeline  *events.Timeline
 	)
-	if *scheduleOut != "" || *listenAddr != "" {
-		timeline = events.NewTimeline()
-	}
 	if *listenAddr != "" {
 		bus = events.NewBus(0, 0)
 		publisher = &events.Publisher{Bus: bus}
+		sched = append(sched, publisher)
 	}
-	switch {
-	case publisher != nil && timeline != nil:
-		runner.Sched = events.Fanout{publisher, timeline}
-	case timeline != nil:
-		runner.Sched = timeline
+	if *scheduleOut != "" || *listenAddr != "" {
+		timeline = events.NewTimeline()
+		sched = append(sched, timeline)
 	}
 
 	var (
@@ -426,11 +432,11 @@ func run(out io.Writer) (err error) {
 		ledgerStore, ledgerW = store, w
 	}
 
-	// Live observers: the HTTP server (-listen) and the flight recorder
-	// (armed whenever the campaign is allowed to outlive failing cells,
-	// so their last events land on disk the moment the engine settles
-	// the failure).
-	var observers obs.Multi
+	// Live observers: the HTTP server (-listen) joins the scheduler
+	// fan-out; the flight recorder (armed whenever the campaign is
+	// allowed to outlive failing cells, so their last events land on
+	// disk the moment the engine settles the failure) is the Progress
+	// hook.
 	var flight *obs.FlightRecorder
 	if *listenAddr != "" {
 		server := obs.NewServer(runner.Telemetry)
@@ -455,19 +461,15 @@ func run(out io.Writer) (err error) {
 				err = fmt.Errorf("observability server shutdown: %w", serr)
 			}
 		}()
-		observers = append(observers, server)
+		sched = append(sched, server)
+	}
+	if len(sched) > 0 {
+		runner.Sched = sched
 	}
 	if *contOnErr || *chaos != 0 {
 		flight = &obs.FlightRecorder{RunID: runID}
 		runner.SalvageProfiles = true
-		observers = append(observers, flight)
-	}
-	switch len(observers) {
-	case 0:
-	case 1:
-		runner.Progress = observers[0]
-	default:
-		runner.Progress = observers
+		runner.Progress = flight
 	}
 
 	// profiles accumulates every profiled cell in run order for -trace.
@@ -481,19 +483,17 @@ func run(out io.Writer) (err error) {
 	all := *table == 0 && *figure == 0 && !*matrix && *fuzz == 0 && !*score && !*jsonOut && !*avail && *cellSpec == "" && !*equivalence && !*corpus && *ledgerDir == ""
 	body := func() error {
 		if *cellSpec != "" {
-			v, useCase, mode, err := parseCell(*cellSpec)
+			v, spec, mode, err := parseCell(*cellSpec)
 			if err != nil {
 				return fmt.Errorf("-cell: %w", err)
 			}
-			res, err := runner.RunContext(ctx, v, useCase, mode)
+			res, err := runner.RunContext(ctx, v, spec.Name, mode)
 			if err != nil {
 				return fmt.Errorf("cell %s: %w", *cellSpec, err)
 			}
 			collect(res)
-			fmt.Fprintln(out, res.Verdict)
-			for _, line := range res.Verdict.Evidence {
-				fmt.Fprintf(out, "  %s\n", line)
-			}
+			fmt.Fprintf(out, "functionality: %s\nerroneous state: %s\n\n", spec.Functionality, spec.State)
+			fmt.Fprintln(out, report.Transcript(res))
 		}
 		if all || *table == 1 {
 			t := fieldstudy.Classify(fieldstudy.Dataset())

@@ -12,83 +12,38 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/hv"
 	"repro/internal/inject"
-	"repro/internal/mm"
+	"repro/internal/monitor"
 	"repro/internal/report"
-	"repro/internal/vnet"
-
-	guestos "repro/internal/guest"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	// --- Part 1: the state injector on a hardened build ---
-	mem, err := mm.NewMemory(2048)
-	if err != nil {
-		log.Fatal(err)
+	// Each extension model runs in its own fresh injection-mode
+	// environment, so the hang and fatal states do not leak into the
+	// next model; the health probe then reports what the state did.
+	v := hv.Version413()
+	models := inject.ExtensionModels()
+	fmt.Printf("state injector on Xen %s — models: %d\n", v.Name, len(models))
+	for _, m := range models {
+		e, err := campaign.NewEnvironment(v, campaign.ModeInjection)
+		if err != nil {
+			log.Fatal(err)
+		}
+		injected, err := drive(e, m.Name)
+		if err != nil {
+			log.Fatalf("%s: %v", m.Name, err)
+		}
+		probe := strings.TrimSuffix(monitor.Probe(e.HV, e.Guests).Summary(), "\n")
+		fmt.Printf("\n%s\n  erroneous state: %s\n  injected: %s\n  health probe:\n    %s\n",
+			m, m.ErroneousState, injected, strings.ReplaceAll(probe, "\n", "\n    "))
 	}
-	h, err := hv.New(mem, hv.Version413())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := inject.EnableStateOps(h); err != nil {
-		log.Fatal(err)
-	}
-	net := vnet.New()
-	attackerDom, err := h.CreateDomain("guest01", 64, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	guestos.New(attackerDom, net, "10.3.1.178")
-	victimDom, err := h.CreateDomain("guest02", 64, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	guestos.New(victimDom, net, "10.3.1.179")
-
-	sc := inject.NewStateClient(attackerDom)
-	fmt.Println("state injector on", h.Version(), "— models:", len(inject.ExtensionModels()))
-
-	leaked, err := sc.KeepPageAccess()
-	if err != nil {
-		log.Fatal(err)
-	}
-	pi, err := h.Memory().Info(leaked)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  keep-page-access: dom%d retains hv frame %#x (owner dom%d, refs %d)\n",
-		attackerDom.ID(), uint64(leaked), pi.Owner, pi.RefCount)
-
-	if err := sc.InterruptFlood(victimDom.ID(), 0, 1000); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  interrupt-flood: victim %s has %d unsolicited pending events\n",
-		victimDom.Name(), victimDom.PendingEvents())
-
-	// The hang and fatal states are demonstrated on a scratch build so
-	// this one stays alive.
-	mem2, _ := mm.NewMemory(512)
-	h2, err := hv.New(mem2, hv.Version413())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := inject.EnableStateOps(h2); err != nil {
-		log.Fatal(err)
-	}
-	d2, err := h2.CreateDomain("guest01", 64, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc2 := inject.NewStateClient(d2)
-	if err := sc2.FatalException("arch/x86/traps.c:911"); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  fatal-exception: scratch hypervisor panicked: %q\n", h2.CrashReason())
 
 	// --- Part 2: randomized campaign vs hypercall-attack baseline ---
 	fmt.Println()
@@ -97,4 +52,35 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(report.BaselineComparison(cmp))
+}
+
+// drive induces one extension model's erroneous state through the
+// environment's state injector and describes what it injected.
+func drive(e *campaign.Environment, model string) (string, error) {
+	sc := e.State
+	switch model {
+	case "grant-status-leak":
+		leaked, err := sc.KeepPageAccess()
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%s retains hypervisor frame %#x", e.Attacker.Hostname(), uint64(leaked)), nil
+	case "interrupt-flood":
+		victim := e.Guests[1]
+		if err := sc.InterruptFlood(victim.Domain().ID(), 0, 500); err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("500 unsolicited events pending on %s", victim.Hostname()), nil
+	case "hang-state":
+		if err := sc.HangState(); err != nil {
+			return "", err
+		}
+		return "hypervisor wedged in a non-terminating handler", nil
+	case "fatal-exception":
+		if err := sc.FatalException("arch/x86/mm.c:1337"); err != nil {
+			return "", err
+		}
+		return "fatal assertion reached", nil
+	}
+	return "", fmt.Errorf("no driver for extension model %q", model)
 }

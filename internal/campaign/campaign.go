@@ -171,11 +171,14 @@ func (e *Environment) ScenarioEnv(mode Mode) (*exploits.Env, error) {
 	return env, nil
 }
 
-// RunResult bundles a scenario transcript with the monitor's assessment
-// and, when the runner profiles cells, the telemetry snapshot.
+// RunResult bundles a scenario transcript with the hypervisor console,
+// the monitor's assessment and, when the runner profiles cells, the
+// telemetry snapshot.
 type RunResult struct {
 	Outcome *exploits.Outcome
 	Verdict *monitor.Verdict
+	// Console is the cell's hypervisor console as the run left it.
+	Console []string
 	// Profile is the cell's telemetry snapshot, nil unless the cell ran
 	// under a profiling Runner.
 	Profile *telemetry.CellProfile

@@ -373,7 +373,35 @@ func runScenario(c cell, rec *telemetry.Recorder, inj *faults.Injector, tree *sp
 	as := tree.Phase(span.PhaseAssess)
 	verdict := monitor.Assess(e.HV, e.Guests, outcome)
 	tree.End(as)
-	return &RunResult{Outcome: outcome, Verdict: verdict}, recycle, nil
+	return &RunResult{Outcome: outcome, Verdict: verdict, Console: e.HV.Console()}, recycle, nil
+}
+
+// instrumentation is what every cell of a batch carries, resolved once
+// per batch from the Runner's hooks so the cell body, its finish and
+// the batch announcement all read the same decision.
+type instrumentation struct {
+	// recorder gives each cell a telemetry recorder.
+	recorder bool
+	// coverage attaches a coverage map to the recorder.
+	coverage bool
+	// spans gives each cell a span tree.
+	spans bool
+	// profile snapshots a successful cell's profile into its result.
+	profile bool
+	// announce tells the batch-aware hooks about the batch before any
+	// of its cells runs.
+	announce bool
+}
+
+// instrumentation resolves the per-batch instrumentation decision.
+func (r *Runner) instrumentation() instrumentation {
+	return instrumentation{
+		recorder: r.Telemetry != nil || r.SalvageProfiles || r.Spans != nil || r.Coverage != nil || r.Observer != nil,
+		coverage: r.Coverage != nil || r.Observer != nil,
+		spans:    r.Spans != nil || r.Observer != nil,
+		profile:  r.Telemetry != nil || r.Observer != nil,
+		announce: r.Progress != nil || r.Spans != nil || r.Coverage != nil || r.Sched != nil || r.Log != nil,
+	}
 }
 
 // cellOutcome pairs one cell's result with its failure record; exactly
@@ -399,14 +427,14 @@ type cellOutcome struct {
 // profile, records a successful profile in the registry, and returns a
 // cleanly completed fork to the snapshot pool. A failed cell carries
 // its salvage profile for the flight recorder; a successful one carries
-// a profile only when the registry or the observer consumes it.
-func (r *Runner) finishCell(id string, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func(), abandoned *atomic.Bool) cellOutcome {
+// a profile only when the batch's instrumentation asks for one.
+func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func(), abandoned *atomic.Bool) cellOutcome {
 	out := cellOutcome{res: res, err: cerr, tree: tree, cov: rec.Coverage()}
 	if cerr != nil {
 		tree.Abort()
 		out.profile = rec.Profile(id, time.Since(start).Nanoseconds())
 	} else {
-		if r.Telemetry != nil || r.Observer != nil {
+		if in.profile {
 			res.Profile = rec.Profile(id, time.Since(start).Nanoseconds())
 			out.profile = res.Profile
 			if r.Telemetry != nil {
@@ -445,7 +473,7 @@ func (r *Runner) finishCell(id string, res *RunResult, cerr *CellError, rec *tel
 // can abandon it; an abandoned body parks on a buffered channel and
 // exits when it eventually finishes (or is released from a wedge), so
 // nothing leaks once the campaign's injectors are released.
-func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt time.Time) cellOutcome {
+func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, worker int, queuedAt time.Time) cellOutcome {
 	id := c.String()
 	if err := ctx.Err(); err != nil {
 		return r.settle(id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
@@ -489,15 +517,15 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 		var rec *telemetry.Recorder
 		var tree *span.Tree
 		var start time.Time
-		if r.Telemetry != nil || r.SalvageProfiles || r.Spans != nil || r.Coverage != nil || r.Observer != nil {
+		if in.recorder {
 			rec = telemetry.NewRecorder(0)
 			rec.AttachFaults(inj)
 			start = time.Now()
 		}
-		if r.Coverage != nil || r.Observer != nil {
+		if in.coverage {
 			rec.AttachCoverage(coverage.NewMap())
 		}
-		if r.Spans != nil || r.Observer != nil {
+		if in.spans {
 			tree = span.NewTree(id, rec.Emitted)
 		}
 		var (
@@ -514,7 +542,7 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 					Stack:   sanitizeStack(debug.Stack()),
 				}
 			}
-			done <- r.finishCell(id, res, cerr, rec, tree, start, recycle, &abandoned)
+			done <- r.finishCell(id, in, res, cerr, rec, tree, start, recycle, &abandoned)
 		}()
 		var err error
 		if res, recycle, err = runScenario(c, rec, inj, tree); err != nil {
@@ -619,7 +647,8 @@ func rootSpanV(t *span.Tree) uint64 {
 // never dispatched are marked FailCanceled without running.
 func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutcome {
 	outs := make([]cellOutcome, len(cells))
-	if r.Progress != nil || r.Spans != nil || r.Coverage != nil || r.Sched != nil || r.Log != nil {
+	in := r.instrumentation()
+	if in.announce {
 		ids := make([]string, len(cells))
 		for i, c := range cells {
 			ids[i] = c.String()
@@ -650,7 +679,7 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 	}
 	if n <= 1 {
 		for i, c := range cells {
-			outs[i] = r.runGuarded(ctx, c, 0, queuedAt)
+			outs[i] = r.runGuarded(ctx, c, in, 0, queuedAt)
 		}
 		return outs
 	}
@@ -661,7 +690,7 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
-				outs[i] = r.runGuarded(ctx, cells[i], w, queuedAt)
+				outs[i] = r.runGuarded(ctx, cells[i], in, w, queuedAt)
 			}
 		}(w)
 	}
@@ -731,14 +760,14 @@ func firstFailure(cells []cell, cerrs []*CellError, wrap func(cell, error) error
 	return nil
 }
 
-// RunContext executes one cell under the runner's telemetry and fault
-// configuration: the single-cell entry point behind the CLI's -cell
-// flag. It runs behind the same barriers as a campaign cell, so a
+// RunContext executes one cell under the runner's configuration: the
+// single-cell entry point behind the CLI's -cell flag. The cell is a
+// one-cell batch, announced and settled like any campaign batch, so a
 // panicking or wedged cell reports a classified error instead of
 // killing the caller, and cancellation classifies the cell as canceled
 // instead of letting it run to completion.
 func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	out := r.runGuarded(ctx, cell{version: v, useCase: useCase, mode: mode}, 0, time.Now())
+	out := r.runCellsDetailed(ctx, []cell{{version: v, useCase: useCase, mode: mode}})[0]
 	if out.err != nil {
 		if out.err.Class == FailError {
 			return nil, out.err.cause

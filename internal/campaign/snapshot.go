@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -32,18 +31,15 @@ import (
 // untouched. All other boot-reachable sites fire at hypercall dispatch
 // or sink writes, which the fork path reproduces exactly.
 
-// snapshotsOn gates the cache process-wide. The REPRO_NO_SNAPSHOT
-// environment knob (any non-empty value) and the CLI's -no-snapshot
-// flag both force every cell onto the fresh-boot path.
-var snapshotsOn atomic.Bool
-
-func init() { snapshotsOn.Store(os.Getenv("REPRO_NO_SNAPSHOT") == "") }
+// snapshotsOff gates the cache process-wide; the CLI's -no-snapshot
+// flag sets it to force every cell onto the fresh-boot path.
+var snapshotsOff atomic.Bool
 
 // EnableSnapshots toggles snapshot/COW cell boot process-wide.
-func EnableSnapshots(on bool) { snapshotsOn.Store(on) }
+func EnableSnapshots(on bool) { snapshotsOff.Store(!on) }
 
 // SnapshotsEnabled reports whether cells boot from snapshots.
-func SnapshotsEnabled() bool { return snapshotsOn.Load() }
+func SnapshotsEnabled() bool { return !snapshotsOff.Load() }
 
 // snapKey identifies one snapshot: the full version profile (not just
 // its name — Runner.RunContext accepts custom Version values) plus the
@@ -169,7 +165,7 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injec
 // non-nil only on the fork path; callers invoke it after the cell
 // completes cleanly.
 func cellEnvironment(p *plan, c cell, tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, func(), error) {
-	if snapshotsOn.Load() {
+	if SnapshotsEnabled() {
 		s := snapshotFor(p, c.version, c.mode)
 		// A build error falls back to fresh boot so the cell reports the
 		// boot failure itself; a boot-window allocation fault must boot

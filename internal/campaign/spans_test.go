@@ -150,7 +150,7 @@ func TestMatrixOutputUnchangedBySpans(t *testing.T) {
 	}
 }
 
-// The single-cell entry point also collects: one implicit batch, one
+// The single-cell entry point also collects: one one-cell batch, one
 // tree, latency measured.
 func TestRunSingleCellCollectsSpans(t *testing.T) {
 	r := &campaign.Runner{Workers: 1, Spans: span.NewCollector()}

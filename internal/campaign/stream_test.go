@@ -15,7 +15,9 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/faults"
+	"repro/internal/span"
 	"repro/internal/telemetry"
 )
 
@@ -23,6 +25,7 @@ import (
 // hook invocation. Workers call the hooks concurrently.
 type recordingSched struct {
 	mu         sync.Mutex
+	batches    int // BatchQueued calls
 	queued     []string
 	dispatched map[string]int // cell -> worker
 	settled    map[string]int // cell -> settle count
@@ -43,6 +46,7 @@ func newRecordingSched() *recordingSched {
 func (r *recordingSched) BatchQueued(cells []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.batches++
 	r.queued = append(r.queued, cells...)
 }
 
@@ -133,5 +137,31 @@ func TestSchedHooksDoNotPerturbArtifact(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	if got := export(newRecordingSched(), logger); !bytes.Equal(ref, got) {
 		t.Fatal("matrix artifact differs with the sched observer and logger installed")
+	}
+}
+
+// A single cell settles like every other cell: RunContext announces it
+// as a one-cell batch to the scheduler hook and to both collectors.
+func TestRunContextAnnouncesOneCellBatch(t *testing.T) {
+	sched := newRecordingSched()
+	r := &campaign.Runner{Workers: 4, Sched: sched, Spans: span.NewCollector(), Coverage: coverage.NewCollector()}
+	v := campaign.Table3Versions()[0]
+	if _, err := r.RunContext(context.Background(), v, "XSA-148-priv", campaign.ModeInjection); err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	id := v.Name + "/XSA-148-priv/injection"
+	if sched.batches != 1 || len(sched.queued) != 1 || sched.queued[0] != id {
+		t.Errorf("scheduler saw %d batches queuing %v, want one BatchQueued([%s])", sched.batches, sched.queued, id)
+	}
+	if sched.settled[id] != 1 {
+		t.Errorf("cell settled %d times, want 1", sched.settled[id])
+	}
+	f := r.Spans.Forest()
+	if len(f.Batches) != 1 || f.Batches[0].Name != "batch01" || len(f.Batches[0].Cells) != 1 || f.Batches[0].Cells[0].Cell != id {
+		t.Errorf("span forest = %+v, want one one-cell batch01 holding %s", f.Batches, id)
+	}
+	rep := r.Coverage.Report()
+	if len(rep.Cells) != 1 || rep.Cells[0].Cell != id || len(rep.Cells[0].Edges) == 0 {
+		t.Errorf("coverage report cells = %+v, want %s with edges", rep.Cells, id)
 	}
 }

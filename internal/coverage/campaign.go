@@ -47,9 +47,9 @@ func (c *Collector) StartBatch(cells []string) {
 }
 
 // FinishCell records a cell's finished map (nil for a cell that was
-// abandoned before producing coverage). A cell the runner never
-// announced — the single-run path — settles into an implicit one-cell
-// batch, preserving overall dispatch order.
+// abandoned before producing coverage) in the latest batch that
+// announced it. The runner announces every batch before its cells run,
+// so a cell no batch announced is dropped.
 func (c *Collector) FinishCell(cell string, m *Map) {
 	if c == nil {
 		return
@@ -62,8 +62,6 @@ func (c *Collector) FinishCell(cell string, m *Map) {
 			return
 		}
 	}
-	b := &batch{order: []string{cell}, cells: map[string]*cellEntry{cell: {m: m, done: true}}}
-	c.batches = append(c.batches, b)
 }
 
 // CellCoverage is one cell's settled coverage in a Report.
@@ -201,16 +199,6 @@ func (r *Report) Verify() error {
 		return fmt.Errorf("report digest %s does not match contents (recomputed %s)", r.Digest, got)
 	}
 	return nil
-}
-
-// CellByID returns the named cell's coverage, if present.
-func (r *Report) CellByID(id string) (CellCoverage, bool) {
-	for _, c := range r.Cells {
-		if c.Cell == id {
-			return c, true
-		}
-	}
-	return CellCoverage{}, false
 }
 
 // Diff compares two reports' unions. New edges are present in b but

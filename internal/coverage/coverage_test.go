@@ -166,9 +166,10 @@ func TestCollectorDispatchOrderAttribution(t *testing.T) {
 
 func TestCollectorImplicitBatchAndNilMaps(t *testing.T) {
 	col := NewCollector()
-	// A cell never announced settles into an implicit one-cell batch.
+	// A one-cell batch, as Runner.RunContext announces.
 	m := NewMap()
 	m.DomctlOp("createdomain")
+	col.StartBatch([]string{"solo"})
 	col.FinishCell("solo", m)
 	// An announced cell abandoned before producing coverage files nil.
 	col.StartBatch([]string{"dead"})
@@ -192,6 +193,7 @@ func TestReportDiff(t *testing.T) {
 		for _, n := range names {
 			m.GrantOp(n)
 		}
+		col.StartBatch([]string{"cell"})
 		col.FinishCell("cell", m)
 		return col.Report()
 	}
@@ -213,6 +215,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 	col := NewCollector()
 	m := NewMap()
 	m.GrantOp("map")
+	col.StartBatch([]string{"cell"})
 	col.FinishCell("cell", m)
 	rep := col.Report()
 	rep.Union[0].Count++

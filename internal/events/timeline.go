@@ -160,9 +160,6 @@ func (t *Timeline) Snapshot() Schedule {
 		Failed:    t.failed,
 	}
 	s.Queued = s.Total - s.Running - s.Completed
-	if s.Queued < 0 {
-		s.Queued = 0 // single cells run without a batch announcement
-	}
 
 	lanes := make(map[int]*WorkerLane)
 	var first, last int64 = -1, 0

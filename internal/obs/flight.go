@@ -109,27 +109,3 @@ func (f *FlightRecorder) Errors() []error {
 	defer f.mu.Unlock()
 	return append([]error(nil), f.errors...)
 }
-
-// Multi fans campaign progress out to several observers in order.
-type Multi []campaign.Progress
-
-// BatchStarted implements campaign.Progress.
-func (m Multi) BatchStarted(cells []string) {
-	for _, p := range m {
-		p.BatchStarted(cells)
-	}
-}
-
-// CellStarted implements campaign.Progress.
-func (m Multi) CellStarted(cell string) {
-	for _, p := range m {
-		p.CellStarted(cell)
-	}
-}
-
-// CellFinished implements campaign.Progress.
-func (m Multi) CellFinished(cell string, wall time.Duration, profile *telemetry.CellProfile, cerr *campaign.CellError) {
-	for _, p := range m {
-		p.CellFinished(cell, wall, profile, cerr)
-	}
-}

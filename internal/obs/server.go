@@ -2,9 +2,10 @@
 // exposing a running campaign's metrics registry and per-cell progress
 // (Prometheus text on /metrics, JSON on /cells, liveness on /healthz),
 // plus a flight recorder that dumps a failing cell's bounded event ring
-// to disk the moment the engine settles the failure. Both plug into the
-// campaign engine through the campaign.Progress hook and cost nothing
-// when not installed.
+// to disk the moment the engine settles the failure. The server plugs
+// into the campaign engine through the campaign.SchedObserver hook, the
+// flight recorder through campaign.Progress; both cost nothing when not
+// installed.
 package obs
 
 import (
@@ -17,7 +18,6 @@ import (
 	httppprof "net/http/pprof"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/campaign"
@@ -59,8 +59,9 @@ type CellState struct {
 }
 
 // Server is the observability HTTP server. It implements
-// campaign.Progress; install it on the Runner and Listen before the
-// campaign starts. All methods are safe for concurrent use.
+// campaign.SchedObserver; install it on the Runner's Sched hook and
+// Listen before the campaign starts. All methods are safe for
+// concurrent use.
 type Server struct {
 	reg    *telemetry.Registry
 	spans  *span.Collector
@@ -155,9 +156,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// BatchStarted implements campaign.Progress: the announced cells seed
-// the /cells listing as pending, in cell order.
-func (s *Server) BatchStarted(cells []string) {
+var _ campaign.SchedObserver = (*Server)(nil)
+
+// BatchQueued implements campaign.SchedObserver: the announced cells
+// seed the /cells listing as pending, in cell order.
+func (s *Server) BatchQueued(cells []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range cells {
@@ -165,22 +168,22 @@ func (s *Server) BatchStarted(cells []string) {
 	}
 }
 
-// CellStarted implements campaign.Progress.
-func (s *Server) CellStarted(cell string) {
+// CellDispatched implements campaign.SchedObserver.
+func (s *Server) CellDispatched(cell string, _ int, _ int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.track(cell).Status = StatusRunning
 }
 
-// CellFinished implements campaign.Progress. The profile, when the
+// CellSettled implements campaign.SchedObserver. The profile, when the
 // runner salvaged one, enriches /cells with the cell's live telemetry
 // activity: how many events it emitted and how many its bounded ring
 // (or streaming sink) lost.
-func (s *Server) CellFinished(cell string, wall time.Duration, profile *telemetry.CellProfile, cerr *campaign.CellError) {
+func (s *Server) CellSettled(cell string, _ int, _, runNS int64, profile *telemetry.CellProfile, cerr *campaign.CellError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.track(cell)
-	st.WallNS = wall.Nanoseconds()
+	st.WallNS = runNS
 	if profile != nil {
 		st.Events = uint64(len(profile.Events)) + profile.DroppedEvents
 		st.Dropped = profile.DroppedEvents
@@ -195,8 +198,7 @@ func (s *Server) CellFinished(cell string, wall time.Duration, profile *telemetr
 }
 
 // track returns the cell's state, creating it as pending on first
-// sight (single cells run via Runner.RunContext never see a BatchStarted).
-// Callers hold s.mu.
+// sight. Callers hold s.mu.
 func (s *Server) track(cell string) *CellState {
 	if st, ok := s.cells[cell]; ok {
 		return st

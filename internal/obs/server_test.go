@@ -86,7 +86,7 @@ func get(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// TestServerLiveCampaign installs the server as the campaign progress
+// TestServerLiveCampaign installs the server as the campaign scheduler
 // hook, runs the full matrix, and scrapes all three endpoints while and
 // after the run: /cells must converge to every cell done, /metrics must
 // expose the aggregated registry, /healthz must answer throughout.
@@ -100,7 +100,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	base := "http://" + addr.String()
 
-	r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: srv}
+	r := &campaign.Runner{Workers: 4, Telemetry: reg, Sched: srv}
 	done := make(chan error, 1)
 	go func() {
 		_, err := r.RunMatrixContext(context.Background())
@@ -173,13 +173,13 @@ func TestServerLiveCampaign(t *testing.T) {
 	}
 }
 
-// TestServerErrorCell routes a settled failure through the progress
-// hook and checks /cells carries its class and message.
+// TestServerErrorCell routes a settled failure through the scheduler
+// hook and checks /cells carries its class, message and run time.
 func TestServerErrorCell(t *testing.T) {
 	srv := NewServer(nil)
-	srv.BatchStarted([]string{"4.6/x/exploit"})
-	srv.CellStarted("4.6/x/exploit")
-	srv.CellFinished("4.6/x/exploit", 5*time.Millisecond, nil,
+	srv.BatchQueued([]string{"4.6/x/exploit"})
+	srv.CellDispatched("4.6/x/exploit", 0, 0)
+	srv.CellSettled("4.6/x/exploit", 0, 0, int64(5*time.Millisecond), nil,
 		&campaign.CellError{Cell: "4.6/x/exploit", Class: "panic", Message: "injected"})
 
 	cells := srv.snapshot()
@@ -187,7 +187,7 @@ func TestServerErrorCell(t *testing.T) {
 		t.Fatalf("got %d cells, want 1", len(cells))
 	}
 	c := cells[0]
-	if c.Status != StatusError || c.Class != "panic" || c.Error != "injected" {
+	if c.Status != StatusError || c.Class != "panic" || c.Error != "injected" || c.WallNS != int64(5*time.Millisecond) {
 		t.Errorf("error cell state = %+v", c)
 	}
 }

@@ -110,7 +110,7 @@ func matchMark(ok bool) string {
 
 // Transcript renders one run's attacker terminal, hypervisor console
 // tail, and verdict, in the style of the paper's Section VI listings.
-func Transcript(res *campaign.RunResult, console []string) string {
+func Transcript(res *campaign.RunResult) string {
 	var b strings.Builder
 	o := res.Outcome
 	b.WriteString(fmt.Sprintf("=== %s (%s mode) on Xen %s ===\n", o.UseCase, o.Mode, o.Version))
@@ -121,7 +121,7 @@ func Transcript(res *campaign.RunResult, console []string) string {
 	if o.Err != nil {
 		b.WriteString(fmt.Sprintf("  [script terminated: %v]\n", o.Err))
 	}
-	if len(console) > 0 {
+	if console := res.Console; len(console) > 0 {
 		b.WriteString("--- hypervisor console (tail) ---\n")
 		start := len(console) - 8
 		if start < 0 {

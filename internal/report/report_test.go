@@ -134,7 +134,9 @@ func TestTranscriptRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Transcript(res, []string{"(XEN) line one", "(XEN) Panic on CPU 0:"})
+	// The console tail comes from the cell's own run: the crash PoC
+	// leaves the panic banner on it.
+	s := Transcript(res)
 	for _, want := range []string{"attacker terminal", "hypervisor console", "monitor verdict", "Panic on CPU 0"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("transcript missing %q:\n%s", want, s)

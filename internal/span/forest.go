@@ -2,7 +2,6 @@ package span
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -85,9 +84,9 @@ func (c *Collector) StartBatch(cells []string) {
 	c.batches = append(c.batches, b)
 }
 
-// FinishCell records a settled cell. A cell settling outside any
-// announced batch (Runner.RunContext single-cell paths) gets an implicit
-// one-cell batch.
+// FinishCell records a settled cell into its slot in the most recently
+// announced batch. The runner announces every batch before its cells
+// run, so a cell outside it is dropped.
 func (c *Collector) FinishCell(cs *CellSpans) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -95,14 +94,8 @@ func (c *Collector) FinishCell(cs *CellSpans) {
 		b := c.batches[n-1]
 		if i, ok := b.index[cs.Cell]; ok && b.Cells[i] == nil {
 			b.Cells[i] = cs
-			return
 		}
 	}
-	c.batches = append(c.batches, &Batch{
-		Name:  fmt.Sprintf("batch%02d", len(c.batches)+1),
-		Cells: []*CellSpans{cs},
-		index: map[string]int{cs.Cell: 0},
-	})
 }
 
 // Forest snapshots the collected batches. Batches and cells are in
@@ -262,46 +255,6 @@ func AnalyzeCriticalPath(b *Batch, workers int) CriticalPath {
 		cp.Efficiency = float64(cp.TotalV) / (float64(workers) * float64(cp.MakespanV))
 	}
 	return cp
-}
-
-// ObservedCriticalPath reconstructs the wall-time critical chain of a
-// batch from the workers cells actually ran on: the worker whose cells
-// accumulated the most wall time, with its chain in settle order. Wall
-// times are not deterministic; this is live-diagnosis output, never
-// golden-pinned.
-func ObservedCriticalPath(b *Batch) (worker int, wallNS int64, chain []string) {
-	type wk struct {
-		wall  int64
-		cells []*CellSpans
-	}
-	byWorker := make(map[int]*wk)
-	for _, cs := range b.Cells {
-		if cs == nil {
-			continue
-		}
-		w := byWorker[cs.Worker]
-		if w == nil {
-			w = &wk{}
-			byWorker[cs.Worker] = w
-		}
-		w.wall += cs.WallNS
-		w.cells = append(w.cells, cs)
-	}
-	worker = -1
-	for id, w := range byWorker {
-		if w.wall > wallNS || (w.wall == wallNS && (worker < 0 || id < worker)) {
-			worker, wallNS = id, w.wall
-		}
-	}
-	if worker < 0 {
-		return -1, 0, nil
-	}
-	cells := byWorker[worker].cells
-	sort.SliceStable(cells, func(i, j int) bool { return cells[i].OffsetNS < cells[j].OffsetNS })
-	for _, cs := range cells {
-		chain = append(chain, cs.Cell)
-	}
-	return worker, wallNS, chain
 }
 
 // Canonical renders the forest's deterministic structure: batch and

@@ -247,8 +247,9 @@ func TestCollectorAssemblesBatchesInDispatchOrder(t *testing.T) {
 	// A second batch with an unsettled cell: it is dropped.
 	c.StartBatch([]string{"d", "e"})
 	c.FinishCell(finishedCell("e", 0, 5))
-	// A cell outside any announced batch gets an implicit batch.
-	c.FinishCell(finishedCell("stray", 0, 7))
+	// A one-cell batch, as Runner.RunContext announces.
+	c.StartBatch([]string{"solo"})
+	c.FinishCell(finishedCell("solo", 0, 7))
 
 	f := c.Forest()
 	if err := f.Check(); err != nil {
@@ -261,7 +262,7 @@ func TestCollectorAssemblesBatchesInDispatchOrder(t *testing.T) {
 	for _, cs := range f.Cells() {
 		order = append(order, cs.Cell)
 	}
-	want := []string{"a", "b", "c", "e", "stray"}
+	want := []string{"a", "b", "c", "e", "solo"}
 	if strings.Join(order, ",") != strings.Join(want, ",") {
 		t.Errorf("forest cell order = %v, want %v", order, want)
 	}
@@ -306,30 +307,6 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 	}
 }
 
-func TestObservedCriticalPath(t *testing.T) {
-	mk := func(id string, worker int, off, wall int64) *span.CellSpans {
-		cs := finishedCell(id, worker, 1)
-		cs.OffsetNS, cs.WallNS = off, wall
-		return cs
-	}
-	b := &span.Batch{Name: "batch01", Cells: []*span.CellSpans{
-		mk("a", 0, 0, 100),
-		mk("b", 1, 10, 300),
-		mk("c", 1, 5, 50),
-		nil, // unsettled slot
-	}}
-	worker, wall, chain := span.ObservedCriticalPath(b)
-	if worker != 1 || wall != 350 {
-		t.Errorf("observed worker=%d wall=%d, want 1/350", worker, wall)
-	}
-	if strings.Join(chain, ",") != "c,b" {
-		t.Errorf("observed chain = %v, want offset order c,b", chain)
-	}
-	if w, _, _ := span.ObservedCriticalPath(&span.Batch{}); w != -1 {
-		t.Errorf("empty batch observed worker = %d, want -1", w)
-	}
-}
-
 // Canonical output excludes wall times and worker placement, so two
 // forests with identical virtual structure render byte-identically.
 func TestCanonicalExcludesWallAndWorker(t *testing.T) {
@@ -363,7 +340,7 @@ func TestCanonicalExcludesWallAndWorker(t *testing.T) {
 // and one complete event per span, on the owning worker's track.
 func TestWriteChromeValidJSON(t *testing.T) {
 	c := span.NewCollector()
-	c.StartBatch([]string{"a", "b"})
+	c.StartBatch([]string{"a", "b", "hung"})
 	c.FinishCell(finishedCell("a", 0, 4))
 	c.FinishCell(finishedCell("b", 1, 2))
 	c.FinishCell(&span.CellSpans{Cell: "hung", Worker: 1, Class: "hang"}) // no tree: metadata only
