@@ -114,7 +114,7 @@ equivalence:
 
 spans:
 	$(GO) test ./internal/span/
-	$(GO) test -run 'Span|Latency' ./internal/campaign/ ./internal/tracediff/ ./internal/obs/ ./internal/report/
+	$(GO) test -run 'Span|Latency' ./internal/campaign/ ./internal/obs/ ./internal/report/
 	$(GO) run ./cmd/repro -matrix -workers 4 -spans spans-demo.json > spans-summary.txt
 	@grep -q 'CAUSAL SPAN SUMMARY' spans-summary.txt
 	@grep -q 'critical path: makespan=' spans-summary.txt
@@ -163,9 +163,11 @@ bench-check:
 
 check: build vet lint-scenarios test race chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
 
+# BENCH_matrix.json and BENCH_snapshot.json are committed baselines
+# (benchdiff reads them), so clean removes only what targets generate.
 clean:
-	rm -f BENCH_matrix.json BENCH_obs.json BENCH_snapshot.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
-	rm -f BENCH_matrix.new.json BENCH_snapshot.new.json cov-matrix.json cov-diff.txt ledger-diff.txt
+	rm -f BENCH_obs.json BENCH_*.new.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
+	rm -f cov-matrix.json cov-diff.txt ledger-diff.txt
 	rm -f sched-demo.json sched-summary.txt
 	rm -rf ledger-ci
 	$(GO) clean ./...

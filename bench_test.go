@@ -1,7 +1,8 @@
 // Package repro holds the benchmark harness: one benchmark per table and
 // figure of the paper (regenerating the artifact per iteration from live
-// experiment runs), plus microbenchmarks of the substrate operations and
-// the ablations DESIGN.md §5 calls out.
+// experiment runs; Table III and Fig. 4 are projections of the campaign
+// matrix, so BenchmarkFullMatrix times them), plus microbenchmarks of the
+// substrate operations and the ablations DESIGN.md §5 calls out.
 package repro
 
 import (
@@ -51,19 +52,6 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII runs the full RQ2/RQ3 injection campaign (17 use
-// cases x 2 non-vulnerable versions, fresh environment each) and renders
-// the table.
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := (&campaign.Runner{Workers: 1}).RunTable3Context(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = report.TableIII(rows, []string{"4.8", "4.13"})
-	}
-}
-
 // BenchmarkFig1 and BenchmarkFig2 regenerate the conceptual diagrams.
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -82,18 +70,6 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = report.Fig3(inject.GuestWritablePageTableEntry)
-	}
-}
-
-// BenchmarkFig4 runs the full RQ1 validation (17 use cases x exploit and
-// injection on 4.6) and renders the comparison.
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = report.Fig4(rows)
 	}
 }
 

@@ -307,24 +307,39 @@ func TestCLISmoke(t *testing.T) {
 				t.Errorf("output missing %q:\n%s", want, out)
 			}
 		}
-		var rep, base struct {
-			Digest string            `json:"digest"`
-			Cells  []json.RawMessage `json:"cells"`
-		}
-		for path, into := range map[string]any{cov: &rep, "COVERAGE_matrix.json": &base} {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+		checkBaselineCoverage(t, cov)
+	})
+
+	// Every experiment of one invocation renders from one matrix run:
+	// the default report (Table III, Fig. 4 and the matrix) and the JSON
+	// export (runs and scores) each settle the 102 cells once, and a
+	// chaos export dumps each failing cell's flight record once.
+	t.Run("one-matrix-run", func(t *testing.T) {
+		scratch := t.TempDir()
+		for _, args := range [][]string{{}, {"-json"}} {
+			cov := filepath.Join(scratch, "cov.json")
+			cmd := exec.Command(filepath.Join(dir, "repro"), append(args, "-workers", "2", "-coverage", cov)...)
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("repro %v -coverage: %v\n%s", args, err, out)
 			}
-			if err := json.Unmarshal(raw, into); err != nil {
-				t.Fatalf("%s: %v", path, err)
+			checkBaselineCoverage(t, cov)
+		}
+		cmd := exec.Command(filepath.Join(dir, "repro"), "-json", "-chaos", "7", "-continue-on-error", "-workers", "2")
+		cmd.Dir = scratch
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("chaos json export died: %v\n%s", err, out)
+		}
+		dumps, err := filepath.Glob(filepath.Join(scratch, "flight-*.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dumps) == 0 {
+			t.Error("chaos json export wrote no flight dumps")
+		}
+		for _, dump := range dumps {
+			if strings.HasSuffix(dump, "-2.jsonl") {
+				t.Errorf("cell dumped twice (%s): the export ran it twice", filepath.Base(dump))
 			}
-		}
-		if len(rep.Cells) != 102 {
-			t.Errorf("coverage report has %d cells, want 102", len(rep.Cells))
-		}
-		if rep.Digest != base.Digest {
-			t.Errorf("coverage digest %s, want the committed %s", rep.Digest, base.Digest)
 		}
 	})
 
@@ -722,4 +737,30 @@ func TestCLISmoke(t *testing.T) {
 			t.Fatal("repro -serve did not exit after SIGINT")
 		}
 	})
+}
+
+// checkBaselineCoverage asserts a coverage report settled the 102 matrix
+// cells exactly once: a cell run twice would double its edge counts and
+// move the digest off the committed COVERAGE_matrix.json.
+func checkBaselineCoverage(t *testing.T, cov string) {
+	t.Helper()
+	var rep, base struct {
+		Digest string            `json:"digest"`
+		Cells  []json.RawMessage `json:"cells"`
+	}
+	for path, into := range map[string]any{cov: &rep, "COVERAGE_matrix.json": &base} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, into); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	if len(rep.Cells) != 102 {
+		t.Errorf("coverage report has %d cells, want 102", len(rep.Cells))
+	}
+	if rep.Digest != base.Digest {
+		t.Errorf("coverage digest %s, want the committed %s", rep.Digest, base.Digest)
+	}
 }

@@ -22,6 +22,12 @@
 // -workers overrides, and -workers 1 forces the serial debug path).
 // The rendered output is byte-identical at any worker count.
 //
+// Table III, Fig. 4, the matrix, -equivalence, -score and -json are
+// projections of one campaign matrix: an invocation runs the matrix
+// once, the first time one of them needs it, and renders each from the
+// same entries, so every cell reaches -trace, -spans, -coverage and the
+// flight recorder exactly once.
+//
 // By default each (version, mode) environment boots once per process
 // and every cell runs on a copy-on-write fork of the sealed machine;
 // the output is byte-identical either way. -no-snapshot forces every
@@ -148,7 +154,9 @@
 // cell coordinate, so the same seed reproduces the same faults at any
 // worker count. -continue-on-error records per-cell failure
 // classifications (error/panic/hang/canceled) in the matrix and JSON
-// artifact instead of stopping at the first failing cell. Ctrl-C
+// artifact instead of stopping at the first failing cell; Table III,
+// Fig. 4 and -score need every cell, so they fail on the first failed
+// cell they read, and the JSON artifact omits the scores. Ctrl-C
 // cancels the campaign cleanly: -trace, -metrics and both profiles are
 // still flushed with whatever cells completed.
 package main
@@ -167,6 +175,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -479,6 +488,15 @@ func run(out io.Writer) (err error) {
 			profiles = append(profiles, res.Profile)
 		}
 	}
+	// matrixRun runs the campaign matrix the first time an experiment
+	// needs it; every later experiment renders from the same entries.
+	matrixRun := sync.OnceValues(func() ([]campaign.MatrixEntry, error) {
+		entries, err := runner.RunMatrixContext(ctx)
+		for _, e := range entries {
+			collect(e.Result)
+		}
+		return entries, err
+	})
 
 	all := *table == 0 && *figure == 0 && !*matrix && *fuzz == 0 && !*score && !*jsonOut && !*avail && *cellSpec == "" && !*equivalence && !*corpus && *ledgerDir == ""
 	body := func() error {
@@ -509,7 +527,7 @@ func run(out io.Writer) (err error) {
 			fmt.Fprintln(out, report.Corpus(fieldstudy.CorpusOf(exploits.Specs())))
 		}
 		if all || *table == 3 {
-			rows, err := runner.RunTable3Context(ctx)
+			rows, err := project(matrixRun, campaign.Table3Rows)
 			if err != nil {
 				return fmt.Errorf("table III campaign: %w", err)
 			}
@@ -531,13 +549,9 @@ func run(out io.Writer) (err error) {
 			fmt.Fprintln(out, report.Fig3(inject.GuestWritablePageTableEntry))
 		}
 		if all || *figure == 4 {
-			rows, err := runner.RunFig4Context(ctx)
+			rows, err := project(matrixRun, campaign.Fig4Rows)
 			if err != nil {
 				return fmt.Errorf("figure 4 campaign: %w", err)
-			}
-			for _, row := range rows {
-				collect(row.Exploit)
-				collect(row.Injection)
 			}
 			fmt.Fprintln(out, report.Fig4(rows))
 		}
@@ -606,14 +620,9 @@ func run(out io.Writer) (err error) {
 			}
 		}
 		if (all || *matrix || *equivalence) && *ledgerDir == "" {
-			// One matrix run serves both the rendered matrix and the
-			// equivalence grading, so every collector sees each cell once.
-			entries, err := runner.RunMatrixContext(ctx)
+			entries, err := matrixRun()
 			if err != nil {
 				return fmt.Errorf("full matrix: %w", err)
-			}
-			for _, e := range entries {
-				collect(e.Result)
 			}
 			if all || *matrix {
 				fmt.Fprintln(out, report.Matrix(entries))
@@ -641,14 +650,18 @@ func run(out io.Writer) (err error) {
 			}
 		}
 		if *score {
-			scores, err := runner.SecurityBenchmarkContext(ctx)
+			scores, err := project(matrixRun, campaign.Scores)
 			if err != nil {
 				return fmt.Errorf("security benchmark: %w", err)
 			}
 			fmt.Fprintln(out, report.Scoreboard(scores))
 		}
 		if *jsonOut {
-			if err := runner.ExportMatrixContext(ctx, out); err != nil {
+			entries, err := matrixRun()
+			if err == nil {
+				err = campaign.WriteExport(out, entries, runner.Faults.Seed(), runner.ContinueOnError)
+			}
+			if err != nil {
 				return fmt.Errorf("json export: %w", err)
 			}
 		}
@@ -711,7 +724,7 @@ func run(out io.Writer) (err error) {
 				log.Printf("wrote %d-cell trace to %s", len(profiles), *traceOut)
 			}
 		case bodyErr == nil:
-			flushErrs = append(flushErrs, errors.New("-trace: no profiled cells ran (combine -trace with -matrix, -figure 4, or -cell)"))
+			flushErrs = append(flushErrs, errors.New("-trace: no profiled cells ran (combine -trace with -cell or an experiment that runs the campaign matrix)"))
 		}
 	}
 	if *metrics {
@@ -770,6 +783,17 @@ func run(out io.Writer) (err error) {
 		bus.Close()
 	}
 	return errors.Join(append([]error{bodyErr}, flushErrs...)...)
+}
+
+// project renders one experiment from the invocation's single matrix
+// run: f projects the entries into the experiment's rows.
+func project[T any](matrixRun func() ([]campaign.MatrixEntry, error), f func([]campaign.MatrixEntry) (T, error)) (T, error) {
+	entries, err := matrixRun()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return f(entries)
 }
 
 // printEquivalence renders the RQ2 table and fails on any divergent

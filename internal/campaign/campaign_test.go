@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -56,15 +58,23 @@ var paperResults = map[string]map[string]map[Mode]expectation{
 	},
 }
 
+// serialMatrix runs the full matrix serially; the experiment tests
+// below read their projections from it, as the CLI does.
+func serialMatrix(t *testing.T) []MatrixEntry {
+	t.Helper()
+	entries, err := (&Runner{Workers: 1}).RunMatrixContext(context.Background())
+	if err != nil {
+		t.Fatalf("RunMatrixContext: %v", err)
+	}
+	return entries
+}
+
 // TestFullMatrixMatchesPaper is the headline integration test: all 102
 // (version, use case, mode) cells produce the expected results — the
 // paper's reported numbers for the original scenarios, the pinned
 // family shapes for the corpus extensions.
 func TestFullMatrixMatchesPaper(t *testing.T) {
-	entries, err := (&Runner{Workers: 1}).RunMatrixContext(context.Background())
-	if err != nil {
-		t.Fatalf("RunMatrixContext: %v", err)
-	}
+	entries := serialMatrix(t)
 	if len(entries) != 102 {
 		t.Fatalf("matrix has %d entries, want 102", len(entries))
 	}
@@ -84,9 +94,9 @@ func TestFullMatrixMatchesPaper(t *testing.T) {
 // TestFig4Equivalence asserts RQ1: on 4.6 the injected states and the
 // resulting violations are the same as the exploits'.
 func TestFig4Equivalence(t *testing.T) {
-	rows, err := (&Runner{Workers: 1}).RunFig4Context(context.Background())
+	rows, err := Fig4Rows(serialMatrix(t))
 	if err != nil {
-		t.Fatalf("RunFig4Context: %v", err)
+		t.Fatalf("Fig4Rows: %v", err)
 	}
 	if len(rows) != 17 {
 		t.Fatalf("fig4 rows = %d, want 17", len(rows))
@@ -109,9 +119,9 @@ func TestFig4Equivalence(t *testing.T) {
 // TestTable3 asserts the published Table III shape: every injected state
 // lands on both versions; 4.13 handles XSA-212-priv and XSA-182-test.
 func TestTable3(t *testing.T) {
-	rows, err := (&Runner{Workers: 1}).RunTable3Context(context.Background())
+	rows, err := Table3Rows(serialMatrix(t))
 	if err != nil {
-		t.Fatalf("RunTable3Context: %v", err)
+		t.Fatalf("Table3Rows: %v", err)
 	}
 	want := map[string]map[string]Table3Cell{
 		"XSA-212-crash": {"4.8": {true, true}, "4.13": {true, true}},
@@ -202,7 +212,7 @@ func TestInjectorAbsentOnExploitBuilds(t *testing.T) {
 // additionally handles XSA-212-priv and XSA-182-test (resilience 3/17);
 // all injections succeed everywhere.
 func TestSecurityBenchmark(t *testing.T) {
-	scores, err := (&Runner{Workers: 1}).SecurityBenchmarkContext(context.Background())
+	scores, err := Scores(serialMatrix(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +242,40 @@ func TestSecurityBenchmark(t *testing.T) {
 		if s.Violations+s.Handled != s.StatesInjected {
 			t.Errorf("%s: counts do not add up: %+v", s.Version, s)
 		}
+	}
+}
+
+// TestProjectionsFailOnFailedEntry pins the ContinueOnError contract of
+// the projections: each fails on the first failed entry it needs, with
+// its experiment's wrap, ignores failures it does not read, and the
+// JSON export keeps every run but omits the scores.
+func TestProjectionsFailOnFailedEntry(t *testing.T) {
+	entries := serialMatrix(t)
+	for i, e := range entries {
+		if e.Version == "4.8" && e.UseCase == "XSA-148-priv" && e.Mode == ModeInjection {
+			entries[i].Result = nil
+			entries[i].Err = &CellError{Cell: "4.8/XSA-148-priv/injection", Class: FailPanic, Message: "boom"}
+		}
+	}
+	if _, err := Fig4Rows(entries); err != nil {
+		t.Errorf("Fig4Rows read a 4.8 cell: %v", err)
+	}
+	if _, err := Table3Rows(entries); err == nil || err.Error() != "campaign: table3 XSA-148-priv on 4.8: panic: boom" {
+		t.Errorf("Table3Rows error = %v", err)
+	}
+	if _, err := Scores(entries); err == nil || err.Error() != "campaign: benchmark XSA-148-priv on 4.8: panic: boom" {
+		t.Errorf("Scores error = %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteExport(&buf, entries, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	var artifact ExportedCampaign
+	if err := json.Unmarshal(buf.Bytes(), &artifact); err != nil {
+		t.Fatal(err)
+	}
+	if len(artifact.Runs) != len(entries) || artifact.Scores != nil {
+		t.Errorf("export has %d runs (want %d) and scores %v (want none)", len(artifact.Runs), len(entries), artifact.Scores)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/exploits"
 	"repro/internal/faults"
 	"repro/internal/hv"
 	"repro/internal/telemetry"
@@ -89,12 +90,9 @@ func TestChaosArtifactDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Helper()
 		plan := faults.NewPlan(seed, faults.DefaultDensity)
 		r := &campaign.Runner{Workers: workers, ContinueOnError: true, Faults: plan}
-		var buf bytes.Buffer
-		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		out := exportMatrix(t, r, exploits.Specs())
 		plan.ReleaseAll()
-		return buf.Bytes()
+		return out
 	}
 	ref := export(1)
 	if !bytes.Contains(ref, []byte(`"fault_plan_seed": 7`)) {

@@ -1,12 +1,10 @@
 package campaign
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 
-	"repro/internal/exploits"
 	"repro/internal/telemetry"
 )
 
@@ -82,38 +80,24 @@ func exportRun(version, useCase string, mode Mode, res *RunResult, cerr *CellErr
 	return out
 }
 
-// ExportMatrixContext runs the full campaign across the pool and writes
-// the JSON artifact, including the per-version security-benchmark
-// scores. Under ContinueOnError the artifact always materializes: failed
-// cells carry their per-cell error records, and the benchmark scores
-// are omitted when the benchmark's own cells fail (the per-cell records
-// already describe the failures).
-func (r *Runner) ExportMatrixContext(ctx context.Context, w io.Writer) error {
-	return r.ExportMatrixSpecs(ctx, w, campaignPlan().specs)
-}
-
-// ExportMatrixSpecs is ExportMatrixContext scoped to an explicit
-// registry subset, like RunMatrixSpecs. The seed-identity regression
-// uses it to re-derive the frozen pre-expansion JSON artifact.
-func (r *Runner) ExportMatrixSpecs(ctx context.Context, w io.Writer, specs []exploits.Spec) error {
-	entries, err := r.RunMatrixSpecs(ctx, specs)
-	if err != nil {
-		return err
-	}
-	scores, err := r.SecurityBenchmarkSpecs(ctx, specs)
-	if err != nil {
-		if !r.ContinueOnError {
-			return err
-		}
-		scores = nil
-	}
+// WriteExport writes the JSON artifact of one matrix run: every entry
+// as a run and the per-version security-benchmark scores. faultSeed and
+// continueOnError record the campaign's chaos configuration (the
+// Runner's Faults.Seed() and ContinueOnError). Under ContinueOnError the
+// artifact always materializes: failed cells carry their per-cell error
+// records, and the scores are omitted when the benchmark's own cells
+// failed (the per-cell records already describe the failures).
+func WriteExport(w io.Writer, entries []MatrixEntry, faultSeed int64, continueOnError bool) error {
+	// A failed injection cell leaves the scores out (nil); its run
+	// record already describes the failure.
+	scores, _ := Scores(entries)
 	artifact := ExportedCampaign{
 		Paper:           "Intrusion Injection for Virtualized Systems: Concepts and Approach (DSN 2023)",
 		Machine:         fmt.Sprintf("simulated PV hypervisor, %d frames, %d-frame domains", MachineFrames, DomainFrames),
 		Runs:            make([]ExportedRun, 0, len(entries)),
 		Scores:          scores,
-		FaultPlanSeed:   r.Faults.Seed(),
-		ContinueOnError: r.ContinueOnError,
+		FaultPlanSeed:   faultSeed,
+		ContinueOnError: continueOnError,
 	}
 	for _, e := range entries {
 		artifact.Runs = append(artifact.Runs, exportRun(e.Version, e.UseCase, e.Mode, e.Result, e.Err))

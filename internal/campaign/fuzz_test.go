@@ -127,8 +127,12 @@ func TestOutcomeClassStrings(t *testing.T) {
 }
 
 func TestExportMatrixProducesValidArtifact(t *testing.T) {
+	entries, err := (&Runner{Workers: 1}).RunMatrixContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := (&Runner{Workers: 1}).ExportMatrixContext(context.Background(), &buf); err != nil {
+	if err := WriteExport(&buf, entries, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	var artifact ExportedCampaign

@@ -66,13 +66,15 @@ type Runner struct {
 	Faults *faults.Plan
 
 	// ContinueOnError keeps the campaign going past failing cells:
-	// instead of reporting the first error in cell order,
-	// RunMatrixContext and ExportMatrixContext carry a per-cell
-	// *CellError record for every failed cell alongside the successful
-	// results. Experiments whose row shapes need every cell
-	// (RunFig4Context, RunTable3Context, SecurityBenchmarkContext) still
-	// run all cells but return the first failure. The default
-	// (false) preserves first-error-in-cell-order semantics exactly.
+	// instead of reporting the first error in cell order, the returned
+	// matrix entries carry a per-cell *CellError record for every failed
+	// cell alongside the successful results. The projections whose row
+	// shapes need every cell (Fig4Rows, Table3Rows, Scores) then fail on
+	// the first failed entry they need; the JSON export keeps every
+	// record and omits the scores. The default (false) preserves
+	// first-error-in-cell-order semantics exactly. Either way the
+	// projections read one run's entries, so a failing cell runs (and is
+	// flight-recorded) once however many experiments read it.
 	ContinueOnError bool
 
 	// CellTimeout is the per-cell watchdog deadline. A cell that blows
@@ -81,11 +83,12 @@ type Runner struct {
 	// negative disables the watchdog.
 	CellTimeout time.Duration
 
-	// Progress, when set, observes the campaign live: batch dispatch
-	// and per-cell start/finish, including each failed cell's telemetry
-	// profile where one could be salvaged. Implementations must be safe
-	// for concurrent use — workers notify in parallel. Nil disables
-	// observation at no cost.
+	// Progress, when set, observes every settled cell live, including
+	// each failed cell's telemetry profile where one could be salvaged:
+	// the flight recorder's hook. Batch announcement and dispatch reach
+	// the Sched, Spans and Coverage hooks instead. Implementations must
+	// be safe for concurrent use — workers notify in parallel. Nil
+	// disables observation at no cost.
 	Progress Progress
 
 	// SalvageProfiles gives every cell a telemetry recorder even
@@ -171,21 +174,18 @@ type SchedObserver interface {
 	CellSettled(cell string, worker int, queueNS, runNS int64, profile *telemetry.CellProfile, cerr *CellError)
 }
 
-// Progress observes a running campaign. The hooks fire on the worker
-// goroutines driving the cells, so implementations must synchronize
-// internally and return quickly.
+// Progress observes a running campaign's settled cells. The hook fires
+// on the worker goroutine that settled the cell, so implementations
+// must synchronize internally and return quickly. It sees no batch
+// announcement and no dispatch; a SchedObserver does.
 type Progress interface {
-	// BatchStarted announces the cells about to be dispatched, in cell
-	// order, before any of them runs.
-	BatchStarted(cells []string)
-	// CellStarted fires when a cell is picked up by a worker.
-	CellStarted(cell string)
 	// CellFinished fires when the engine settles the cell's outcome:
 	// cerr is nil on success; profile is the cell's telemetry snapshot
 	// when the runner profiles cells and the cell's goroutine could be
 	// snapshotted (success, error and panic outcomes — hung and
 	// canceled cells are abandoned with their recorder, so their
-	// profile is nil).
+	// profile is nil). It fires exactly once per cell, every outcome
+	// class included.
 	CellFinished(cell string, wall time.Duration, profile *telemetry.CellProfile, cerr *CellError)
 }
 
@@ -388,8 +388,10 @@ type instrumentation struct {
 	spans bool
 	// profile snapshots a successful cell's profile into its result.
 	profile bool
-	// announce tells the batch-aware hooks about the batch before any
-	// of its cells runs.
+	// announce tells the batch-aware hooks — the span and coverage
+	// collectors, the schedule observer and the log — about the batch
+	// before any of its cells runs, so each can settle the batch in
+	// dispatch order whatever order its cells finish in.
 	announce bool
 }
 
@@ -400,7 +402,7 @@ func (r *Runner) instrumentation() instrumentation {
 		coverage: r.Coverage != nil || r.Observer != nil,
 		spans:    r.Spans != nil || r.Observer != nil,
 		profile:  r.Telemetry != nil || r.Observer != nil,
-		announce: r.Progress != nil || r.Spans != nil || r.Coverage != nil || r.Sched != nil || r.Log != nil,
+		announce: r.Spans != nil || r.Coverage != nil || r.Sched != nil || r.Log != nil,
 	}
 }
 
@@ -472,7 +474,8 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 // FailCanceled. The cell body runs on its own goroutine so the worker
 // can abandon it; an abandoned body parks on a buffered channel and
 // exits when it eventually finishes (or is released from a wedge), so
-// nothing leaks once the campaign's injectors are released.
+// nothing leaks once the campaign's injectors are released. The Sched
+// and Log hooks hear of the dispatch before the body starts.
 func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, worker int, queuedAt time.Time) cellOutcome {
 	id := c.String()
 	if err := ctx.Err(); err != nil {
@@ -481,9 +484,6 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 	var inj *faults.Injector
 	if r.Faults != nil {
 		inj = r.Faults.ForCell(id)
-	}
-	if r.Progress != nil {
-		r.Progress.CellStarted(id)
 	}
 	began := time.Now()
 	queueNS := began.Sub(queuedAt).Nanoseconds()
@@ -641,20 +641,17 @@ func rootSpanV(t *span.Tree) uint64 {
 	return spans[0].EndV - spans[0].StartV
 }
 
-// runCellsDetailed executes a batch of cells and returns one outcome
-// per cell, in cell order, never failing as a whole: panics, hangs and
+// runCells executes a batch of cells and returns one outcome per cell,
+// in cell order, never failing as a whole: panics, hangs and
 // cancellation all land as per-cell records. On cancellation, cells
 // never dispatched are marked FailCanceled without running.
-func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutcome {
+func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
 	outs := make([]cellOutcome, len(cells))
 	in := r.instrumentation()
 	if in.announce {
 		ids := make([]string, len(cells))
 		for i, c := range cells {
 			ids[i] = c.String()
-		}
-		if r.Progress != nil {
-			r.Progress.BatchStarted(ids)
 		}
 		if r.Spans != nil {
 			r.Spans.StartBatch(ids)
@@ -714,52 +711,6 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 	return outs
 }
 
-// runCells executes a batch of cells and returns results in cell order.
-// wrap contextualizes a cell's error for the caller's experiment.
-// Failure semantics are uniform across pool sizes: every cell runs to
-// completion and the first error in cell order is reported, so serial
-// and parallel runs of a partially failing batch agree on the error.
-// With ContinueOnError no error is reported; the caller reads the
-// per-cell records instead.
-func (r *Runner) runCells(ctx context.Context, cells []cell, wrap func(cell, error) error) ([]*RunResult, []*CellError, error) {
-	outs := r.runCellsDetailed(ctx, cells)
-	results := make([]*RunResult, len(cells))
-	cerrs := make([]*CellError, len(cells))
-	for i, o := range outs {
-		results[i], cerrs[i] = o.res, o.err
-	}
-	if !r.ContinueOnError {
-		for i, ce := range cerrs {
-			if ce == nil {
-				continue
-			}
-			// Plain errors surface exactly as they always have (the
-			// cause, not the record), preserving the engine's
-			// first-error-in-cell-order messages byte for byte; the
-			// classes that used to kill or wedge the process surface
-			// as their records.
-			err := error(ce)
-			if ce.Class == FailError {
-				err = ce.cause
-			}
-			return nil, nil, wrap(cells[i], err)
-		}
-	}
-	return results, cerrs, nil
-}
-
-// firstFailure returns the first per-cell failure in cell order, nil if
-// every cell succeeded. Experiments whose row shapes need every cell
-// use it to fail even under ContinueOnError.
-func firstFailure(cells []cell, cerrs []*CellError, wrap func(cell, error) error) error {
-	for i, ce := range cerrs {
-		if ce != nil {
-			return wrap(cells[i], ce)
-		}
-	}
-	return nil
-}
-
 // RunContext executes one cell under the runner's configuration: the
 // single-cell entry point behind the CLI's -cell flag. The cell is a
 // one-cell batch, announced and settled like any campaign batch, so a
@@ -767,109 +718,11 @@ func firstFailure(cells []cell, cerrs []*CellError, wrap func(cell, error) error
 // killing the caller, and cancellation classifies the cell as canceled
 // instead of letting it run to completion.
 func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	out := r.runCellsDetailed(ctx, []cell{{version: v, useCase: useCase, mode: mode}})[0]
+	out := r.runCells(ctx, []cell{{version: v, useCase: useCase, mode: mode}})[0]
 	if out.err != nil {
-		if out.err.Class == FailError {
-			return nil, out.err.cause
-		}
-		return nil, out.err
+		return nil, out.err.surfaced()
 	}
 	return out.res, nil
-}
-
-// applicable filters the registry to the specs scheduling cells on the
-// version.
-func applicable(specs []exploits.Spec, version string) []exploits.Spec {
-	out := make([]exploits.Spec, 0, len(specs))
-	for _, s := range specs {
-		if s.AppliesTo(version) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// RunFig4Context executes the RQ1 experiment (every use case, exploit
-// vs injection, on the vulnerable 4.6 version) across the pool.
-// Cancellation stops dispatching cells and reports the first unfinished
-// cell. The figure's rows need every cell, so a failed cell is an error
-// even under ContinueOnError.
-func (r *Runner) RunFig4Context(ctx context.Context) ([]Fig4Row, error) {
-	v := hv.Version46()
-	specs := applicable(campaignPlan().specs, v.Name)
-	cells := make([]cell, 0, 2*len(specs))
-	for _, s := range specs {
-		cells = append(cells,
-			cell{v, s.Name, ModeExploit},
-			cell{v, s.Name, ModeInjection})
-	}
-	wrap := func(c cell, err error) error {
-		return fmt.Errorf("campaign: fig4 %s %s: %w", c.useCase, c.mode, err)
-	}
-	results, cerrs, err := r.runCells(ctx, cells, wrap)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstFailure(cells, cerrs, wrap); err != nil {
-		return nil, err
-	}
-	rows := make([]Fig4Row, 0, len(specs))
-	for i, s := range specs {
-		ex, in := results[2*i], results[2*i+1]
-		rows = append(rows, Fig4Row{
-			UseCase:         s.Name,
-			Exploit:         ex,
-			Injection:       in,
-			StatesMatch:     ex.Verdict.ErroneousState == in.Verdict.ErroneousState,
-			ViolationsMatch: ex.Verdict.SecurityViolation == in.Verdict.SecurityViolation,
-		})
-	}
-	return rows, nil
-}
-
-// RunTable3Context executes the RQ2/RQ3 injection campaign (every use
-// case's injection script against 4.8 and 4.13) across the pool. The
-// table's rows need every cell, so a failed cell is an error even under
-// ContinueOnError.
-func (r *Runner) RunTable3Context(ctx context.Context) ([]Table3Row, error) {
-	p := campaignPlan()
-	versions := Table3Versions()
-	cells := make([]cell, 0, len(p.specs)*len(versions))
-	for _, s := range p.specs {
-		for _, v := range versions {
-			if s.AppliesTo(v.Name) {
-				cells = append(cells, cell{v, s.Name, ModeInjection})
-			}
-		}
-	}
-	wrap := func(c cell, err error) error {
-		return fmt.Errorf("campaign: table3 %s on %s: %w", c.useCase, c.version.Name, err)
-	}
-	results, cerrs, err := r.runCells(ctx, cells, wrap)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstFailure(cells, cerrs, wrap); err != nil {
-		return nil, err
-	}
-	rows := make([]Table3Row, 0, len(p.specs))
-	next := 0
-	for _, s := range p.specs {
-		row := Table3Row{UseCase: s.Name, Cells: make(map[string]Table3Cell, len(versions))}
-		for _, v := range versions {
-			if !s.AppliesTo(v.Name) {
-				continue
-			}
-			res := results[next]
-			next++
-			row.Cells[v.Name] = Table3Cell{
-				ErrState: res.Verdict.ErroneousState,
-				SecViol:  res.Verdict.SecurityViolation,
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // RunMatrixContext executes the full campaign — every version, every
@@ -901,6 +754,18 @@ func (r *Runner) RunMatrixSpecs(ctx context.Context, specs []exploits.Spec) ([]M
 	return r.runEntries(ctx, cells)
 }
 
+// surfaced is the error a failed cell reports when it stops its caller.
+// Plain errors surface exactly as the cell returned them (the cause, not
+// the record), preserving the engine's messages byte for byte; the
+// classes that used to kill or wedge the process surface as their
+// records.
+func (e *CellError) surfaced() error {
+	if e.Class == FailError {
+		return e.cause
+	}
+	return e
+}
+
 // CellRef identifies one campaign cell by name — the resumable-campaign
 // currency: a run-ledger delta plan is a list of refs in dispatch order.
 type CellRef struct {
@@ -929,75 +794,22 @@ func (r *Runner) RunCellRefs(ctx context.Context, refs []CellRef) ([]MatrixEntry
 	return r.runEntries(ctx, cells)
 }
 
-// runEntries runs matrix cells and turns them into entries, the tail
-// RunMatrixSpecs and RunCellRefs share.
+// runEntries runs matrix cells and turns them into entries in cell
+// order: the one multi-cell path, behind RunMatrixSpecs and
+// RunCellRefs. Failure semantics are uniform across pool sizes: every
+// cell runs to completion and, unless ContinueOnError is set, the first
+// failure in cell order is the campaign's error, so serial and parallel
+// runs of a partially failing batch agree on it. With ContinueOnError
+// every failed entry carries its record in Err instead.
 func (r *Runner) runEntries(ctx context.Context, cells []cell) ([]MatrixEntry, error) {
-	results, cerrs, err := r.runCells(ctx, cells, func(c cell, err error) error {
-		return fmt.Errorf("campaign: matrix %s/%s/%s: %w", c.version.Name, c.useCase, c.mode, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MatrixEntry, len(cells))
+	outs := r.runCells(ctx, cells)
+	entries := make([]MatrixEntry, len(cells))
 	for i, c := range cells {
-		out[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: results[i], Err: cerrs[i]}
-	}
-	return out, nil
-}
-
-// SecurityBenchmarkContext runs the injection campaign (all use cases)
-// against every version across the pool and aggregates per-version
-// scores. On the paper's data the expected ranking is 4.13 (0.50) >
-// 4.8 (0.00) = 4.6 (0.00). The aggregate scores need every cell, so a
-// failed cell is an error even under ContinueOnError.
-func (r *Runner) SecurityBenchmarkContext(ctx context.Context) ([]Score, error) {
-	return r.SecurityBenchmarkSpecs(ctx, campaignPlan().specs)
-}
-
-// SecurityBenchmarkSpecs is SecurityBenchmarkContext over an explicit
-// spec list, scoped like RunMatrixSpecs.
-func (r *Runner) SecurityBenchmarkSpecs(ctx context.Context, specs []exploits.Spec) ([]Score, error) {
-	versions := hv.Versions()
-	cells := make([]cell, 0, len(versions)*len(specs))
-	for _, v := range versions {
-		for _, s := range specs {
-			if s.AppliesTo(v.Name) {
-				cells = append(cells, cell{v, s.Name, ModeInjection})
-			}
+		o := outs[i]
+		if o.err != nil && !r.ContinueOnError {
+			return nil, fmt.Errorf("campaign: matrix %s: %w", c, o.err.surfaced())
 		}
+		entries[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: o.res, Err: o.err}
 	}
-	wrap := func(c cell, err error) error {
-		return fmt.Errorf("campaign: benchmark %s on %s: %w", c.useCase, c.version.Name, err)
-	}
-	results, cerrs, err := r.runCells(ctx, cells, wrap)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstFailure(cells, cerrs, wrap); err != nil {
-		return nil, err
-	}
-	scores := make([]Score, 0, len(versions))
-	next := 0
-	for _, v := range versions {
-		s := Score{Version: v.Name}
-		for _, sp := range specs {
-			if !sp.AppliesTo(v.Name) {
-				continue
-			}
-			verdict := results[next].Verdict
-			next++
-			if !verdict.ErroneousState {
-				s.FailedInjections++
-				continue
-			}
-			s.StatesInjected++
-			if verdict.SecurityViolation {
-				s.Violations++
-			} else {
-				s.Handled++
-			}
-		}
-		scores = append(scores, s)
-	}
-	return scores, nil
+	return entries, nil
 }

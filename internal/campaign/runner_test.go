@@ -4,8 +4,9 @@ package campaign_test
 // results identical to the serial path, because every cell runs in its
 // own fresh environment and results are reassembled in cell order. The
 // tests compare the *rendered* artifacts (report strings and the JSON
-// export), which is exactly what the paper-reproduction pipeline
-// consumes — byte equality there is the whole guarantee.
+// export, all projected from one matrix run), which is exactly what the
+// paper-reproduction pipeline consumes — byte equality there is the
+// whole guarantee.
 
 import (
 	"bytes"
@@ -14,100 +15,72 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/exploits"
 	"repro/internal/report"
 )
 
 var workerCounts = []int{1, 4, 8}
+
+// renderAll renders every projection of one matrix run — the matrix,
+// Table III, Fig. 4, the security scores and the JSON export — as one
+// string, so a single comparison covers every artifact the CLI renders
+// from the run.
+func renderAll(t *testing.T, entries []campaign.MatrixEntry) string {
+	t.Helper()
+	rows3, err := campaign.Table3Rows(entries)
+	if err != nil {
+		t.Fatalf("Table3Rows: %v", err)
+	}
+	rows4, err := campaign.Fig4Rows(entries)
+	if err != nil {
+		t.Fatalf("Fig4Rows: %v", err)
+	}
+	scores, err := campaign.Scores(entries)
+	if err != nil {
+		t.Fatalf("Scores: %v", err)
+	}
+	var export bytes.Buffer
+	if err := campaign.WriteExport(&export, entries, 0, false); err != nil {
+		t.Fatalf("WriteExport: %v", err)
+	}
+	return strings.Join([]string{
+		report.Matrix(entries),
+		report.TableIII(rows3, []string{"4.8", "4.13"}),
+		report.Fig4(rows4),
+		report.Scoreboard(scores),
+		export.String(),
+	}, "\n")
+}
+
+// exportMatrix runs the matrix over specs on r and returns its JSON
+// artifact.
+func exportMatrix(t *testing.T, r *campaign.Runner, specs []exploits.Spec) []byte {
+	t.Helper()
+	entries, err := r.RunMatrixSpecs(context.Background(), specs)
+	if err != nil {
+		t.Fatalf("Workers=%d RunMatrixSpecs: %v", r.Workers, err)
+	}
+	var buf bytes.Buffer
+	if err := campaign.WriteExport(&buf, entries, r.Faults.Seed(), r.ContinueOnError); err != nil {
+		t.Fatalf("WriteExport: %v", err)
+	}
+	return buf.Bytes()
+}
 
 func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 	entries, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatalf("serial RunMatrixContext: %v", err)
 	}
-	serial := report.Matrix(entries)
-	for _, w := range workerCounts {
-		r := &campaign.Runner{Workers: w}
-		entries, err := r.RunMatrixContext(context.Background())
+	serial := renderAll(t, entries)
+	for _, w := range []int{4, 6, 8} {
+		entries, err := (&campaign.Runner{Workers: w}).RunMatrixContext(context.Background())
 		if err != nil {
 			t.Fatalf("Workers=%d RunMatrixContext: %v", w, err)
 		}
-		if got := report.Matrix(entries); got != serial {
-			t.Errorf("Workers=%d matrix differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
+		if got := renderAll(t, entries); got != serial {
+			t.Errorf("Workers=%d artifacts differ from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				w, serial, w, got)
-		}
-	}
-}
-
-func TestRunnerTable3DeterministicAcrossWorkerCounts(t *testing.T) {
-	versions := []string{"4.8", "4.13"}
-	rows, err := (&campaign.Runner{Workers: 1}).RunTable3Context(context.Background())
-	if err != nil {
-		t.Fatalf("serial RunTable3Context: %v", err)
-	}
-	serial := report.TableIII(rows, versions)
-	for _, w := range workerCounts {
-		r := &campaign.Runner{Workers: w}
-		rows, err := r.RunTable3Context(context.Background())
-		if err != nil {
-			t.Fatalf("Workers=%d RunTable3Context: %v", w, err)
-		}
-		if got := report.TableIII(rows, versions); got != serial {
-			t.Errorf("Workers=%d Table III differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				w, serial, w, got)
-		}
-	}
-}
-
-func TestRunnerFig4DeterministicAcrossWorkerCounts(t *testing.T) {
-	rows, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
-	if err != nil {
-		t.Fatalf("serial RunFig4Context: %v", err)
-	}
-	serial := report.Fig4(rows)
-	for _, w := range workerCounts {
-		r := &campaign.Runner{Workers: w}
-		rows, err := r.RunFig4Context(context.Background())
-		if err != nil {
-			t.Fatalf("Workers=%d RunFig4Context: %v", w, err)
-		}
-		if got := report.Fig4(rows); got != serial {
-			t.Errorf("Workers=%d Fig. 4 differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				w, serial, w, got)
-		}
-	}
-}
-
-func TestRunnerExportMatrixDeterministic(t *testing.T) {
-	var serial bytes.Buffer
-	if err := (&campaign.Runner{Workers: 1}).ExportMatrixContext(context.Background(), &serial); err != nil {
-		t.Fatalf("serial ExportMatrixContext: %v", err)
-	}
-	var parallel bytes.Buffer
-	r := &campaign.Runner{Workers: 6}
-	if err := r.ExportMatrixContext(context.Background(), &parallel); err != nil {
-		t.Fatalf("parallel ExportMatrixContext: %v", err)
-	}
-	if serial.String() != parallel.String() {
-		t.Error("parallel JSON export differs from serial")
-	}
-}
-
-func TestRunnerSecurityBenchmarkDeterministic(t *testing.T) {
-	serial, err := (&campaign.Runner{Workers: 1}).SecurityBenchmarkContext(context.Background())
-	if err != nil {
-		t.Fatalf("serial SecurityBenchmarkContext: %v", err)
-	}
-	r := &campaign.Runner{Workers: 4}
-	parallel, err := r.SecurityBenchmarkContext(context.Background())
-	if err != nil {
-		t.Fatalf("parallel SecurityBenchmarkContext: %v", err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("score count: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("score %d: serial %v, parallel %v", i, serial[i], parallel[i])
 		}
 	}
 }
@@ -129,13 +102,12 @@ func TestRunnerUnknownUseCaseError(t *testing.T) {
 
 // A zero-value Runner must resolve to a positive pool size.
 func TestRunnerDefaultWorkers(t *testing.T) {
-	r := &campaign.Runner{}
-	rows, err := r.RunFig4Context(context.Background())
+	entries, err := (&campaign.Runner{}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("zero-value Runner RunFig4Context: %v", err)
+		t.Fatalf("zero-value Runner RunMatrixContext: %v", err)
 	}
-	if len(rows) != 17 {
-		t.Errorf("got %d Fig. 4 rows, want 17", len(rows))
+	if len(entries) != 102 {
+		t.Errorf("got %d matrix entries, want 102", len(entries))
 	}
 }
 
@@ -143,15 +115,15 @@ func TestRunnerDefaultWorkers(t *testing.T) {
 // surprising a library caller with a fan-out (the CLI rejects negatives
 // before they get here). The output must match the serial run exactly.
 func TestRunnerNegativeWorkersClampToSerial(t *testing.T) {
-	serial, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
+	serial, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("serial RunFig4Context: %v", err)
+		t.Fatalf("serial RunMatrixContext: %v", err)
 	}
-	neg, err := (&campaign.Runner{Workers: -3}).RunFig4Context(context.Background())
+	neg, err := (&campaign.Runner{Workers: -3}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("Workers=-3 RunFig4Context: %v", err)
+		t.Fatalf("Workers=-3 RunMatrixContext: %v", err)
 	}
-	if got, want := report.Fig4(neg), report.Fig4(serial); got != want {
+	if got, want := report.Matrix(neg), report.Matrix(serial); got != want {
 		t.Errorf("Workers=-3 output differs from serial:\n%s\nvs\n%s", got, want)
 	}
 }

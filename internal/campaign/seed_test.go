@@ -1,7 +1,6 @@
 package campaign_test
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -78,12 +77,8 @@ func TestSeedEquivalenceByteIdentical(t *testing.T) {
 // original cells — transcripts, evidence and benchmark scores included —
 // against the frozen seed artifact.
 func TestSeedExportByteIdentical(t *testing.T) {
-	var buf bytes.Buffer
-	r := &campaign.Runner{Workers: 1}
-	if err := r.ExportMatrixSpecs(context.Background(), &buf, seedSpecs(t)); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), seedFile(t, "matrix.json"); got != want {
+	got := string(exportMatrix(t, &campaign.Runner{Workers: 1}, seedSpecs(t)))
+	if want := seedFile(t, "matrix.json"); got != want {
 		t.Errorf("seed JSON artifact drifted from the frozen artifact (got %d bytes, want %d)", len(got), len(want))
 	}
 }

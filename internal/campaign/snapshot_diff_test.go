@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/exploits"
 	"repro/internal/faults"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -44,14 +45,11 @@ func TestForkVsFreshArtifactByteIdentical(t *testing.T) {
 			r.Faults = plan
 			r.ContinueOnError = true
 		}
-		var buf bytes.Buffer
-		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
-			t.Fatalf("snapshots=%v workers=%d seed=%d: %v", snapshots, workers, seed, err)
-		}
+		out := exportMatrix(t, r, exploits.Specs())
 		if plan != nil {
 			plan.ReleaseAll()
 		}
-		return buf.Bytes()
+		return out
 	}
 	for _, seed := range []int64{-1, 7, 99} { // -1 = no fault plan
 		for _, w := range []int{1, 4, 8} {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/coverage"
+	"repro/internal/exploits"
 	"repro/internal/faults"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -126,12 +127,7 @@ func TestSchedObserverExactlyOncePerCell(t *testing.T) {
 func TestSchedHooksDoNotPerturbArtifact(t *testing.T) {
 	export := func(sched campaign.SchedObserver, log *slog.Logger) []byte {
 		t.Helper()
-		r := &campaign.Runner{Workers: 4, Sched: sched, Log: log}
-		var buf bytes.Buffer
-		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return exportMatrix(t, &campaign.Runner{Workers: 4, Sched: sched, Log: log}, exploits.Specs())
 	}
 	ref := export(nil, nil)
 	logger := slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))

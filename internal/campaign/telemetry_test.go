@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/exploits"
 	"repro/internal/telemetry"
 )
 
@@ -154,14 +155,9 @@ func TestTraceEventOrderDeterministic(t *testing.T) {
 // per-run counters, and a plain runner's export has no telemetry keys
 // (so pre-telemetry artifacts remain byte-comparable).
 func TestExportCarriesTelemetryOnlyWhenProfiled(t *testing.T) {
-	var plain, profiled bytes.Buffer
-	if err := (&campaign.Runner{Workers: 4}).ExportMatrixContext(context.Background(), &plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := (&campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}).ExportMatrixContext(context.Background(), &profiled); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(plain.Bytes(), []byte(`"counters"`)) || bytes.Contains(plain.Bytes(), []byte(`"wall_ns"`)) {
+	plain := exportMatrix(t, &campaign.Runner{Workers: 4}, exploits.Specs())
+	profiled := exportMatrix(t, &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}, exploits.Specs())
+	if bytes.Contains(plain, []byte(`"counters"`)) || bytes.Contains(plain, []byte(`"wall_ns"`)) {
 		t.Error("unprofiled export leaks telemetry fields")
 	}
 	var artifact struct {
@@ -172,7 +168,7 @@ func TestExportCarriesTelemetryOnlyWhenProfiled(t *testing.T) {
 			Counters []telemetry.CounterValue `json:"counters"`
 		} `json:"runs"`
 	}
-	if err := json.Unmarshal(profiled.Bytes(), &artifact); err != nil {
+	if err := json.Unmarshal(profiled, &artifact); err != nil {
 		t.Fatal(err)
 	}
 	if len(artifact.Runs) != 102 {

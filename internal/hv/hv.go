@@ -77,7 +77,6 @@ type config struct {
 	tel         *telemetry.Recorder
 	flt         *faults.Injector
 	spans       *span.Tree
-	cov         *coverage.Map
 }
 
 // defaultTLBCapacity is the per-vCPU translation-cache size.
@@ -104,15 +103,6 @@ func WithTelemetry(r *telemetry.Recorder) Option { return func(c *config) { c.te
 // allocation failures. A nil injector (the default) keeps the plane
 // disabled at the cost of one predicted branch per instrumented site.
 func WithFaults(f *faults.Injector) Option { return func(c *config) { c.flt = f } }
-
-// WithCoverage installs the cell's coverage map on the build: the
-// telemetry instrumentation sites feed it behaviour edges (hypercall
-// outcomes, page-type transitions, validation rejects, walk denials,
-// injector transitions, grant/domctl ops). Coverage rides on the
-// telemetry recorder; if none was configured, boot creates a private
-// one so coverage works standalone. A nil map (the default) keeps
-// coverage disabled at zero cost.
-func WithCoverage(m *coverage.Map) Option { return func(c *config) { c.cov = m } }
 
 // WithSpans installs the cell's causal span tree on the build: every
 // hypercall dispatch and machine range allocation opens a span in it,
@@ -177,18 +167,6 @@ func New(mem *mm.Memory, version Version, opts ...Option) (*Hypervisor, error) {
 }
 
 func (h *Hypervisor) boot() error {
-	// Coverage rides on the telemetry recorder: discover a map a caller
-	// attached to the recorder directly, or — when WithCoverage came
-	// without telemetry — create a private recorder to feed it.
-	if h.cfg.cov == nil && h.cfg.tel != nil {
-		h.cfg.cov = h.cfg.tel.Coverage()
-	}
-	if h.cfg.cov != nil {
-		if h.cfg.tel == nil {
-			h.cfg.tel = telemetry.NewRecorder(0)
-		}
-		h.cfg.tel.AttachCoverage(h.cfg.cov)
-	}
 	// Wire the telemetry sink before the first reservation so boot-time
 	// allocator and frame-type activity is part of the trace.
 	if h.cfg.tel != nil {
@@ -215,7 +193,9 @@ func (h *Hypervisor) boot() error {
 	// The region classifier depends only on the two reservations above,
 	// so it is identical for a fresh boot and a snapshot fork; install
 	// it before buildSharedTables takes the first page-type references.
-	h.cfg.cov.SetFrameClassifier(h.FrameClassifier())
+	// Coverage rides on the telemetry recorder (nil-safe when either is
+	// absent).
+	h.cfg.tel.Coverage().SetFrameClassifier(h.FrameClassifier())
 
 	// The hypervisor's own view of memory: its text, the directmap, and
 	// the declared guest-visible windows. Guest-side access rights flow
@@ -462,10 +442,6 @@ func (h *Hypervisor) Telemetry() *telemetry.Recorder { return h.cfg.tel }
 // disabled). The campaign engine and the monitor nest their phases and
 // audit passes in it.
 func (h *Hypervisor) Spans() *span.Tree { return h.cfg.spans }
-
-// Coverage returns the build's coverage map (nil when coverage is
-// disabled).
-func (h *Hypervisor) Coverage() *coverage.Map { return h.cfg.cov }
 
 // FrameClassifier returns the region classifier coverage uses for
 // page-type edges: the hypervisor's own reservations classify as

@@ -72,13 +72,12 @@ func (s *Snapshot) Fork(mem *mm.Memory, tel *telemetry.Recorder, flt *faults.Inj
 		pfCount:    p.pfCount,
 		clockTicks: p.clockTicks,
 	}
+	// Coverage rides on tel; the campaign installed its classifier (via
+	// FrameClassifier) before replaying the boot journal, so fork-path
+	// classification matches fresh boot.
 	h.cfg.tel = tel
 	h.cfg.flt = flt
 	h.cfg.spans = spans
-	// Coverage rides on the cell's recorder, as in boot. The campaign
-	// installed the classifier (via FrameClassifier) before replaying
-	// the boot journal, so fork-path classification matches fresh boot.
-	h.cfg.cov = tel.Coverage()
 
 	// Handlers close over their hypervisor, so each fork installs its
 	// own set; sharing the prototype's closures would route a fork's

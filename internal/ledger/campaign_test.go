@@ -96,8 +96,6 @@ type cancelAfter struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelAfter) BatchStarted([]string) {}
-func (c *cancelAfter) CellStarted(string)    {}
 func (c *cancelAfter) CellFinished(string, time.Duration, *telemetry.CellProfile, *campaign.CellError) {
 	if c.done.Add(1) == c.n {
 		c.cancel()

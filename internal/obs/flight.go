@@ -35,12 +35,6 @@ type FlightRecorder struct {
 	errors []error
 }
 
-// BatchStarted implements campaign.Progress (no-op).
-func (f *FlightRecorder) BatchStarted([]string) {}
-
-// CellStarted implements campaign.Progress (no-op).
-func (f *FlightRecorder) CellStarted(string) {}
-
 // CellFinished implements campaign.Progress: a settled failure with a
 // salvageable profile is dumped immediately. Hung and canceled cells
 // carry no profile (their goroutine was abandoned with its recorder)

@@ -101,7 +101,11 @@ func TestFig3ExecutesEquivalenceCheck(t *testing.T) {
 }
 
 func TestFig4Rendering(t *testing.T) {
-	rows, err := (&campaign.Runner{Workers: 1}).RunFig4Context(context.Background())
+	entries, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := campaign.Fig4Rows(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
