@@ -21,35 +21,28 @@ import (
 
 var workerCounts = []int{1, 4, 8}
 
-// renderAll renders every projection of one matrix run — the matrix,
-// Table III, Fig. 4, the security scores and the JSON export — as one
-// string, so a single comparison covers every artifact the CLI renders
-// from the run.
-func renderAll(t *testing.T, entries []campaign.MatrixEntry) string {
+// matrixAt returns the matrix entries of a run with w workers.
+func matrixAt(t *testing.T, w int) []campaign.MatrixEntry {
 	t.Helper()
-	rows3, err := campaign.Table3Rows(entries)
+	entries, err := (&campaign.Runner{Workers: w}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("Table3Rows: %v", err)
+		t.Fatalf("Workers=%d RunMatrixContext: %v", w, err)
 	}
-	rows4, err := campaign.Fig4Rows(entries)
-	if err != nil {
-		t.Fatalf("Fig4Rows: %v", err)
+	return entries
+}
+
+// checkAcrossWorkers renders one projection of a matrix run — the
+// matrix, Table III, Fig. 4, the scores or the JSON export — at every
+// worker count in ws and compares it with the serial run.
+func checkAcrossWorkers(t *testing.T, what string, ws []int, render func([]campaign.MatrixEntry) string) {
+	t.Helper()
+	serial := render(matrixAt(t, 1))
+	for _, w := range ws {
+		if got := render(matrixAt(t, w)); got != serial {
+			t.Errorf("Workers=%d %s differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
+				w, what, serial, w, got)
+		}
 	}
-	scores, err := campaign.Scores(entries)
-	if err != nil {
-		t.Fatalf("Scores: %v", err)
-	}
-	var export bytes.Buffer
-	if err := campaign.WriteExport(&export, entries, 0, false); err != nil {
-		t.Fatalf("WriteExport: %v", err)
-	}
-	return strings.Join([]string{
-		report.Matrix(entries),
-		report.TableIII(rows3, []string{"4.8", "4.13"}),
-		report.Fig4(rows4),
-		report.Scoreboard(scores),
-		export.String(),
-	}, "\n")
 }
 
 // exportMatrix runs the matrix over specs on r and returns its JSON
@@ -68,21 +61,47 @@ func exportMatrix(t *testing.T, r *campaign.Runner, specs []exploits.Spec) []byt
 }
 
 func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
-	entries, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
-	if err != nil {
-		t.Fatalf("serial RunMatrixContext: %v", err)
-	}
-	serial := renderAll(t, entries)
-	for _, w := range []int{4, 6, 8} {
-		entries, err := (&campaign.Runner{Workers: w}).RunMatrixContext(context.Background())
+	checkAcrossWorkers(t, "matrix", workerCounts, report.Matrix)
+}
+
+func TestRunnerTable3DeterministicAcrossWorkerCounts(t *testing.T) {
+	checkAcrossWorkers(t, "Table III", workerCounts, func(entries []campaign.MatrixEntry) string {
+		rows, err := campaign.Table3Rows(entries)
 		if err != nil {
-			t.Fatalf("Workers=%d RunMatrixContext: %v", w, err)
+			t.Fatalf("Table3Rows: %v", err)
 		}
-		if got := renderAll(t, entries); got != serial {
-			t.Errorf("Workers=%d artifacts differ from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				w, serial, w, got)
+		return report.TableIII(rows, []string{"4.8", "4.13"})
+	})
+}
+
+func TestRunnerFig4DeterministicAcrossWorkerCounts(t *testing.T) {
+	checkAcrossWorkers(t, "Fig. 4", workerCounts, func(entries []campaign.MatrixEntry) string {
+		rows, err := campaign.Fig4Rows(entries)
+		if err != nil {
+			t.Fatalf("Fig4Rows: %v", err)
 		}
-	}
+		return report.Fig4(rows)
+	})
+}
+
+func TestRunnerExportMatrixDeterministic(t *testing.T) {
+	checkAcrossWorkers(t, "JSON export", []int{6}, func(entries []campaign.MatrixEntry) string {
+		var buf bytes.Buffer
+		if err := campaign.WriteExport(&buf, entries, 0, false); err != nil {
+			t.Fatalf("WriteExport: %v", err)
+		}
+		return buf.String()
+	})
+}
+
+func TestRunnerSecurityBenchmarkDeterministic(t *testing.T) {
+	checkAcrossWorkers(t, "scores", []int{4}, func(entries []campaign.MatrixEntry) string {
+		scores, err := campaign.Scores(entries)
+		if err != nil {
+			t.Fatalf("Scores: %v", err)
+		}
+		return report.Scoreboard(scores)
+	})
 }
 
 // The engine must surface a cell's failure with the same error text the
