@@ -19,7 +19,7 @@
 # the snapshot/COW fork path's per-cell cost is tracked next to the
 # full boot it replaces. `benchdiff` is the CI regression gate: it
 # re-runs the tracked benchmarks and fails if any grew past 2x its
-# committed baseline.
+# committed baseline in ns/op or B/op.
 # `spans` runs the causal-span suite — every opened span closed exactly
 # once (including under chaos), the canonical forest digest and RQ3
 # detection latencies pinned — then drives a full -spans matrix through
@@ -89,10 +89,12 @@ bench:
 	@echo "wrote BENCH_snapshot.json"
 
 # The regression gate: re-run the tracked benchmarks and compare them
-# against the committed baselines. The thresholds are deliberately
-# coarse (2x) — the gate exists to catch structural regressions (e.g.
-# losing the snapshot fork path puts FullMatrix ~9x over its baseline),
-# not scheduler noise between runner machines.
+# against the committed baselines, in time and in bytes. The thresholds
+# are deliberately coarse (2x) — the gate exists to catch structural
+# regressions (e.g. losing the snapshot fork path puts FullMatrix ~9x
+# over its baseline, and an eagerly allocated 1 MiB event ring puts the
+# MatrixTelemetry rows ~19x over in B/op), not scheduler noise between
+# runner machines.
 benchdiff:
 	$(GO) test -run '^$$' -bench '$(MATRIX_BENCHES)' -benchmem -json . > BENCH_matrix.new.json
 	$(GO) run ./cmd/benchdiff -threshold 2.0 BENCH_matrix.json BENCH_matrix.new.json

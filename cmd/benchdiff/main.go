@@ -1,9 +1,10 @@
 // Command benchdiff compares two benchmark artifacts produced by
 // `make bench` (test2json streams of `go test -bench`, e.g.
-// BENCH_matrix.json) benchmark by benchmark and reports the ns/op
-// delta, so a perf regression shows up as a reviewable number instead
-// of a hunch. A benchmark whose ns/op grew beyond the threshold ratio
-// fails the comparison with a non-zero exit.
+// BENCH_matrix.json) benchmark by benchmark and reports the ns/op and
+// B/op deltas, so a perf regression shows up as a reviewable number
+// instead of a hunch. A benchmark whose ns/op or B/op grew beyond the
+// threshold ratio fails the comparison with a non-zero exit; B/op is
+// gated only where both sides recorded it (`-benchmem`).
 //
 // Usage:
 //
@@ -12,7 +13,9 @@
 //
 // Benchmarks present on only one side are reported as added/removed
 // but never fail the comparison — the set changes legitimately as the
-// suite grows.
+// suite grows. Rows pair up by name without the -N GOMAXPROCS suffix,
+// so a baseline recorded on a host with another CPU count still gates;
+// the report shows each name as recorded.
 package main
 
 import (
@@ -36,6 +39,9 @@ type testEvent struct {
 
 // result is one benchmark's parsed measurements.
 type result struct {
+	// Name is the benchmark's name as recorded, GOMAXPROCS suffix
+	// included.
+	Name        string
 	NsPerOp     float64
 	BytesPerOp  float64
 	AllocsPerOp float64
@@ -85,7 +91,7 @@ func parse(path string) (map[string]result, error) {
 		if m == nil {
 			continue
 		}
-		r := result{}
+		r := result{Name: m[1]}
 		r.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
 		if m[3] != "" {
 			r.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
@@ -98,13 +104,61 @@ func parse(path string) (map[string]result, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
 	}
-	return results, nil
+	return trimProcs(results), nil
+}
+
+// procSuffix matches the -N that go test appends to every benchmark
+// name when GOMAXPROCS is N > 1.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// trimProcs keys the results by name without the GOMAXPROCS suffix
+// when every name carries the same one. A one-CPU run appends no
+// suffix; its names that end in a number of their own (workers-4)
+// differ in it or sit beside names that end in none, so nothing is
+// trimmed there.
+func trimProcs(results map[string]result) map[string]result {
+	suffix := ""
+	for name := range results {
+		m := procSuffix.FindString(name)
+		if m == "" || (suffix != "" && m != suffix) {
+			return results
+		}
+		suffix = m
+	}
+	out := make(map[string]result, len(results))
+	for name, r := range results {
+		out[strings.TrimSuffix(name, suffix)] = r
+	}
+	return out
+}
+
+// regressions names the measurements of one benchmark whose new/old
+// ratio exceeds threshold: "ns/op", and "B/op" when both runs recorded
+// a nonzero byte count.
+func regressions(o, n result, threshold float64) []string {
+	var out []string
+	if n.NsPerOp/o.NsPerOp > threshold {
+		out = append(out, "ns/op")
+	}
+	if o.BytesPerOp > 0 && n.BytesPerOp > 0 && n.BytesPerOp/o.BytesPerOp > threshold {
+		out = append(out, "B/op")
+	}
+	return out
+}
+
+// pct renders the new/old change of one measurement, "-" when the old
+// side has nothing to compare against.
+func pct(o, n float64) string {
+	if o <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%+.1f%%", (n/o-1)*100)
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
-	threshold := flag.Float64("threshold", 1.25, "fail when any benchmark's new/old ns/op ratio exceeds this")
+	threshold := flag.Float64("threshold", 1.25, "fail when any benchmark's new/old ns/op or B/op ratio exceeds this")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		log.Fatalf("usage: benchdiff [-threshold 1.25] old.json new.json")
@@ -135,25 +189,24 @@ func main() {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-52s %14s %14s %8s\n", "Benchmark", "old ns/op", "new ns/op", "delta")
-	fmt.Println(strings.Repeat("-", 92))
+	fmt.Printf("%-52s %14s %14s %8s %14s %14s %8s\n", "Benchmark", "old ns/op", "new ns/op", "delta", "old B/op", "new B/op", "delta")
+	fmt.Println(strings.Repeat("-", 130))
 	regressed := 0
 	for _, n := range names {
 		o, inOld := oldR[n]
 		nw, inNew := newR[n]
 		switch {
 		case !inOld:
-			fmt.Printf("%-52s %14s %14.0f %8s\n", n, "-", nw.NsPerOp, "added")
+			fmt.Printf("%-52s %14s %14.0f %8s %14s %14.0f %8s\n", nw.Name, "-", nw.NsPerOp, "added", "-", nw.BytesPerOp, "added")
 		case !inNew:
-			fmt.Printf("%-52s %14.0f %14s %8s\n", n, o.NsPerOp, "-", "removed")
+			fmt.Printf("%-52s %14.0f %14s %8s %14.0f %14s %8s\n", o.Name, o.NsPerOp, "-", "removed", o.BytesPerOp, "-", "removed")
 		default:
-			ratio := nw.NsPerOp / o.NsPerOp
 			mark := ""
-			if ratio > *threshold {
-				mark = " REGRESSED"
+			if r := regressions(o, nw, *threshold); len(r) > 0 {
+				mark = " REGRESSED " + strings.Join(r, ",")
 				regressed++
 			}
-			fmt.Printf("%-52s %14.0f %14.0f %+7.1f%%%s\n", n, o.NsPerOp, nw.NsPerOp, (ratio-1)*100, mark)
+			fmt.Printf("%-52s %14.0f %14.0f %8s %14.0f %14.0f %8s%s\n", nw.Name, o.NsPerOp, nw.NsPerOp, pct(o.NsPerOp, nw.NsPerOp), o.BytesPerOp, nw.BytesPerOp, pct(o.BytesPerOp, nw.BytesPerOp), mark)
 		}
 	}
 	if regressed > 0 {

@@ -127,10 +127,17 @@ type Event struct {
 }
 
 // DefaultRingCapacity bounds a per-environment event ring. A campaign
-// cell emits a few thousand events (boot-time frame validations plus
-// the scenario's hypercall activity); 16 Ki keeps entire cells with
-// ample headroom while bounding a runaway workload's memory.
+// cell emits a few hundred events (its replayed boot-time frame
+// validations plus the scenario's hypercall activity); 16 Ki keeps
+// entire cells with ample headroom while bounding a runaway workload's
+// memory. The bound is not
+// an up-front allocation: the ring grows on demand towards it.
 const DefaultRingCapacity = 16384
+
+// initialRingCapacity is the ring's starting allocation (or the bound,
+// if smaller): enough for a typical campaign cell's whole trace, so
+// most cells never grow the ring at all.
+const initialRingCapacity = 512
 
 // Recorder is the per-environment sink: a bounded event ring plus a
 // counter map. It is intentionally not safe for concurrent use — one
@@ -138,7 +145,10 @@ const DefaultRingCapacity = 16384
 // cell its own Recorder. The nil Recorder is the disabled sink: every
 // method no-ops.
 type Recorder struct {
+	// ring holds the retained events. It grows by doubling up to bound
+	// events, then wraps, overwriting the oldest event in place.
 	ring     []Event
+	bound    int
 	emitted  uint64
 	counters map[string]uint64
 
@@ -182,21 +192,23 @@ func (r *Recorder) AttachFaults(f *faults.Injector) {
 	r.flt = f
 }
 
-// NewRecorder creates an enabled recorder with the given ring capacity
-// (DefaultRingCapacity if n <= 0).
+// NewRecorder creates an enabled recorder whose ring retains at most n
+// events (DefaultRingCapacity if n <= 0). The ring's memory grows with
+// the events actually emitted, up to that bound.
 func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultRingCapacity
 	}
 	return &Recorder{
-		ring:     make([]Event, 0, n),
+		ring:     make([]Event, 0, min(n, initialRingCapacity)),
+		bound:    n,
 		counters: make(map[string]uint64),
 	}
 }
 
-// emit appends an event, overwriting the oldest once the ring is full.
-// An injected sink-write fault drops the event before it is sequenced,
-// so Seq stays gapless across the events that do land.
+// emit appends an event, overwriting the oldest once the ring holds
+// bound events. An injected sink-write fault drops the event before it
+// is sequenced, so Seq stays gapless across the events that do land.
 func (r *Recorder) emit(e Event) {
 	if r.flt.Hit(faults.SiteSinkWrite) {
 		r.sinkDropped++
@@ -204,10 +216,17 @@ func (r *Recorder) emit(e Event) {
 		return
 	}
 	e.Seq = r.emitted
-	if len(r.ring) < cap(r.ring) {
+	switch {
+	case len(r.ring) == r.bound:
+		r.ring[r.emitted%uint64(r.bound)] = e
+	case len(r.ring) == cap(r.ring):
+		// Grow by doubling, never past the bound. The fresh array also
+		// detaches the ring from any snapshot Events shared.
+		grown := make([]Event, len(r.ring), min(max(2*cap(r.ring), initialRingCapacity), r.bound))
+		copy(grown, r.ring)
+		r.ring = append(grown, e)
+	default:
 		r.ring = append(r.ring, e)
-	} else {
-		r.ring[r.emitted%uint64(cap(r.ring))] = e
 	}
 	r.emitted++
 }
@@ -392,26 +411,33 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	if n := uint64(cap(r.ring)); r.emitted > n {
+	if n := uint64(r.bound); r.emitted > n {
 		return r.emitted - n + r.sinkDropped
 	}
 	return r.sinkDropped
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first. The caller must
+// treat the slice as read-only; it never changes after the call.
+//
+// Until the ring first fills, the retained events are an append-only
+// prefix, so Events shares it instead of copying: it clips the ring's
+// capacity to that prefix, which makes the next emit move the ring to
+// a fresh array and leaves the snapshot's array to the caller alone.
+// A full or wrapped ring is overwritten in place, so it is copied.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.ring))
-	if r.emitted > uint64(cap(r.ring)) {
-		// Wrapped: the oldest retained event sits at the write cursor.
-		cur := int(r.emitted % uint64(cap(r.ring)))
-		out = append(out, r.ring[cur:]...)
-		out = append(out, r.ring[:cur]...)
-		return out
+	if len(r.ring) < r.bound {
+		r.ring = r.ring[:len(r.ring):len(r.ring)]
+		return r.ring
 	}
-	return append(out, r.ring...)
+	out := make([]Event, 0, len(r.ring))
+	// Once wrapped, the oldest retained event sits at the write cursor.
+	cur := int(r.emitted % uint64(r.bound))
+	out = append(out, r.ring[cur:]...)
+	return append(out, r.ring[:cur]...)
 }
 
 // CounterValue is one named counter reading.

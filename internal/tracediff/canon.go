@@ -147,10 +147,14 @@ func NewCanonicalizer(version string, machineFrames uint64) *Canonicalizer {
 func (c *Canonicalizer) Events(evs []telemetry.Event) []Event {
 	out := make([]Event, 0, len(evs))
 	for i := range evs {
-		e := &evs[i]
-		out = append(out, c.canon(e.Kind.String(), e.Dom, e.Nr, e.Addr, e.Val, e.Label, e.Detail, 0))
+		out = append(out, c.event(&evs[i]))
 	}
 	return out
+}
+
+// event canonicalizes one recorded in-process event.
+func (c *Canonicalizer) event(e *telemetry.Event) Event {
+	return c.canon(e.Kind.String(), e.Dom, e.Nr, e.Addr, e.Val, e.Label, e.Detail, 0)
 }
 
 // Records canonicalizes JSONL trace records, skipping cell_end summary

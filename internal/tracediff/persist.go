@@ -14,18 +14,37 @@ import (
 
 // CanonicalStreams canonicalizes a profiled cell's recorded events and
 // renders its effect stream and marked state-audit substream as plain
-// strings, the persisted form run-ledger records store.
+// strings, the persisted form run-ledger records store. Only effect
+// events are persisted, so only they are canonicalized: the raw kind
+// picks them out before any text is normalized, and each kept event is
+// rendered once and shared by both streams (the state audit is a
+// substream of the effects).
 func CanonicalStreams(version string, machineFrames uint64, evs []telemetry.Event) (effectLines, auditLines []string) {
-	stream := NewCanonicalizer(version, machineFrames).Events(evs)
-	eff := effects(stream)
-	effectLines = make([]string, 0, len(eff))
-	for _, e := range eff {
-		effectLines = append(effectLines, e.String())
+	c := NewCanonicalizer(version, machineFrames)
+	n := 0
+	for i := range evs {
+		if isEffectKind(evs[i].Kind) {
+			n++
+		}
 	}
-	for _, e := range stateAudit(stream) {
-		auditLines = append(auditLines, e.String())
+	effectLines = make([]string, 0, n)
+	for i := range evs {
+		if !isEffectKind(evs[i].Kind) {
+			continue
+		}
+		e := c.event(&evs[i])
+		line := e.String()
+		effectLines = append(effectLines, line)
+		if e.StateAudit {
+			auditLines = append(auditLines, line)
+		}
 	}
 	return effectLines, auditLines
+}
+
+// isEffectKind is Event.isEffect on the raw telemetry kind.
+func isEffectKind(k telemetry.Kind) bool {
+	return k == telemetry.KindScenarioStep || k == telemetry.KindVerdictEvidence
 }
 
 // CompareStreams grades two persisted canonical streams in lockstep,
