@@ -8,6 +8,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/campaign"
@@ -110,53 +111,111 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // (nil registry: every instrumented path takes the predicted-not-taken
 // nil branch), on (per-cell recorder, ring events, counter merges
 // into the shared registry), and on with the live observability server
-// installed as the scheduler hook and listening (per-cell state updates
-// under the server mutex, plus a goroutine accepting scrapes). The
-// "off" sub-benchmark is the guard for the disabled-sink contract: it
-// must stay within noise of BenchmarkMatrixParallel's pre-telemetry
-// numbers (the same guard covers the event bus — a nil Sched hook is
-// the same predicted-not-taken nil branch); "server" tracks the
-// -listen overhead recorded in BENCH_obs.json; "coverage" tracks the
-// cost of the per-cell coverage maps on top of plain telemetry (the
-// -coverage flag's overhead — with coverage disabled, "on" is the
-// baseline that must not move); "stream" tracks the event-bus +
-// scheduler-timeline overhead (-listen's bus with no subscriber
-// draining it, the common case of a campaign nobody is watching).
+// listening and the scheduler timeline it serves installed as the
+// scheduler hook (per-cell state updates under the timeline mutex,
+// plus a goroutine accepting scrapes). The "off" sub-benchmark is the
+// guard for the disabled-sink contract: it must stay within noise of
+// BenchmarkMatrixParallel's pre-telemetry numbers (the same guard
+// covers the event bus — a nil Sched hook is the same
+// predicted-not-taken nil branch); "server" tracks the -listen
+// overhead recorded in BENCH_obs.json; "coverage" tracks the cost of
+// the per-cell coverage maps on top of plain telemetry (the -coverage
+// flag's overhead — with coverage disabled, "on" is the baseline that
+// must not move); "stream" tracks the timeline publishing on an event
+// bus (-listen's bus with no subscriber draining it, the common case
+// of a campaign nobody is watching).
 func BenchmarkMatrixTelemetry(b *testing.B) {
-	run := func(b *testing.B, reg *telemetry.Registry, cov *coverage.Collector, sched campaign.SchedObserver) {
-		r := &campaign.Runner{Workers: 4, Telemetry: reg, Coverage: cov, Sched: sched}
-		for i := 0; i < b.N; i++ {
-			entries, err := r.RunMatrixContext(context.Background())
-			if err != nil {
-				b.Fatal(err)
+	for _, row := range matrixTelemetryRows() {
+		b.Run(row.name, func(b *testing.B) {
+			op := row.setup(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
 			}
-			_ = report.Matrix(entries)
-			if cov != nil {
-				_ = cov.Report()
-			}
-		}
+		})
 	}
-	b.Run("off", func(b *testing.B) { run(b, nil, nil, nil) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), nil, nil) })
-	b.Run("server", func(b *testing.B) {
-		reg := telemetry.NewRegistry()
-		srv := obs.NewServer(reg)
-		if _, err := srv.Listen("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
+}
+
+// matrixTelemetryRow is one BenchmarkMatrixTelemetry row. setup builds
+// what lives for the whole row (a shared registry, a listening server,
+// torn down through tb.Cleanup) and returns op, one iteration — one
+// 102-cell matrix. Whatever a single campaign owns (a coverage
+// collector, an event bus) is built inside op, so an op costs the same
+// at any iteration count; TestMatrixTelemetryStationary holds every row
+// to it.
+type matrixTelemetryRow struct {
+	name  string
+	setup func(tb testing.TB) (op func())
+}
+
+func matrixTelemetryRows() []matrixTelemetryRow {
+	matrix := func(tb testing.TB, r *campaign.Runner) {
+		entries, err := r.RunMatrixContext(context.Background())
+		if err != nil {
+			tb.Fatal(err)
 		}
-		defer srv.Shutdown(context.Background())
-		b.ResetTimer()
-		run(b, reg, nil, srv)
-	})
-	b.Run("coverage", func(b *testing.B) {
-		run(b, telemetry.NewRegistry(), coverage.NewCollector(), nil)
-	})
-	b.Run("stream", func(b *testing.B) {
-		bus := events.NewBus(0, 0)
-		defer bus.Close()
-		run(b, telemetry.NewRegistry(), nil,
-			events.Fanout{&events.Publisher{Bus: bus}, events.NewTimeline()})
-	})
+		_ = report.Matrix(entries)
+	}
+	runner := func(reg *telemetry.Registry, sched campaign.SchedObserver) *campaign.Runner {
+		return &campaign.Runner{Workers: 4, Telemetry: reg, Sched: sched}
+	}
+	loop := func(tb testing.TB, r *campaign.Runner) func() {
+		return func() { matrix(tb, r) }
+	}
+	return []matrixTelemetryRow{
+		{"off", func(tb testing.TB) func() { return loop(tb, runner(nil, nil)) }},
+		{"on", func(tb testing.TB) func() { return loop(tb, runner(telemetry.NewRegistry(), nil)) }},
+		{"server", func(tb testing.TB) func() {
+			reg := telemetry.NewRegistry()
+			tl := events.NewTimeline(nil)
+			srv := obs.NewServer(reg)
+			srv.SetSchedule(tl)
+			if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+				tb.Fatal(err)
+			}
+			tb.Cleanup(func() { srv.Shutdown(context.Background()) })
+			return loop(tb, runner(reg, tl))
+		}},
+		{"coverage", func(tb testing.TB) func() {
+			reg := telemetry.NewRegistry()
+			return func() {
+				r := runner(reg, nil)
+				r.Coverage = coverage.NewCollector()
+				matrix(tb, r)
+				_ = r.Coverage.Report()
+			}
+		}},
+		{"stream", func(tb testing.TB) func() {
+			reg := telemetry.NewRegistry()
+			return func() {
+				bus := events.NewBus(0, 0)
+				matrix(tb, runner(reg, events.NewTimeline(bus)))
+				bus.Close()
+			}
+		}},
+	}
+}
+
+// TestMatrixTelemetryStationary is the stationarity guard on the
+// BenchmarkMatrixTelemetry rows: a row's allocs per matrix must not
+// depend on how many matrices ran before. Allocation counts are close
+// to deterministic, so a drift between two fixed iteration counts is
+// state carried across iterations — the defect that once let the
+// coverage row re-settle every earlier matrix's batch on each Report —
+// not timing noise.
+func TestMatrixTelemetryStationary(t *testing.T) {
+	const short, long, tolerance = 5, 20, 0.05
+	for _, row := range matrixTelemetryRows() {
+		t.Run(row.name, func(t *testing.T) {
+			a := testing.AllocsPerRun(short, row.setup(t))
+			b := testing.AllocsPerRun(long, row.setup(t))
+			t.Logf("%.0f allocs/op at %d iterations, %.0f at %d", a, short, b, long)
+			if drift := math.Abs(b-a) / a; drift > tolerance {
+				t.Errorf("%.0f allocs/op at %d iterations, %.0f at %d: %.1f%% drift, want <= %.0f%%",
+					a, short, b, long, 100*drift, 100*tolerance)
+			}
+		})
+	}
 }
 
 // --- Substrate microbenchmarks ---

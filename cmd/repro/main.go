@@ -394,25 +394,21 @@ func run(out io.Writer) (err error) {
 			"chaos", *chaos, "continue_on_error", *contOnErr)
 	}
 
-	// The wall-clock observability plane: the scheduler timeline backs
-	// -schedule and /schedule, the event bus backs the SSE /events
-	// stream, and the server backs /cells. All three hang off the
-	// runner's Sched hook through one fan-out and observe wall time
-	// only — none of it can reach a deterministic artifact.
+	// The wall-clock observability plane: the scheduler timeline is the
+	// runner's Sched hook. It backs -schedule, /schedule and /cells, and
+	// under -listen publishes every lifecycle event on the bus behind
+	// the SSE /events stream. It observes wall time only — none of it
+	// can reach a deterministic artifact.
 	var (
-		sched     events.Fanout
-		bus       *events.Bus
-		publisher *events.Publisher
-		timeline  *events.Timeline
+		bus      *events.Bus
+		timeline *events.Timeline
 	)
 	if *listenAddr != "" {
 		bus = events.NewBus(0, 0)
-		publisher = &events.Publisher{Bus: bus}
-		sched = append(sched, publisher)
 	}
 	if *scheduleOut != "" || *listenAddr != "" {
-		timeline = events.NewTimeline()
-		sched = append(sched, timeline)
+		timeline = events.NewTimeline(bus)
+		runner.Sched = timeline
 	}
 
 	var (
@@ -441,11 +437,11 @@ func run(out io.Writer) (err error) {
 		ledgerStore, ledgerW = store, w
 	}
 
-	// Live observers: the HTTP server (-listen) joins the scheduler
-	// fan-out; the flight recorder (armed whenever the campaign is
-	// allowed to outlive failing cells, so their last events land on
-	// disk the moment the engine settles the failure) is the Progress
-	// hook.
+	// Live observers: the HTTP server (-listen) serves the timeline,
+	// the bus and the collectors; the flight recorder (armed whenever
+	// the campaign is allowed to outlive failing cells, so their last
+	// events land on disk the moment the engine settles the failure) is
+	// the Progress hook.
 	var flight *obs.FlightRecorder
 	if *listenAddr != "" {
 		server := obs.NewServer(runner.Telemetry)
@@ -470,10 +466,6 @@ func run(out io.Writer) (err error) {
 				err = fmt.Errorf("observability server shutdown: %w", serr)
 			}
 		}()
-		sched = append(sched, server)
-	}
-	if len(sched) > 0 {
-		runner.Sched = sched
 	}
 	if *contOnErr || *chaos != 0 {
 		flight = &obs.FlightRecorder{RunID: runID}
@@ -612,7 +604,7 @@ func run(out io.Writer) (err error) {
 			}
 			if *covOut != "" {
 				rep := rec.CoverageReport()
-				if werr := writeCoverage(*covOut, rep); werr != nil {
+				if werr := writeFile(*covOut, "coverage", indentedJSON(rep)); werr != nil {
 					return werr
 				}
 				log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
@@ -683,11 +675,10 @@ func run(out io.Writer) (err error) {
 	if bodyErr != nil && ctx.Err() != nil {
 		log.Print("interrupted; flushing partial artifacts")
 	}
-	if publisher != nil {
+	if timeline != nil {
 		// The stream's terminal event: subscribers learn the campaign is
 		// over without waiting for the connection to close.
-		s := timeline.Snapshot()
-		publisher.CampaignDone(s.Completed, s.Failed)
+		timeline.CampaignDone()
 	}
 	if logger != nil {
 		attrs := []any{"ok", bodyErr == nil}
@@ -718,7 +709,7 @@ func run(out io.Writer) (err error) {
 		}
 		switch {
 		case len(profiles) > 0:
-			if err := writeTrace(*traceOut, profiles); err != nil {
+			if err := writeFile(*traceOut, "trace", func(w io.Writer) error { return telemetry.WriteTrace(w, profiles) }); err != nil {
 				flushErrs = append(flushErrs, err)
 			} else {
 				log.Printf("wrote %d-cell trace to %s", len(profiles), *traceOut)
@@ -735,7 +726,7 @@ func run(out io.Writer) (err error) {
 		if cerr := forest.Check(); cerr != nil {
 			flushErrs = append(flushErrs, fmt.Errorf("spans: invariant violation: %w", cerr))
 		}
-		if werr := writeSpans(*spansOut, forest); werr != nil {
+		if werr := writeFile(*spansOut, "spans", func(w io.Writer) error { return span.WriteChrome(w, forest) }); werr != nil {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote span trace to %s (open in ui.perfetto.dev)", *spansOut)
@@ -748,7 +739,7 @@ func run(out io.Writer) (err error) {
 	}
 	if *covOut != "" && *ledgerDir == "" {
 		rep := runner.Coverage.Report()
-		if werr := writeCoverage(*covOut, rep); werr != nil {
+		if werr := writeFile(*covOut, "coverage", indentedJSON(rep)); werr != nil {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
@@ -756,7 +747,7 @@ func run(out io.Writer) (err error) {
 		fmt.Fprintln(out, report.CoverageSummary(rep))
 	}
 	if *scheduleOut != "" {
-		if werr := writeSchedule(*scheduleOut, timeline); werr != nil {
+		if werr := writeFile(*scheduleOut, "schedule", timeline.WriteChrome); werr != nil {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote wall schedule to %s (open in ui.perfetto.dev)", *scheduleOut)
@@ -764,7 +755,8 @@ func run(out io.Writer) (err error) {
 		fmt.Fprintln(out, events.RenderSummary(timeline.Snapshot()))
 	}
 	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
+		runtime.GC()
+		if err := writeFile(*memProfile, "memprofile", pprof.WriteHeapProfile); err != nil {
 			flushErrs = append(flushErrs, err)
 		}
 	}
@@ -812,80 +804,27 @@ func printEquivalence(out io.Writer, verdicts []tracediff.CellVerdict) error {
 	return nil
 }
 
-func writeTrace(path string, profiles []*telemetry.CellProfile) error {
+// writeFile creates path and hands it to write; a failure to create,
+// write or close it is reported as "what: err".
+func writeFile(path, what string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := telemetry.WriteTrace(f, profiles); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace: %w", err)
+		return fmt.Errorf("%s: %w", what, err)
 	}
 	return nil
 }
 
-func writeSpans(path string, f *span.Forest) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("spans: %w", err)
+// indentedJSON writes v as two-space-indented JSON.
+func indentedJSON(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
 	}
-	if err := span.WriteChrome(fh, f); err != nil {
-		fh.Close()
-		return fmt.Errorf("spans: %w", err)
-	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("spans: %w", err)
-	}
-	return nil
-}
-
-func writeSchedule(path string, t *events.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("schedule: %w", err)
-	}
-	if err := t.WriteChrome(f); err != nil {
-		f.Close()
-		return fmt.Errorf("schedule: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("schedule: %w", err)
-	}
-	return nil
-}
-
-func writeCoverage(path string, rep *coverage.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("coverage: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return fmt.Errorf("coverage: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("coverage: %w", err)
-	}
-	return nil
-}
-
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return nil
 }

@@ -1,7 +1,9 @@
-// Package events is the campaign's live event stream: a broadcast bus
-// fed by the engine's scheduler hook that fans batch/cell lifecycle
-// events out to bounded per-subscriber buffers, with a retained ring
-// for Last-Event-ID replay. Everything in it is wall-clock-side
+// Package events is the campaign's wall-clock observation plane. The
+// Timeline is the engine's one scheduler hook: it keeps the live
+// per-cell state and the per-worker schedule, and publishes each
+// batch/cell lifecycle event on a broadcast bus that fans it out to
+// bounded per-subscriber buffers, with a retained ring for
+// Last-Event-ID replay. Everything in it is wall-clock-side
 // observability — event IDs, offsets and queue/run times exist only on
 // this bus and on the surfaces that serve it (SSE /events, /schedule,
 // the -schedule export), never in deterministic campaign artifacts.
@@ -29,8 +31,9 @@ const (
 	// the observed run time, Class/Error the failure record if any, and
 	// Events/Dropped the cell's telemetry activity when profiled.
 	TypeCellFinished = "cell_finished"
-	// TypeCampaignDone is the terminal event the CLI publishes after
-	// the campaign body returns.
+	// TypeCampaignDone is the terminal event Timeline.CampaignDone
+	// publishes once the campaign body returns: Cells settled, Failed
+	// of them failed.
 	TypeCampaignDone = "campaign_done"
 )
 

@@ -14,31 +14,66 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Timeline is the wall-clock scheduler timeline: it implements
-// campaign.SchedObserver and accumulates, per worker, which cells the
-// worker ran, when, and how long each waited in the queue. It backs
-// the /schedule endpoint, the scheduler gauges on /metrics, and the
-// -schedule Perfetto export. Everything it measures is wall time —
-// two runs of the same campaign produce different timelines, which is
+// Timeline is the campaign's one wall-clock observer: it implements
+// campaign.SchedObserver and keeps, per cell, the live lifecycle state
+// behind /cells and, per worker, which cells the worker ran, when, and
+// how long each waited in the queue — the /schedule endpoint, the
+// scheduler gauges on /metrics and the -schedule Perfetto export. When
+// built with a bus it also publishes every lifecycle event on it, under
+// the same lock that updates its state, so the stream, /cells and
+// /schedule never disagree. Everything it measures is wall time — two
+// runs of the same campaign produce different timelines, which is
 // exactly why none of it ever reaches a deterministic artifact.
 type Timeline struct {
 	epoch time.Time
+	bus   *Bus // nil: no live stream
 
-	mu         sync.Mutex
-	total      int // cells announced
-	dispatched int
-	running    map[string]runningCell
-	slots      []Slot
-	failed     int
-	sumQueue   int64
-	sumRun     int64
+	mu       sync.Mutex
+	total    int          // cells announced
+	cells    []cellRecord // first-announcement order
+	index    map[string]int
+	slots    []Slot
+	failed   int
+	sumQueue int64
+	sumRun   int64
 }
 
-// runningCell is a dispatched, unsettled cell.
-type runningCell struct {
+// CellStatus is a cell's live lifecycle state.
+type CellStatus string
+
+// Cell lifecycle states.
+const (
+	// StatusPending means the cell is announced but not yet dispatched.
+	StatusPending CellStatus = "pending"
+	// StatusRunning means a worker owns the cell right now.
+	StatusRunning CellStatus = "running"
+	// StatusDone means the cell finished cleanly.
+	StatusDone CellStatus = "done"
+	// StatusError means the cell settled with a failure record.
+	StatusError CellStatus = "error"
+)
+
+// CellState is one cell's live status, the /cells wire format.
+type CellState struct {
+	Cell   string     `json:"cell"`
+	Status CellStatus `json:"status"`
+	// WallNS is the cell's wall time once settled.
+	WallNS int64 `json:"wall_ns,omitempty"`
+	// Class and Error describe the failure for StatusError cells.
+	Class string `json:"class,omitempty"`
+	Error string `json:"error,omitempty"`
+	// Events and Dropped carry the cell's telemetry activity — emitted
+	// event count and ring/sink losses — when the runner profiled it.
+	Events  uint64 `json:"events,omitempty"`
+	Dropped uint64 `json:"dropped,omitempty"`
+}
+
+// cellRecord is one announced cell: its live state plus, while it
+// runs, the worker that owns it and the dispatch time.
+type cellRecord struct {
+	CellState
 	worker  int
 	startNS int64
-	queueNS int64
 }
 
 // Slot is one settled cell's occupancy record: which worker ran it,
@@ -58,42 +93,80 @@ type Slot struct {
 	Class string `json:"class,omitempty"`
 }
 
-// NewTimeline creates a timeline with its epoch at the call.
-func NewTimeline() *Timeline {
-	return &Timeline{epoch: time.Now(), running: make(map[string]runningCell)}
+// NewTimeline creates a timeline with its epoch at the call. bus, when
+// non-nil, receives every lifecycle event the timeline observes.
+func NewTimeline(bus *Bus) *Timeline {
+	return &Timeline{epoch: time.Now(), bus: bus, index: make(map[string]int)}
 }
 
 var _ campaign.SchedObserver = (*Timeline)(nil)
 
-// BatchQueued implements campaign.SchedObserver.
+// track returns the cell's record, creating it as pending on first
+// sight. Callers hold t.mu; the pointer is valid until the next track.
+func (t *Timeline) track(cell string) *cellRecord {
+	i, ok := t.index[cell]
+	if !ok {
+		i = len(t.cells)
+		t.index[cell] = i
+		t.cells = append(t.cells, cellRecord{CellState: CellState{Cell: cell, Status: StatusPending}})
+	}
+	return &t.cells[i]
+}
+
+// publish forwards ev to the bus, if any. Callers hold t.mu, so the
+// bus order is the order the timeline's state changed in.
+func (t *Timeline) publish(ev Event) {
+	if t.bus != nil {
+		t.bus.Publish(ev)
+	}
+}
+
+// BatchQueued implements campaign.SchedObserver: the announced cells
+// join /cells as pending, in cell order.
 func (t *Timeline) BatchQueued(cells []string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.total += len(cells)
-	t.mu.Unlock()
+	for _, id := range cells {
+		t.track(id)
+	}
+	t.publish(Event{Type: TypeBatchStarted, Worker: -1, Cells: len(cells)})
 }
 
 // CellDispatched implements campaign.SchedObserver.
 func (t *Timeline) CellDispatched(cell string, worker int, queueNS int64) {
 	now := time.Since(t.epoch).Nanoseconds()
 	t.mu.Lock()
-	t.dispatched++
-	t.running[cell] = runningCell{worker: worker, startNS: now, queueNS: queueNS}
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	c := t.track(cell)
+	c.Status, c.worker, c.startNS = StatusRunning, worker, now
+	t.publish(Event{Type: TypeCellStarted, Cell: cell, Worker: worker, QueueNS: queueNS})
 }
 
-// CellSettled implements campaign.SchedObserver.
-func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, _ *telemetry.CellProfile, cerr *campaign.CellError) {
+// CellSettled implements campaign.SchedObserver. Every outcome class
+// produces exactly one terminal event per cell: successes carry the
+// cell's telemetry activity when profiled, failures their class and
+// message (panicked, hung and canceled cells included).
+func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, profile *telemetry.CellProfile, cerr *campaign.CellError) {
 	now := time.Since(t.epoch).Nanoseconds()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	slot := Slot{Cell: cell, Worker: worker, StartNS: now - runNS, QueueNS: queueNS, RunNS: runNS}
-	if rc, ok := t.running[cell]; ok {
-		slot.StartNS = rc.startNS
-		delete(t.running, cell)
+	ev := Event{Type: TypeCellFinished, Cell: cell, Worker: worker, QueueNS: queueNS, WallNS: runNS}
+	if profile != nil {
+		// Emitted ≈ retained + overwritten: the ring keeps the newest
+		// events and counts what it evicted.
+		ev.Events = uint64(len(profile.Events)) + profile.DroppedEvents
+		ev.Dropped = profile.DroppedEvents
 	}
 	if cerr != nil {
-		slot.Class = string(cerr.Class)
-		t.failed++
+		ev.Class = string(cerr.Class)
+		ev.Error = cerr.Message
+	}
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.track(cell)
+	slot := Slot{Cell: cell, Worker: worker, StartNS: now - runNS, QueueNS: queueNS, RunNS: runNS, Class: ev.Class}
+	if c.Status == StatusRunning {
+		slot.StartNS = c.startNS
 	}
 	// A cell settled without a CellDispatched (canceled before any
 	// worker picked it up) still counts toward completion, but never
@@ -101,9 +174,39 @@ func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, _ 
 	if slot.Worker < 0 {
 		slot.StartNS = now
 	}
+	c.Status = StatusDone
+	if cerr != nil {
+		c.Status = StatusError
+		t.failed++
+	}
+	c.WallNS, c.Class, c.Error, c.Events, c.Dropped = runNS, ev.Class, ev.Error, ev.Events, ev.Dropped
 	t.slots = append(t.slots, slot)
 	t.sumQueue += slot.QueueNS
 	t.sumRun += slot.RunNS
+	t.publish(ev)
+}
+
+// CampaignDone publishes the stream's terminal event from the
+// timeline's own counters: how many cells settled and how many failed,
+// so a subscriber knows the run is over without watching for the
+// connection to close.
+func (t *Timeline) CampaignDone() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.publish(Event{Type: TypeCampaignDone, Worker: -1, Cells: len(t.slots), Failed: t.failed})
+}
+
+// Cells snapshots every announced cell's live state in first-
+// announcement order; the result is empty, never nil, before the first
+// batch.
+func (t *Timeline) Cells() []CellState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]CellState, len(t.cells))
+	for i := range t.cells {
+		out[i] = t.cells[i].CellState
+	}
+	return out
 }
 
 // WorkerLane is one worker's occupancy in a Schedule snapshot.
@@ -155,11 +258,9 @@ func (t *Timeline) Snapshot() Schedule {
 	s := Schedule{
 		ElapsedNS: now,
 		Total:     t.total,
-		Running:   len(t.running),
 		Completed: len(t.slots),
 		Failed:    t.failed,
 	}
-	s.Queued = s.Total - s.Running - s.Completed
 
 	lanes := make(map[int]*WorkerLane)
 	var first, last int64 = -1, 0
@@ -181,20 +282,25 @@ func (t *Timeline) Snapshot() Schedule {
 			}
 		}
 	}
-	for _, rc := range t.running {
-		ln := lanes[rc.worker]
-		if ln == nil {
-			ln = &WorkerLane{Worker: rc.worker}
-			lanes[rc.worker] = ln
+	for _, c := range t.cells {
+		if c.Status != StatusRunning {
+			continue
 		}
-		ln.BusyNS += now - rc.startNS
-		if first < 0 || rc.startNS < first {
-			first = rc.startNS
+		s.Running++
+		ln := lanes[c.worker]
+		if ln == nil {
+			ln = &WorkerLane{Worker: c.worker}
+			lanes[c.worker] = ln
+		}
+		ln.BusyNS += now - c.startNS
+		if first < 0 || c.startNS < first {
+			first = c.startNS
 		}
 		if now > last {
 			last = now
 		}
 	}
+	s.Queued = s.Total - s.Running - s.Completed
 	for _, ln := range lanes {
 		s.Workers = append(s.Workers, *ln)
 	}

@@ -13,13 +13,16 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
+	"repro/internal/events"
 	"repro/internal/telemetry"
 )
 
 // TestRoutesAndContentTypes walks every route on a freshly started
-// server — no batch announced, no optional collectors installed.
+// server — a timeline with no batch announced, no optional collectors
+// installed.
 func TestRoutesAndContentTypes(t *testing.T) {
 	srv := NewServer(telemetry.NewRegistry())
+	srv.SetSchedule(events.NewTimeline(nil))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +36,7 @@ func TestRoutesAndContentTypes(t *testing.T) {
 	if status != 200 || !strings.Contains(ctype, "application/json") {
 		t.Errorf("/cells: status %d, content type %q", status, ctype)
 	}
-	var cells []CellState
+	var cells []events.CellState
 	if err := json.Unmarshal([]byte(body), &cells); err != nil {
 		t.Errorf("/cells before first batch is not a JSON list: %v\n%s", err, body)
 	}

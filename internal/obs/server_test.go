@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/events"
 	"repro/internal/telemetry"
 )
 
@@ -86,13 +87,16 @@ func get(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// TestServerLiveCampaign installs the server as the campaign scheduler
-// hook, runs the full matrix, and scrapes all three endpoints while and
-// after the run: /cells must converge to every cell done, /metrics must
-// expose the aggregated registry, /healthz must answer throughout.
+// TestServerLiveCampaign installs a timeline as the campaign scheduler
+// hook and on the server, runs the full matrix, and scrapes all three
+// endpoints while and after the run: /cells must converge to every cell
+// done, /metrics must expose the aggregated registry, /healthz must
+// answer throughout.
 func TestServerLiveCampaign(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	tl := events.NewTimeline(nil)
 	srv := NewServer(reg)
+	srv.SetSchedule(tl)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +104,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	base := "http://" + addr.String()
 
-	r := &campaign.Runner{Workers: 4, Telemetry: reg, Sched: srv}
+	r := &campaign.Runner{Workers: 4, Telemetry: reg, Sched: tl}
 	done := make(chan error, 1)
 	go func() {
 		_, err := r.RunMatrixContext(context.Background())
@@ -111,7 +115,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	// matrix is 102 cells; poll with a deadline so a wedged campaign
 	// fails loudly instead of hanging the test.
 	deadline := time.Now().Add(30 * time.Second)
-	var cells []CellState
+	var cells []events.CellState
 	for {
 		status, ctype, body := get(t, base+"/cells")
 		if status != http.StatusOK {
@@ -126,7 +130,7 @@ func TestServerLiveCampaign(t *testing.T) {
 		}
 		settled := 0
 		for _, c := range cells {
-			if c.Status == StatusDone || c.Status == StatusError {
+			if c.Status == events.StatusDone || c.Status == events.StatusError {
 				settled++
 			}
 		}
@@ -147,7 +151,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	}
 
 	for _, c := range cells {
-		if c.Status != StatusDone {
+		if c.Status != events.StatusDone {
 			t.Errorf("cell %s finished %s, want done", c.Cell, c.Status)
 		}
 		if c.WallNS <= 0 {
@@ -173,21 +177,32 @@ func TestServerLiveCampaign(t *testing.T) {
 	}
 }
 
-// TestServerErrorCell routes a settled failure through the scheduler
-// hook and checks /cells carries its class, message and run time.
+// TestServerErrorCell routes a settled failure through the installed
+// timeline and checks /cells carries its class, message and run time.
 func TestServerErrorCell(t *testing.T) {
+	tl := events.NewTimeline(nil)
 	srv := NewServer(nil)
-	srv.BatchQueued([]string{"4.6/x/exploit"})
-	srv.CellDispatched("4.6/x/exploit", 0, 0)
-	srv.CellSettled("4.6/x/exploit", 0, 0, int64(5*time.Millisecond), nil,
+	srv.SetSchedule(tl)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	tl.BatchQueued([]string{"4.6/x/exploit"})
+	tl.CellDispatched("4.6/x/exploit", 0, 0)
+	tl.CellSettled("4.6/x/exploit", 0, 0, int64(5*time.Millisecond), nil,
 		&campaign.CellError{Cell: "4.6/x/exploit", Class: "panic", Message: "injected"})
 
-	cells := srv.snapshot()
+	_, _, body := get(t, "http://"+addr.String()+"/cells")
+	var cells []events.CellState
+	if err := json.Unmarshal([]byte(body), &cells); err != nil {
+		t.Fatalf("/cells is not JSON: %v\n%s", err, body)
+	}
 	if len(cells) != 1 {
 		t.Fatalf("got %d cells, want 1", len(cells))
 	}
 	c := cells[0]
-	if c.Status != StatusError || c.Class != "panic" || c.Error != "injected" || c.WallNS != int64(5*time.Millisecond) {
+	if c.Status != events.StatusError || c.Class != "panic" || c.Error != "injected" || c.WallNS != int64(5*time.Millisecond) {
 		t.Errorf("error cell state = %+v", c)
 	}
 }

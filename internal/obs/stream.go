@@ -22,10 +22,11 @@ import (
 // (the default) makes /events report that streaming is disabled.
 func (s *Server) SetBus(b *events.Bus) { s.bus = b }
 
-// SetSchedule installs the wall-clock scheduler timeline; /schedule
-// serves its snapshots and /metrics gains the repro_sched_* gauges.
-// Call before Listen; nil (the default) makes /schedule report that
-// the timeline is disabled.
+// SetSchedule installs the wall-clock scheduler timeline; /cells
+// serves its live per-cell states, /schedule its snapshots, and
+// /metrics gains the repro_sched_* gauges. Call before Listen; nil (the
+// default) makes /cells and /schedule report that the timeline is
+// disabled.
 func (s *Server) SetSchedule(t *events.Timeline) { s.sched = t }
 
 // handleEvents serves the bus as an SSE stream. A reconnecting client

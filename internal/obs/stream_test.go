@@ -57,7 +57,7 @@ func readSSE(t *testing.T, r io.Reader, n int) []sseFrame {
 func streamServer(t *testing.T) (*Server, *events.Bus, *events.Timeline, string) {
 	t.Helper()
 	bus := events.NewBus(64, 64)
-	tl := events.NewTimeline()
+	tl := events.NewTimeline(bus)
 	srv := NewServer(nil)
 	srv.SetBus(bus)
 	srv.SetSchedule(tl)
@@ -245,7 +245,7 @@ func TestEventsDisabled(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	for _, path := range []string{"/events", "/schedule"} {
+	for _, path := range []string{"/events", "/schedule", "/cells"} {
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
 		if err != nil {
 			t.Fatal(err)
@@ -297,10 +297,10 @@ func TestPprofMounted(t *testing.T) {
 }
 
 // TestStreamMetrics: the bus, scheduler and Go runtime gauges appear on
-// /metrics alongside the campaign series.
+// /metrics alongside the campaign series. The timeline publishes the
+// batch announcement on the bus it was built with.
 func TestStreamMetrics(t *testing.T) {
-	_, bus, tl, base := streamServer(t)
-	bus.Publish(events.Event{Type: events.TypeCellStarted})
+	_, _, tl, base := streamServer(t)
 	tl.BatchQueued([]string{"a"})
 
 	resp, err := http.Get(base + "/metrics")
