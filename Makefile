@@ -50,6 +50,10 @@
 # (sched-demo.json, Perfetto-loadable) and its occupancy summary, which
 # `tracecheck sched` re-validates lane by lane. Both artifacts are left
 # behind for CI to attach on failure.
+# `fuzz` runs every Fuzz* target in the module for 10 s each (today
+# FuzzNormalizeText, which holds the trace canonicalizer's hex-masking
+# scanners to the regexp passes they replace). A failing input is left
+# under the package's testdata/fuzz/ for `go test` to replay.
 
 GO ?= go
 
@@ -62,7 +66,7 @@ MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkM
 OBS_BENCHES      = ^BenchmarkMatrixTelemetry$$
 SNAPSHOT_BENCHES = ^BenchmarkBootEnvironment$$|^BenchmarkSnapshotBuild$$|^BenchmarkCellFork$$
 
-.PHONY: all build test race vet bench benchdiff bench-check check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
+.PHONY: all build test race vet fuzz bench benchdiff bench-check check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
 
 all: check
 
@@ -77,6 +81,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+fuzz:
+	@for file in $$(grep -rl --include='*_test.go' '^func Fuzz' cmd internal); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "fuzz $$target in ./$$(dirname $$file)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./$$(dirname $$file) || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -run '^$$' -bench '$(MATRIX_BENCHES)' -benchmem -json . > BENCH_matrix.json
@@ -163,7 +175,7 @@ ledger-baseline:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet lint-scenarios test race chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
+check: build vet lint-scenarios test race fuzz chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
 
 # BENCH_matrix.json and BENCH_snapshot.json are committed baselines
 # (benchdiff reads them), so clean removes only what targets generate.

@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/campaign"
@@ -20,10 +22,12 @@ import (
 	"repro/internal/fieldstudy"
 	"repro/internal/hv"
 	"repro/internal/inject"
+	"repro/internal/ledger"
 	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/pagetable"
 	"repro/internal/report"
+	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/txstore"
 	"repro/internal/workload"
@@ -77,13 +81,7 @@ func BenchmarkFig3(b *testing.B) {
 // BenchmarkFullMatrix runs the complete 102-cell campaign the repro binary
 // prints with -matrix, on the serial (Workers: 1) path.
 func BenchmarkFullMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		entries, err := (&campaign.Runner{Workers: 1}).RunMatrixContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = report.Matrix(entries)
-	}
+	benchRow(b, fullMatrixRow())
 }
 
 // BenchmarkMatrixParallel runs the same 102-cell campaign through the
@@ -93,17 +91,8 @@ func BenchmarkFullMatrix(b *testing.B) {
 // independent fresh environment, so the campaign is embarrassingly
 // parallel). Compare against BenchmarkFullMatrix for the speedup.
 func BenchmarkMatrixParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			r := &campaign.Runner{Workers: w}
-			for i := 0; i < b.N; i++ {
-				entries, err := r.RunMatrixContext(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = report.Matrix(entries)
-			}
-		})
+	for _, row := range matrixParallelRows() {
+		b.Run(row.name, func(b *testing.B) { benchRow(b, row) })
 	}
 }
 
@@ -123,48 +112,71 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // flag's overhead — with coverage disabled, "on" is the baseline that
 // must not move); "stream" tracks the timeline publishing on an event
 // bus (-listen's bus with no subscriber draining it, the common case
-// of a campaign nobody is watching).
+// of a campaign nobody is watching); "spans" and "ledger" track the
+// -spans and -ledger collectors, each through its settle step.
 func BenchmarkMatrixTelemetry(b *testing.B) {
 	for _, row := range matrixTelemetryRows() {
-		b.Run(row.name, func(b *testing.B) {
-			op := row.setup(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op()
-			}
-		})
+		b.Run(row.name, func(b *testing.B) { benchRow(b, row) })
 	}
 }
 
-// matrixTelemetryRow is one BenchmarkMatrixTelemetry row. setup builds
-// what lives for the whole row (a shared registry, a listening server,
-// torn down through tb.Cleanup) and returns op, one iteration — one
-// 102-cell matrix. Whatever a single campaign owns (a coverage
-// collector, an event bus) is built inside op, so an op costs the same
-// at any iteration count; TestMatrixTelemetryStationary holds every row
-// to it.
-type matrixTelemetryRow struct {
+// matrixRow is one matrix benchmark row. setup builds what lives for
+// the whole row (a shared registry, a listening server, torn down
+// through tb.Cleanup) and returns op, one iteration — one 102-cell
+// matrix. Whatever a single campaign owns (a coverage or span
+// collector, an event bus, a ledger store) is built inside op, so an
+// op costs the same at any iteration count;
+// TestMatrixTelemetryStationary holds every row to it.
+type matrixRow struct {
 	name  string
 	setup func(tb testing.TB) (op func())
 }
 
-func matrixTelemetryRows() []matrixTelemetryRow {
-	matrix := func(tb testing.TB, r *campaign.Runner) {
-		entries, err := r.RunMatrixContext(context.Background())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		_ = report.Matrix(entries)
+// benchRow times one row's op.
+func benchRow(b *testing.B, row matrixRow) {
+	op := row.setup(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
+}
+
+// runMatrix runs one 102-cell matrix on r and renders it.
+func runMatrix(tb testing.TB, r *campaign.Runner) {
+	entries, err := r.RunMatrixContext(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_ = report.Matrix(entries)
+}
+
+// loopRow is a row whose op reruns the matrix on one runner.
+func loopRow(name string, r func() *campaign.Runner) matrixRow {
+	return matrixRow{name, func(tb testing.TB) func() {
+		rr := r()
+		return func() { runMatrix(tb, rr) }
+	}}
+}
+
+func fullMatrixRow() matrixRow {
+	return loopRow("FullMatrix", func() *campaign.Runner { return &campaign.Runner{Workers: 1} })
+}
+
+func matrixParallelRows() []matrixRow {
+	var rows []matrixRow
+	for _, w := range []int{1, 2, 4, 8} {
+		rows = append(rows, loopRow(fmt.Sprintf("workers-%d", w), func() *campaign.Runner { return &campaign.Runner{Workers: w} }))
+	}
+	return rows
+}
+
+func matrixTelemetryRows() []matrixRow {
 	runner := func(reg *telemetry.Registry, sched campaign.SchedObserver) *campaign.Runner {
 		return &campaign.Runner{Workers: 4, Telemetry: reg, Sched: sched}
 	}
-	loop := func(tb testing.TB, r *campaign.Runner) func() {
-		return func() { matrix(tb, r) }
-	}
-	return []matrixTelemetryRow{
-		{"off", func(tb testing.TB) func() { return loop(tb, runner(nil, nil)) }},
-		{"on", func(tb testing.TB) func() { return loop(tb, runner(telemetry.NewRegistry(), nil)) }},
+	return []matrixRow{
+		loopRow("off", func() *campaign.Runner { return runner(nil, nil) }),
+		loopRow("on", func() *campaign.Runner { return runner(telemetry.NewRegistry(), nil) }),
 		{"server", func(tb testing.TB) func() {
 			reg := telemetry.NewRegistry()
 			tl := events.NewTimeline(nil)
@@ -174,14 +186,15 @@ func matrixTelemetryRows() []matrixTelemetryRow {
 				tb.Fatal(err)
 			}
 			tb.Cleanup(func() { srv.Shutdown(context.Background()) })
-			return loop(tb, runner(reg, tl))
+			r := runner(reg, tl)
+			return func() { runMatrix(tb, r) }
 		}},
 		{"coverage", func(tb testing.TB) func() {
 			reg := telemetry.NewRegistry()
 			return func() {
 				r := runner(reg, nil)
 				r.Coverage = coverage.NewCollector()
-				matrix(tb, r)
+				runMatrix(tb, r)
 				_ = r.Coverage.Report()
 			}
 		}},
@@ -189,23 +202,69 @@ func matrixTelemetryRows() []matrixTelemetryRow {
 			reg := telemetry.NewRegistry()
 			return func() {
 				bus := events.NewBus(0, 0)
-				matrix(tb, runner(reg, events.NewTimeline(bus)))
+				runMatrix(tb, runner(reg, events.NewTimeline(bus)))
 				bus.Close()
+			}
+		}},
+		// spans: the per-cell span trees plus the forest's canonical
+		// rendering, the golden-pin surface -spans settles into.
+		{"spans", func(tb testing.TB) func() {
+			reg := telemetry.NewRegistry()
+			return func() {
+				r := runner(reg, nil)
+				r.Spans = span.NewCollector()
+				runMatrix(tb, r)
+				_ = r.Spans.Forest().Canonical()
+			}
+		}},
+		// ledger: journal every cell into a fresh record store, grade
+		// equivalence from the journaled record and settle it, as
+		// `repro -ledger` does; the op removes its store again.
+		{"ledger", func(tb testing.TB) func() {
+			reg := telemetry.NewRegistry()
+			cfg := ledger.CurrentConfig(0, false)
+			dir := filepath.Join(tb.TempDir(), "store")
+			return func() {
+				defer os.RemoveAll(dir)
+				store, err := ledger.Open(dir)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				lw, err := store.NewWriter(cfg, ledger.PlanDelta(nil, cfg).Expected)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				r := runner(reg, nil)
+				r.Observer = lw
+				runMatrix(tb, r)
+				verdicts, err := ledger.Equivalence(lw.Snapshot())
+				if err != nil {
+					tb.Fatal(err)
+				}
+				lw.RecordEquivalence(verdicts)
+				if _, err := lw.Close(); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		}},
 	}
 }
 
 // TestMatrixTelemetryStationary is the stationarity guard on the
-// BenchmarkMatrixTelemetry rows: a row's allocs per matrix must not
-// depend on how many matrices ran before. Allocation counts are close
-// to deterministic, so a drift between two fixed iteration counts is
-// state carried across iterations — the defect that once let the
-// coverage row re-settle every earlier matrix's batch on each Report —
-// not timing noise.
+// matrix benchmark rows (BenchmarkMatrixTelemetry, BenchmarkFullMatrix
+// and BenchmarkMatrixParallel): a row's allocs per matrix must not depend
+// on how many matrices ran before. Allocation counts are close to
+// deterministic, so a drift between two fixed iteration counts is state
+// carried across iterations — the defect that once let the coverage row
+// re-settle every earlier matrix's batch on each Report — not timing
+// noise.
 func TestMatrixTelemetryStationary(t *testing.T) {
 	const short, long, tolerance = 5, 20, 0.05
-	for _, row := range matrixTelemetryRows() {
+	rows := append(matrixTelemetryRows(), fullMatrixRow())
+	for _, row := range matrixParallelRows() {
+		rows = append(rows, matrixRow{"MatrixParallel-" + row.name, row.setup})
+	}
+	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			a := testing.AllocsPerRun(short, row.setup(t))
 			b := testing.AllocsPerRun(long, row.setup(t))

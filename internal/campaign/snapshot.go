@@ -24,6 +24,9 @@ import (
 // logs); and observably, because the sealed machine's boot journal is
 // replayed into each cell's telemetry recorder, fault injector and span
 // tree, reproducing the exact event sequence a fresh boot would emit.
+// The journal is folded once per snapshot, so a fork adds its counter,
+// coverage and fault-plane totals in bulk and walks only its events and
+// span ops.
 //
 // A cell whose armed fault plane would fire inside the boot (SiteAlloc
 // within the boot's consult budget) cannot fork — the fault belongs
@@ -94,7 +97,7 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 		s.err = err
 		return
 	}
-	s.ms = mem.Seal()
+	s.ms = mem.Seal(e.HV.FrameClassifier())
 	s.hs = e.HV.Seal()
 	s.net = e.Net
 	s.guests = e.Guests
@@ -117,9 +120,8 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injec
 	if tree != nil {
 		fm.AttachSpans(tree)
 	}
-	// A coverage map riding on the cell's recorder needs the region
-	// classifier installed before the boot journal replays, so the
-	// replayed page-type events classify exactly as a fresh boot's.
+	// The boot journal's coverage was folded with the same region
+	// classifier; the cell's own page-type events need it too.
 	if cov := tel.Coverage(); cov != nil {
 		cov.SetFrameClassifier(s.hs.FrameClassifier())
 	}

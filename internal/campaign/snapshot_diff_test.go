@@ -10,10 +10,12 @@ package campaign_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/exploits"
 	"repro/internal/faults"
 	"repro/internal/span"
@@ -171,4 +173,95 @@ func firstDiffLines(a, b string) string {
 		return "line counts differ: " + fmtUint(uint64(len(al))) + " vs " + fmtUint(uint64(len(bl)))
 	}
 	return "(no line-level difference found)"
+}
+
+// TestForkVsFreshBootWindowSinkFault arms sink-write faults at hits
+// inside the boot's replayed events (the first, a middle and the last
+// boot event) and one past the boot, and compares each armed cell
+// between fresh boot and fork: the ring (Seq, kinds, operands), the
+// counters including telemetry.sink_errors, the coverage edges and
+// the span forest must all be identical.
+func TestForkVsFreshBootWindowSinkFault(t *testing.T) {
+	set := withSnapshots(t)
+	type cellRun struct {
+		events   []telemetry.Event
+		counters []telemetry.CounterValue
+		cov      []coverage.Edge
+	}
+	run := func(snapshots bool, plan *faults.Plan) (map[string]cellRun, string) {
+		t.Helper()
+		set(snapshots)
+		reg := telemetry.NewRegistry()
+		cov, spans := coverage.NewCollector(), span.NewCollector()
+		r := &campaign.Runner{Workers: 4, Telemetry: reg, Coverage: cov, Spans: spans, Faults: plan, ContinueOnError: true}
+		if _, err := r.RunMatrixContext(context.Background()); err != nil {
+			t.Fatalf("snapshots=%v: %v", snapshots, err)
+		}
+		out := make(map[string]cellRun)
+		for _, p := range reg.CellProfiles() {
+			out[p.Cell] = cellRun{events: p.Events, counters: p.Counters}
+		}
+		for _, c := range cov.Report().Cells {
+			cr := out[c.Cell]
+			cr.cov = c.Edges
+			out[c.Cell] = cr
+		}
+		return out, spans.Forest().Canonical()
+	}
+
+	// Every boot event is a page-type event, so the run of them that
+	// opens an unfaulted cell's ring bounds the boot window from below.
+	clean, _ := run(true, nil)
+	const probe = "4.6/XSA-148-priv/injection"
+	boot := uint64(0)
+	for _, e := range clean[probe].events {
+		if e.Kind != telemetry.KindPageTypeGet && e.Kind != telemetry.KindPageTypePut {
+			break
+		}
+		boot++
+	}
+	if boot < 100 {
+		t.Fatalf("%s opens with %d page-type events; expected the replayed boot's hundreds", probe, boot)
+	}
+	arms := map[string]uint64{
+		probe:                         1,
+		"4.6/XSA-212-priv/exploit":    boot / 2,
+		"4.13/XSA-182-test/injection": boot,
+		"4.8/XSA-148-priv/exploit":    boot + 3,
+	}
+	plan := faults.NewPlan(0, 0)
+	for cell, nth := range arms {
+		plan.ArmCell(cell, faults.SiteSinkWrite, nth)
+	}
+	fresh, freshForest := run(false, plan)
+	fork, forkForest := run(true, plan)
+	plan.ReleaseAll()
+
+	for cell := range arms {
+		f, k := fresh[cell], fork[cell]
+		errs := uint64(0)
+		for _, c := range k.counters {
+			if c.Name == "telemetry.sink_errors" {
+				errs = c.Value
+			}
+		}
+		if errs != 1 {
+			t.Errorf("%s: fork counted %d sink errors, want the armed 1", cell, errs)
+		}
+		if len(k.events) != len(clean[cell].events)-1 {
+			t.Errorf("%s: fork kept %d events, want one fewer than the unfaulted %d", cell, len(k.events), len(clean[cell].events))
+		}
+		if !reflect.DeepEqual(f.events, k.events) {
+			t.Errorf("%s: fork ring differs from fresh boot\nfresh: %v\nfork:  %v", cell, f.events, k.events)
+		}
+		if !reflect.DeepEqual(f.counters, k.counters) {
+			t.Errorf("%s: fork counters differ from fresh boot\nfresh: %v\nfork:  %v", cell, f.counters, k.counters)
+		}
+		if len(k.cov) == 0 || !reflect.DeepEqual(f.cov, k.cov) {
+			t.Errorf("%s: fork coverage differs from fresh boot\nfresh: %v\nfork:  %v", cell, f.cov, k.cov)
+		}
+	}
+	if freshForest != forkForest {
+		t.Errorf("span forest diverges\n%s", firstDiffLines(freshForest, forkForest))
+	}
 }

@@ -19,9 +19,9 @@
 package coverage
 
 import (
-	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -194,7 +194,7 @@ func (m *Map) ValidationReject(level int, reason string) {
 	h := fnvUint(seed(FamValidation), uint64(level))
 	h = fnvByte(h, ':')
 	h = fnvString(h, masked)
-	m.bump(h, FamValidation, fmt.Sprintf("L%d", level), masked, "")
+	m.bump(h, FamValidation, "L"+strconv.Itoa(level), masked, "")
 }
 
 // WalkDenied records a masked walk-denial reason edge.
@@ -250,6 +250,23 @@ func (m *Map) DomctlOp(op string) {
 	m.bump(h, FamDomctl, op, "", "")
 }
 
+// Merge adds every edge of o into m, exactly as if m had observed o's
+// events itself: edges share identity hashes, so counts add per edge.
+// A snapshot fork merges its boot journal's folded coverage this way.
+func (m *Map) Merge(o *Map) {
+	if m == nil || o == nil {
+		return
+	}
+	for h, oe := range o.edges {
+		if e, ok := m.edges[h]; ok {
+			e.count += oe.count
+			continue
+		}
+		c := *oe
+		m.edges[h] = &c
+	}
+}
+
 // FromEdges reconstructs a map from a settled edge list, for replaying
 // persisted per-cell coverage (the campaign run ledger) back through
 // the campaign aggregation. The reconstructed map renders and digests
@@ -301,22 +318,42 @@ func SortEdges(edges []Edge) {
 // one "family/name xCount" line per edge, no wall times, no ordering
 // dependence on observation order.
 func Canonical(edges []Edge) string {
-	var b strings.Builder
+	var b []byte
 	for _, e := range edges {
-		b.WriteString(string(e.Family))
-		b.WriteByte('/')
-		b.WriteString(e.Name)
-		b.WriteString(" x")
-		fmt.Fprintf(&b, "%d", e.Count)
-		b.WriteByte('\n')
+		b = append(b, e.Family...)
+		b = append(b, '/')
+		b = append(b, e.Name...)
+		b = append(b, " x"...)
+		b = strconv.AppendUint(b, e.Count, 10)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // DigestOf returns the short hex digest (FNV-1a 64) of the canonical
-// rendering of the edge list.
+// rendering of the edge list, hashed line by line without rendering it.
 func DigestOf(edges []Edge) string {
-	return fmt.Sprintf("%016x", fnvString(fnvOffset, Canonical(edges)))
+	h := fnvOffset
+	for _, e := range edges {
+		h = fnvString(h, string(e.Family))
+		h = fnvByte(h, '/')
+		h = fnvString(h, e.Name)
+		h = fnvString(h, " x")
+		h = fnvUint(h, e.Count)
+		h = fnvByte(h, '\n')
+	}
+	return hex16(h)
+}
+
+// hex16 renders h as 16 zero-padded lower-case hex digits, fmt's %016x.
+func hex16(h uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(b[:])
 }
 
 // Digest returns the map's canonical digest.

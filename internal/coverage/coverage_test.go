@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,62 @@ func TestDigestPinned(t *testing.T) {
 	const want = "16af8e58c8ed0252"
 	if got := m.Digest(); got != want {
 		t.Errorf("pinned digest moved: got %s, want %s (regenerate coverage goldens if intentional)", got, want)
+	}
+}
+
+// TestDigestOfHashesCanonical holds DigestOf, which hashes the edges
+// line by line, to the FNV-1a digest of the Canonical rendering in
+// fmt's %016x, on non-ASCII names and zero and 64-bit counts.
+func TestDigestOfHashesCanonical(t *testing.T) {
+	edges := []Edge{
+		{FamDomctl, "pause", 0},
+		{FamPageType, "get:l1@«é»", 1},
+		{FamWalk, "", 1<<64 - 1},
+	}
+	for n := 0; n <= len(edges); n++ {
+		want := fmt.Sprintf("%016x", fnvString(fnvOffset, Canonical(edges[:n])))
+		if got := DigestOf(edges[:n]); got != want {
+			t.Errorf("DigestOf(%d edges) = %s, want %s", n, got, want)
+		}
+	}
+	if got, want := Canonical(edges[1:2]), "pagetype/get:l1@«é» x1\n"; got != want {
+		t.Errorf("Canonical = %q, want %q", got, want)
+	}
+}
+
+// TestMergeAddsObservations: merging a map is observing its events.
+func TestMergeAddsObservations(t *testing.T) {
+	fc := func(mfn uint64) string {
+		if mfn < 4 {
+			return "hv-text"
+		}
+		return "general"
+	}
+	observe := func(m *Map, from, to uint64) {
+		for mfn := from; mfn < to; mfn++ {
+			m.PageType("get", mfn, "l1")
+			m.PageType("put", mfn, "l2")
+		}
+	}
+	whole := NewMap()
+	whole.SetFrameClassifier(fc)
+	whole.GrantOp("map")
+	observe(whole, 0, 10)
+
+	boot, cell := NewMap(), NewMap()
+	boot.SetFrameClassifier(fc)
+	observe(boot, 0, 6)
+	cell.SetFrameClassifier(fc)
+	cell.GrantOp("map")
+	cell.Merge(boot)
+	observe(cell, 6, 10)
+	cell.Merge(nil)
+	if got, want := Canonical(cell.Edges()), Canonical(whole.Edges()); got != want {
+		t.Errorf("merged map\n%s\nwant\n%s", got, want)
+	}
+	observe(boot, 0, 1) // the merged map owns its edges
+	if got, want := cell.Digest(), whole.Digest(); got != want {
+		t.Errorf("merged digest %s moved with its source, want %s", got, want)
 	}
 }
 

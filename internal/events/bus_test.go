@@ -138,6 +138,41 @@ func TestBusReplayBeyondRetention(t *testing.T) {
 	}
 }
 
+// TestBusRetentionWraps publishes three times the retention, and after
+// every publish resumes from every ID: the replay is the retained tail
+// in ID order, and the gap flag is set exactly when the resume point is
+// older than the oldest retained event.
+func TestBusRetentionWraps(t *testing.T) {
+	const retain = 5
+	b := NewBus(retain, 1)
+	for n := uint64(1); n <= 3*retain; n++ {
+		b.Publish(Event{Type: TypeCellStarted})
+		oldest := uint64(1)
+		if n > retain {
+			oldest = n - retain + 1
+		}
+		if got := b.Stats().Retained; got != int(n-oldest+1) {
+			t.Fatalf("after %d publishes: %d retained, want %d", n, got, n-oldest+1)
+		}
+		for after := uint64(0); after <= n; after++ {
+			sub, replay, gap := b.SubscribeFrom(after)
+			b.Unsubscribe(sub)
+			first := max(after+1, oldest)
+			if uint64(len(replay)) != n-first+1 {
+				t.Fatalf("after %d publishes, resume from %d: %d replayed, want %d", n, after, len(replay), n-first+1)
+			}
+			for i, ev := range replay {
+				if ev.ID != first+uint64(i) {
+					t.Fatalf("after %d publishes, resume from %d: replay[%d].ID = %d, want %d", n, after, i, ev.ID, first+uint64(i))
+				}
+			}
+			if want := after+1 < oldest; gap != want {
+				t.Fatalf("after %d publishes, resume from %d: gap = %v, want %v", n, after, gap, want)
+			}
+		}
+	}
+}
+
 func TestBusCloseSemantics(t *testing.T) {
 	b := NewBus(16, 16)
 	sub := b.Subscribe()

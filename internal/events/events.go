@@ -111,9 +111,12 @@ type Stats struct {
 type Bus struct {
 	epoch time.Time
 
-	mu        sync.Mutex
-	nextID    uint64
-	ring      []Event // retained events, oldest first
+	mu     sync.Mutex
+	nextID uint64
+	// ring holds the retained events. It grows to retain events, then
+	// wraps: head indexes the oldest, which the next publish overwrites.
+	ring      []Event
+	head      int
 	retain    int
 	subBuf    int
 	subs      map[*Subscriber]struct{}
@@ -159,8 +162,8 @@ func (b *Bus) Publish(ev Event) {
 	ev.OffsetNS = off
 	b.published++
 	if len(b.ring) == b.retain {
-		copy(b.ring, b.ring[1:])
-		b.ring[len(b.ring)-1] = ev
+		b.ring[b.head] = ev
+		b.head = (b.head + 1) % b.retain
 	} else {
 		b.ring = append(b.ring, ev)
 	}
@@ -200,15 +203,15 @@ func (b *Bus) SubscribeFrom(afterID uint64) (sub *Subscriber, replay []Event, ga
 	} else {
 		b.subs[sub] = struct{}{}
 	}
-	for _, ev := range b.ring {
-		if ev.ID > afterID {
+	for i := range b.ring {
+		if ev := b.ring[(b.head+i)%len(b.ring)]; ev.ID > afterID {
 			replay = append(replay, ev)
 		}
 	}
 	if afterID < b.nextID {
 		// The subscriber asked to resume inside the published range;
 		// a gap exists unless retention still holds afterID+1.
-		if len(b.ring) == 0 || b.ring[0].ID > afterID+1 {
+		if len(b.ring) == 0 || b.ring[b.head].ID > afterID+1 {
 			gap = true
 		}
 	}

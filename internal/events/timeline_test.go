@@ -22,8 +22,8 @@ func TestTimelineEventShapes(t *testing.T) {
 	tl.BatchQueued([]string{"a", "b"})
 	tl.CellDispatched("a", 2, 123)
 	rec := telemetry.NewRecorder(0)
-	rec.HypercallEnter(1, 1, "mmu_update")
-	rec.HypercallExit(1, 1, "mmu_update", nil)
+	rec.HypercallEnter(1, 1, telemetry.NewOp("hypercall", "mmu_update"))
+	rec.HypercallExit(1, 1, telemetry.NewOp("hypercall", "mmu_update"), nil)
 	profile := rec.Profile("a", 456)
 	tl.CellSettled("a", 2, 123, 789, profile, nil)
 	tl.CellSettled("b", 1, 50, 60, nil,

@@ -93,12 +93,17 @@ func (i *Injector) Arm(site Site, nth uint64) *Injector {
 
 // Hit records one pass through the site and reports whether the armed
 // fault fires on this pass. Sites with no armed rule never fire.
-func (i *Injector) Hit(site Site) bool {
-	if i == nil {
+func (i *Injector) Hit(site Site) bool { return i.HitN(site, 1) }
+
+// HitN records n passes through the site at once, as n calls of Hit
+// would, and reports whether the armed fault fired on one of them.
+func (i *Injector) HitN(site Site, n uint64) bool {
+	if i == nil || n == 0 {
 		return false
 	}
-	i.hits[site]++
-	if nth, ok := i.trigger[site]; ok && i.hits[site] == nth {
+	h := i.hits[site]
+	i.hits[site] = h + n
+	if nth, ok := i.trigger[site]; ok && nth > h && nth <= h+n {
 		i.fired = append(i.fired, fmt.Sprintf("%s@%d", site, nth))
 		return true
 	}

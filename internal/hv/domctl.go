@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mm"
+	"repro/internal/telemetry"
 )
 
 // HypercallDomctl is the management-plane hypercall, callable only from
@@ -50,6 +51,23 @@ func (o DomctlOp) String() string {
 	}
 }
 
+// domctlOps are the domctl operations as telemetry records them.
+var domctlOps = func() map[DomctlOp]telemetry.Op {
+	ops := make(map[DomctlOp]telemetry.Op)
+	for o := DomctlPause; o <= DomctlGetInfo; o++ {
+		ops[o] = telemetry.NewOp("domctl", o.String())
+	}
+	return ops
+}()
+
+// telemetryOp returns the operation's telemetry op.
+func (o DomctlOp) telemetryOp() telemetry.Op {
+	if op, ok := domctlOps[o]; ok {
+		return op
+	}
+	return telemetry.NewOp("domctl", o.String())
+}
+
 // DomainInfo is the DomctlGetInfo result.
 type DomainInfo struct {
 	Name       string
@@ -86,7 +104,7 @@ func (h *Hypervisor) domctl(caller *Domain, args *DomctlArgs) error {
 	if err != nil {
 		return err
 	}
-	h.cfg.tel.DomctlOp(uint16(caller.id), args.Op.String(), uint16(args.Target))
+	h.cfg.tel.DomctlOp(uint16(caller.id), args.Op.telemetryOp(), uint16(args.Target))
 	switch args.Op {
 	case DomctlPause:
 		target.paused = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mm"
+	"repro/internal/telemetry"
 )
 
 // Grant-table sizes.
@@ -84,19 +85,27 @@ func (d *Domain) GrantStatusFrames() []mm.MFN {
 	return out
 }
 
+// The grant-table operations as telemetry records them.
+var (
+	grantOpSetVersion = telemetry.NewOp("grant", "set_version")
+	grantOpAccess     = telemetry.NewOp("grant", "access")
+	grantOpMap        = telemetry.NewOp("grant", "map")
+	grantOpUnmap      = telemetry.NewOp("grant", "unmap")
+)
+
 func (h *Hypervisor) grantTableOp(d *Domain, arg any) error {
 	switch a := arg.(type) {
 	case *GrantSetVersionArgs:
-		h.cfg.tel.GrantOp(uint16(d.id), "set_version", a.Version)
+		h.cfg.tel.GrantOp(uint16(d.id), grantOpSetVersion, a.Version)
 		return h.grantSetVersion(d, a)
 	case *GrantAccessArgs:
-		h.cfg.tel.GrantOp(uint16(d.id), "access", a.Ref)
+		h.cfg.tel.GrantOp(uint16(d.id), grantOpAccess, a.Ref)
 		return h.grantAccess(d, a)
 	case *GrantMapArgs:
-		h.cfg.tel.GrantOp(uint16(d.id), "map", a.Ref)
+		h.cfg.tel.GrantOp(uint16(d.id), grantOpMap, a.Ref)
 		return h.grantMap(d, a)
 	case *GrantUnmapArgs:
-		h.cfg.tel.GrantOp(uint16(d.id), "unmap", a.Ref)
+		h.cfg.tel.GrantOp(uint16(d.id), grantOpUnmap, a.Ref)
 		return h.grantUnmap(d, a)
 	default:
 		return fmt.Errorf("%w: grant_table_op got %T", ErrInval, arg)

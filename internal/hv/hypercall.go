@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
+	"repro/internal/telemetry"
 )
 
 // Hypercall numbers, following the real PV ABI where one exists.
@@ -28,32 +29,29 @@ const (
 	HypercallStateInject = 42
 )
 
-// hypercallName maps a hypercall number to its ABI name, used to key
-// per-hypercall telemetry counters. Unknown numbers fall back to the
-// decimal form so experimental registrations still show up in metrics.
-func hypercallName(nr int) string {
-	switch nr {
-	case HypercallMMUUpdate:
-		return "mmu_update"
-	case HypercallMemoryOp:
-		return "memory_op"
-	case HypercallConsoleIO:
-		return "console_io"
-	case HypercallGrantTableOp:
-		return "grant_table_op"
-	case HypercallMMUExtOp:
-		return "mmuext_op"
-	case HypercallEventChannelOp:
-		return "event_channel_op"
-	case HypercallDomctl:
-		return "domctl"
-	case HypercallArbitraryAccess:
-		return "arbitrary_access"
-	case HypercallStateInject:
-		return "state_inject"
-	default:
-		return fmt.Sprintf("nr_%d", nr)
+// hypercallOps maps each hypercall number to its ABI name, the
+// telemetry label and span name, with its per-hypercall counter key
+// built once.
+var hypercallOps = map[int]telemetry.Op{
+	HypercallMMUUpdate:       telemetry.NewOp("hypercall", "mmu_update"),
+	HypercallMemoryOp:        telemetry.NewOp("hypercall", "memory_op"),
+	HypercallConsoleIO:       telemetry.NewOp("hypercall", "console_io"),
+	HypercallGrantTableOp:    telemetry.NewOp("hypercall", "grant_table_op"),
+	HypercallMMUExtOp:        telemetry.NewOp("hypercall", "mmuext_op"),
+	HypercallEventChannelOp:  telemetry.NewOp("hypercall", "event_channel_op"),
+	HypercallDomctl:          telemetry.NewOp("hypercall", "domctl"),
+	HypercallArbitraryAccess: telemetry.NewOp("hypercall", "arbitrary_access"),
+	HypercallStateInject:     telemetry.NewOp("hypercall", "state_inject"),
+}
+
+// hypercallOp returns the hypercall's telemetry op. Unknown numbers
+// fall back to the decimal form so experimental registrations still
+// show up in metrics.
+func hypercallOp(nr int) telemetry.Op {
+	if op, ok := hypercallOps[nr]; ok {
+		return op
 	}
+	return telemetry.NewOp("hypercall", fmt.Sprintf("nr_%d", nr))
 }
 
 // Hypercall is one dispatch-table entry. arg carries the per-call
@@ -139,7 +137,7 @@ func (d *Domain) Hypercall(nr int, arg any) error {
 	// fault sites and closes on defer, so even an injected handler panic
 	// unwinds through the End and never leaks an open span.
 	if t := h.cfg.spans; t != nil {
-		sp := t.Hypercall(hypercallName(nr))
+		sp := t.Hypercall(hypercallOp(nr).Label)
 		defer t.End(sp)
 	}
 	// The substrate fault plane fires at dispatch, before the handler:
@@ -150,11 +148,11 @@ func (d *Domain) Hypercall(nr int, arg any) error {
 	// parks the goroutine until the injector is released.
 	if flt := h.cfg.flt; flt != nil {
 		if flt.Hit(faults.SiteHypercallPanic) {
-			panic(fmt.Sprintf("faults: injected panic in hypercall %s handler (dom%d)", hypercallName(nr), d.id))
+			panic(fmt.Sprintf("faults: injected panic in hypercall %s handler (dom%d)", hypercallOp(nr).Label, d.id))
 		}
 		if flt.Hit(faults.SiteHang) && !h.hung {
 			h.hung = true
-			h.Logf("faults: injected hang state at hypercall %s dispatch", hypercallName(nr))
+			h.Logf("faults: injected hang state at hypercall %s dispatch", hypercallOp(nr).Label)
 		}
 		if flt.Hit(faults.SiteWedge) {
 			flt.Block()
@@ -164,10 +162,10 @@ func (d *Domain) Hypercall(nr int, arg any) error {
 		h.Logf("hypercall %d from dom%d (%T)", nr, d.id, arg)
 	}
 	if tel := h.cfg.tel; tel != nil {
-		name := hypercallName(nr)
-		tel.HypercallEnter(uint16(d.id), int32(nr), name)
+		op := hypercallOp(nr)
+		tel.HypercallEnter(uint16(d.id), int32(nr), op)
 		err := fn(d, arg)
-		tel.HypercallExit(uint16(d.id), int32(nr), name, err)
+		tel.HypercallExit(uint16(d.id), int32(nr), op, err)
 		return err
 	}
 	return fn(d, arg)

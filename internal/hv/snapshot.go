@@ -25,9 +25,9 @@ func (h *Hypervisor) Seal() *Snapshot { return &Snapshot{proto: h} }
 
 // FrameClassifier returns the prototype's coverage region classifier.
 // Forks share the prototype's reservation bases, so the classifier is
-// valid for every cell stamped from this snapshot; the campaign
-// installs it on a cell's coverage map before replaying the boot
-// journal.
+// valid for every cell stamped from this snapshot; the campaign folds
+// the boot journal's coverage with it and installs it on each cell's
+// coverage map.
 func (s *Snapshot) FrameClassifier() coverage.FrameClassifier {
 	return s.proto.FrameClassifier()
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/buildinfo"
@@ -52,8 +53,30 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-func digest16(s string) string {
-	return fmt.Sprintf("%016x", fnvString(fnvOffset, s))
+func digest16(s string) string { return hex16(fnvString(fnvOffset, s)) }
+
+// digestLines is digest16 of the lines joined by newlines, without
+// joining them.
+func digestLines(lines []string) string {
+	h := fnvOffset
+	for i, l := range lines {
+		if i > 0 {
+			h = fnvString(h, "\n")
+		}
+		h = fnvString(h, l)
+	}
+	return hex16(h)
+}
+
+// hex16 renders h as 16 zero-padded lower-case hex digits, fmt's %016x.
+func hex16(h uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(b[:])
 }
 
 // Key identifies one recorded cell: the (scenario, version, mode, seed)
@@ -147,13 +170,22 @@ func (e *Entry) canceled() bool {
 	return e.Error != nil && e.Error.Class == campaign.FailCanceled
 }
 
-// canonicalLine renders the entry's semantic content as one line of the
-// record's canonical text. Streams and coverage edge lists are folded
-// to length+digest so the canonical form stays readable; the digests
-// still pin every byte of them.
-func (e *Entry) canonicalLine() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cell %s/%s/%s seed=%d spec=%s", e.Version, e.Scenario, e.Mode, e.Seed, e.SpecDigest)
+// appendCanonicalLine appends the entry's semantic content as one line
+// of the record's canonical text, without the newline. Streams and
+// coverage edge lists are folded to length+digest so the canonical form
+// stays readable; the digests still pin every byte of them. Quoted
+// fields go through strconv.AppendQuote, which is what fmt's %q uses.
+func (e *Entry) appendCanonicalLine(b []byte) []byte {
+	b = append(b, "cell "...)
+	b = append(b, e.Version...)
+	b = append(b, '/')
+	b = append(b, e.Scenario...)
+	b = append(b, '/')
+	b = append(b, e.Mode...)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, e.Seed, 10)
+	b = append(b, " spec="...)
+	b = append(b, e.SpecDigest...)
 	if e.Verdict != nil {
 		mark := func(v bool) byte {
 			if v {
@@ -161,37 +193,59 @@ func (e *Entry) canonicalLine() string {
 			}
 			return '0'
 		}
-		fmt.Fprintf(&b, " verdict=%c%c%c", mark(e.Verdict.ErroneousState), mark(e.Verdict.SecurityViolation), mark(e.Verdict.Handled))
+		b = append(b, " verdict="...)
+		b = append(b, mark(e.Verdict.ErroneousState), mark(e.Verdict.SecurityViolation), mark(e.Verdict.Handled))
 		if e.Verdict.ScriptError != "" {
-			fmt.Fprintf(&b, " script-err=%q", e.Verdict.ScriptError)
+			b = append(b, " script-err="...)
+			b = strconv.AppendQuote(b, e.Verdict.ScriptError)
 		}
 	}
 	if e.Equivalence != nil {
 		cv := e.Equivalence
-		fmt.Fprintf(&b, " equiv=%s/%s", cv.Tier, cv.Basis)
+		b = append(b, " equiv="...)
+		b = append(b, cv.Tier...)
+		b = append(b, '/')
+		b = append(b, cv.Basis...)
 		if cv.RefVersion != "" {
-			fmt.Fprintf(&b, "@%s", cv.RefVersion)
+			b = append(b, '@')
+			b = append(b, cv.RefVersion...)
 		}
-		fmt.Fprintf(&b, ":%d/%d", cv.BaseEvents, cv.InjectionEvents)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(cv.BaseEvents), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(cv.InjectionEvents), 10)
 	}
 	if e.Coverage != nil {
-		fmt.Fprintf(&b, " cov=%sx%d", e.Coverage.Digest, e.Coverage.Edges)
+		b = append(b, " cov="...)
+		b = append(b, e.Coverage.Digest...)
+		b = append(b, 'x')
+		b = strconv.AppendInt(b, int64(e.Coverage.Edges), 10)
 	}
 	if e.Latency != nil && e.Latency.Found {
-		fmt.Fprintf(&b, " latency=%d", e.Latency.Events)
+		b = append(b, " latency="...)
+		b = strconv.AppendInt(b, e.Latency.Events, 10)
 	}
 	if e.SpanV != 0 {
-		fmt.Fprintf(&b, " span_v=%d", e.SpanV)
+		b = append(b, " span_v="...)
+		b = strconv.AppendUint(b, e.SpanV, 10)
 	}
 	if e.Profiled {
-		fmt.Fprintf(&b, " effects=%d:%s audit=%d:%s",
-			len(e.Effects), digest16(strings.Join(e.Effects, "\n")),
-			len(e.StateAudit), digest16(strings.Join(e.StateAudit, "\n")))
+		b = append(b, " effects="...)
+		b = strconv.AppendInt(b, int64(len(e.Effects)), 10)
+		b = append(b, ':')
+		b = append(b, digestLines(e.Effects)...)
+		b = append(b, " audit="...)
+		b = strconv.AppendInt(b, int64(len(e.StateAudit)), 10)
+		b = append(b, ':')
+		b = append(b, digestLines(e.StateAudit)...)
 	}
 	if e.Error != nil {
-		fmt.Fprintf(&b, " err=%s:%q", e.Error.Class, e.Error.Message)
+		b = append(b, " err="...)
+		b = append(b, e.Error.Class...)
+		b = append(b, ':')
+		b = strconv.AppendQuote(b, e.Error.Message)
 	}
-	return b.String()
+	return b
 }
 
 // Config is a run's identity: everything that determines the campaign's
@@ -371,15 +425,18 @@ func Settle(run *Run, entries []*Entry) *Record {
 // one line per entry in dispatch order. Nothing here depends on wall
 // time, completion order, worker count, or the fork path.
 func (r *Record) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "run %s\n", r.RunID)
-	fmt.Fprintf(&b, "config %s\n", r.Config.canonical())
-	fmt.Fprintf(&b, "cells %d completed %d\n", r.Cells, r.Completed)
+	b := append([]byte("run "), r.RunID...)
+	b = append(b, "\nconfig "...)
+	b = append(b, r.Config.canonical()...)
+	b = append(b, "\ncells "...)
+	b = strconv.AppendInt(b, int64(r.Cells), 10)
+	b = append(b, " completed "...)
+	b = strconv.AppendInt(b, int64(r.Completed), 10)
+	b = append(b, '\n')
 	for _, e := range r.Entries {
-		b.WriteString(e.canonicalLine())
-		b.WriteByte('\n')
+		b = append(e.appendCanonicalLine(b), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 func (r *Record) computeDigest() string { return digest16(r.Canonical()) }

@@ -14,7 +14,6 @@ import (
 func (m *Memory) allocFault() error {
 	if m.jrn != nil {
 		m.jrn.allocConsults++
-		m.jrn.record(jAllocConsult, 0, "")
 	}
 	if m.flt.Hit(faults.SiteAlloc) {
 		return fmt.Errorf("%w: %w (forced allocation failure)", ErrOutOfMemory, faults.ErrInjected)

@@ -3,6 +3,7 @@ package mm
 import (
 	"sync"
 
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -49,10 +50,8 @@ var zeroFrame = make([]byte, PageSize)
 type journalKind uint8
 
 const (
-	// jAllocConsult is one fault-plane consult at SiteAlloc.
-	jAllocConsult journalKind = iota + 1
 	// jCounter is one telemetry counter increment (name = counter).
-	jCounter
+	jCounter journalKind = iota + 1
 	// jTypeGet is one page-type validation reference (mfn, type name).
 	jTypeGet
 	// jTypePut is one page-type reference drop.
@@ -70,8 +69,9 @@ type journalOp struct {
 	name string
 }
 
-// bootJournal records the machine's boot-time telemetry, fault-plane
-// and span activity so a fork can replay it into per-cell sinks. All
+// bootJournal records the machine's boot-time telemetry and span
+// activity in order, and counts its fault-plane consults, so Seal can
+// fold it for forks to replay into per-cell sinks. All
 // boot-time sink traffic originates in this package (the hypervisor
 // and guest layers log to their consoles only), so the journal is a
 // complete transcript of what a fresh boot would have emitted.
@@ -90,7 +90,7 @@ func (j *bootJournal) record(kind journalKind, mfn uint64, name string) {
 }
 
 // Snapshot is a sealed, immutable image of a booted machine plus the
-// boot journal and a pool of reusable fork instances.
+// folded boot journal and a pool of reusable fork instances.
 type Snapshot struct {
 	frames      [][]byte
 	pageInfo    []PageInfo
@@ -100,17 +100,41 @@ type Snapshot struct {
 	freeCount   int
 	allocated   int
 
-	journal       []journalOp
-	allocConsults uint64
+	boot bootFold
 
 	mu   sync.Mutex
 	pool []*Memory
 }
 
-// Seal captures the machine as an immutable snapshot. The Memory must
-// not be used afterward: its backing arrays become the snapshot's
-// shared state, read concurrently by every fork.
-func (m *Memory) Seal() *Snapshot {
+// bootFold is the boot journal folded once per snapshot: what every
+// fork's replay adds up to in bulk, and the short ordered remainder it
+// must walk one by one.
+type bootFold struct {
+	allocConsults uint64
+	// counters and cov are the totals the journal's counter increments,
+	// page-type references and their coverage edges sum to.
+	counters []telemetry.CounterValue
+	cov      *coverage.Map
+	// events are the journal's page-type events in boot order, and spans
+	// its mm-op span opens and closes in the same order.
+	events []telemetry.Event
+	spans  []spanOp
+}
+
+// spanOp is one replayable mm-op span open or close, which the boot
+// performed once at of its events had been emitted.
+type spanOp struct {
+	at   int
+	name string
+	open bool
+}
+
+// Seal captures the machine as an immutable snapshot, folding the boot
+// journal (if one was recording) with fc classifying page-type frames
+// for coverage, the classifier the booted hypervisor installs. The
+// Memory must not be used afterward: its backing arrays become the
+// snapshot's shared state, read concurrently by every fork.
+func (m *Memory) Seal(fc coverage.FrameClassifier) *Snapshot {
 	s := &Snapshot{
 		frames:      m.frames,
 		pageInfo:    m.pageInfo,
@@ -121,18 +145,44 @@ func (m *Memory) Seal() *Snapshot {
 		allocated:   m.allocated,
 	}
 	if m.jrn != nil {
-		s.journal = m.jrn.ops
-		s.allocConsults = m.jrn.allocConsults
+		s.boot = m.jrn.fold(fc)
 		m.jrn = nil
 	}
 	return s
+}
+
+// fold drives the journal once through a temporary recorder, exactly as
+// a fresh boot drives a cell's, and keeps what it observed: its counter
+// readings, its coverage map and its events, with the span ops placed
+// between them.
+func (j *bootJournal) fold(fc coverage.FrameClassifier) bootFold {
+	rec := telemetry.NewRecorder(len(j.ops) + 1)
+	rec.AttachCoverage(coverage.NewMap())
+	rec.Coverage().SetFrameClassifier(fc)
+	f := bootFold{allocConsults: j.allocConsults}
+	for _, op := range j.ops {
+		switch op.kind {
+		case jCounter:
+			rec.Inc(op.name)
+		case jTypeGet:
+			rec.PageTypeGet(op.mfn, op.name)
+		case jTypePut:
+			rec.PageTypePut(op.mfn, op.name)
+		case jSpanStart:
+			f.spans = append(f.spans, spanOp{at: int(rec.Emitted()), name: op.name, open: true})
+		case jSpanEnd:
+			f.spans = append(f.spans, spanOp{at: int(rec.Emitted())})
+		}
+	}
+	f.counters, f.cov, f.events = rec.Counters(), rec.Coverage(), rec.Events()
+	return f
 }
 
 // BootAllocConsults returns how many times the boot consulted the
 // fault plane's allocation site. A cell whose injector would fire
 // within that many consults must boot fresh (the fault belongs inside
 // its boot), which Injector.WouldFire decides.
-func (s *Snapshot) BootAllocConsults() uint64 { return s.allocConsults }
+func (s *Snapshot) BootAllocConsults() uint64 { return s.boot.allocConsults }
 
 // NumFrames returns the sealed machine's size in frames.
 func (s *Snapshot) NumFrames() int { return len(s.frames) }
@@ -206,35 +256,40 @@ func (s *Snapshot) Recycle(m *Memory) {
 	s.mu.Unlock()
 }
 
-// Replay drives the boot journal through the given per-cell sinks,
-// reproducing exactly the event sequence, counter increments, span
-// structure and fault-plane consults a fresh boot would have produced
-// — including sink-write fault drops, because replayed events pass
-// through the recorder's own emit path. All three sinks are nil-safe;
-// with none attached the replay is skipped entirely.
+// Replay reproduces in the given per-cell sinks exactly the event
+// sequence, counter readings, coverage edges, span structure and
+// fault-plane consults a fresh boot would have produced. The folded
+// totals go in bulk: the injector's SiteAlloc hits, the counters and
+// the coverage map. The events then pass one by one through the
+// recorder's emit path — so sink-write faults drop them, and Seq and
+// the span tree's virtual clock advance, exactly as on a fresh boot —
+// with the mm-op spans opened and closed between them. A SiteAlloc
+// rule armed inside the boot window must boot fresh instead (see
+// BootAllocConsults). All three sinks are nil-safe; with none attached
+// the replay is skipped entirely.
 func (s *Snapshot) Replay(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) {
 	if tel == nil && flt == nil && tree == nil {
 		return
 	}
+	b := &s.boot
+	flt.HitN(faults.SiteAlloc, b.allocConsults)
+	for _, c := range b.counters {
+		tel.Add(c.Name, c.Value)
+	}
+	tel.Coverage().Merge(b.cov)
 	var stack []int
-	for i := range s.journal {
-		op := &s.journal[i]
-		switch op.kind {
-		case jAllocConsult:
-			flt.Hit(faults.SiteAlloc)
-		case jCounter:
-			tel.Inc(op.name)
-		case jTypeGet:
-			tel.PageTypeGet(op.mfn, op.name)
-		case jTypePut:
-			tel.PageTypePut(op.mfn, op.name)
-		case jSpanStart:
-			stack = append(stack, tree.MMOp(op.name))
-		case jSpanEnd:
-			if n := len(stack); n > 0 {
+	k := 0
+	for i := 0; i <= len(b.events); i++ {
+		for ; k < len(b.spans) && b.spans[k].at == i; k++ {
+			if op := &b.spans[k]; op.open {
+				stack = append(stack, tree.MMOp(op.name))
+			} else if n := len(stack); n > 0 {
 				tree.End(stack[n-1])
 				stack = stack[:n-1]
 			}
+		}
+		if i < len(b.events) {
+			tel.Restore(b.events[i])
 		}
 	}
 }

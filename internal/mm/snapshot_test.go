@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -30,7 +31,7 @@ func TestSnapshotForkContentIsolation(t *testing.T) {
 	if err := m.WritePhys(mfn.Addr(), []byte("sealed")); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal()
+	s := m.Seal(nil)
 
 	a, b := s.Fork(), s.Fork()
 	read := func(fm *Memory) string {
@@ -65,7 +66,7 @@ func TestSnapshotForkAllocatorIsolation(t *testing.T) {
 	if _, err := m.AllocRange(8, DomXen); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal()
+	s := m.Seal(nil)
 
 	a, b := s.Fork(), s.Fork()
 	fa, err := a.Alloc(Dom0)
@@ -110,7 +111,7 @@ func TestSnapshotForkM2PAndTypeIsolation(t *testing.T) {
 	if err := p2m.Set(7, mfn); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal()
+	s := m.Seal(nil)
 
 	a := s.Fork()
 	fp := p2m.ForkOnto(a)
@@ -155,7 +156,7 @@ func TestRecycleReturnsPristineFork(t *testing.T) {
 	if err := m.WritePhys(mfn.Addr(), []byte("sealed")); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal()
+	s := m.Seal(nil)
 
 	f := s.Fork()
 	if err := f.WritePhys(mfn.Addr(), []byte("dirty!")); err != nil {
@@ -198,9 +199,9 @@ func TestRecycleReturnsPristineFork(t *testing.T) {
 // TestRecycleRejectsForeignMemory: only forks of this snapshot enter
 // the pool; fresh machines and other snapshots' forks are ignored.
 func TestRecycleRejectsForeignMemory(t *testing.T) {
-	s := testMemory(t, 64).Seal()
-	s.Recycle(testMemory(t, 64))               // fresh machine
-	s.Recycle(testMemory(t, 64).Seal().Fork()) // another snapshot's fork
+	s := testMemory(t, 64).Seal(nil)
+	s.Recycle(testMemory(t, 64))                  // fresh machine
+	s.Recycle(testMemory(t, 64).Seal(nil).Fork()) // another snapshot's fork
 	s.Recycle(nil)
 	if got := s.PoolSize(); got != 0 {
 		t.Errorf("pool size %d after foreign recycles, want 0", got)
@@ -208,9 +209,16 @@ func TestRecycleRejectsForeignMemory(t *testing.T) {
 }
 
 // TestJournalReplayMatchesFreshBoot: replaying the boot journal into
-// fresh sinks reproduces exactly the events, counters and span
-// structure the same operations emit when the sinks are attached live.
+// fresh sinks reproduces exactly the events, counters, coverage edges
+// and span structure the same operations emit when the sinks are
+// attached live.
 func TestJournalReplayMatchesFreshBoot(t *testing.T) {
+	fc := func(mfn uint64) string {
+		if mfn < 4 {
+			return "hv-text"
+		}
+		return "general"
+	}
 	ops := func(m *Memory) {
 		if _, err := m.AllocRange(4, DomXen); err != nil {
 			t.Fatal(err)
@@ -237,6 +245,8 @@ func TestJournalReplayMatchesFreshBoot(t *testing.T) {
 	// Reference: the same operations with live sinks.
 	ref := testMemory(t, 64)
 	refRec := telemetry.NewRecorder(0)
+	refRec.AttachCoverage(coverage.NewMap())
+	refRec.Coverage().SetFrameClassifier(fc)
 	refTree := span.NewTree("cell", refRec.Emitted)
 	ref.AttachTelemetry(refRec)
 	ref.AttachSpans(refTree)
@@ -246,9 +256,10 @@ func TestJournalReplayMatchesFreshBoot(t *testing.T) {
 	proto := testMemory(t, 64)
 	proto.StartBootJournal()
 	ops(proto)
-	s := proto.Seal()
+	s := proto.Seal(fc)
 	fm := s.Fork()
 	rec := telemetry.NewRecorder(0)
+	rec.AttachCoverage(coverage.NewMap())
 	tree := span.NewTree("cell", rec.Emitted)
 	fm.AttachTelemetry(rec)
 	fm.AttachSpans(tree)
@@ -262,6 +273,10 @@ func TestJournalReplayMatchesFreshBoot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Counters(), refRec.Counters()) {
 		t.Errorf("replayed counters differ from fresh boot\nreplay: %v\nfresh:  %v", rec.Counters(), refRec.Counters())
+	}
+	got, want := coverage.Canonical(rec.Coverage().Edges()), coverage.Canonical(refRec.Coverage().Edges())
+	if got != want || want == "" {
+		t.Errorf("replayed coverage differs from fresh boot\nreplay:\n%s\nfresh:\n%s", got, want)
 	}
 	// Compare the spans' canonical structure; StartNS/EndNS are wall
 	// clock and excluded from every canonical surface.
@@ -294,7 +309,7 @@ func TestJournalReplayAdvancesFaultPlane(t *testing.T) {
 	if _, err := proto.Alloc(Dom0); err != nil {
 		t.Fatal(err)
 	}
-	s := proto.Seal()
+	s := proto.Seal(nil)
 
 	inj := faults.NewInjector().Arm(faults.SiteAlloc, s.BootAllocConsults()+1)
 	if inj.WouldFire(faults.SiteAlloc, s.BootAllocConsults()) {

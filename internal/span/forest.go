@@ -2,7 +2,7 @@ package span
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -263,32 +263,41 @@ func AnalyzeCriticalPath(b *Batch, workers int) CriticalPath {
 // and epoch are excluded, so the rendering is byte-identical at any
 // worker count — it is the golden-pin and digest surface.
 func (f *Forest) Canonical() string {
-	var b strings.Builder
+	var b []byte
 	for bi := range f.Batches {
 		batch := &f.Batches[bi]
-		fmt.Fprintf(&b, "%s cells=%d\n", batch.Name, len(batch.Cells))
+		b = append(b, batch.Name...)
+		b = append(b, " cells="...)
+		b = strconv.AppendInt(b, int64(len(batch.Cells)), 10)
+		b = append(b, '\n')
 		for _, cs := range batch.Cells {
-			writeCanonicalTree(&b, cs)
+			b = appendCanonicalTree(b, cs)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// writeCanonicalTree renders one cell's canonical lines.
-func writeCanonicalTree(b *strings.Builder, cs *CellSpans) {
+// appendCanonicalTree appends one cell's canonical lines. Span names
+// are quoted with strconv.AppendQuote, fmt's %q.
+func appendCanonicalTree(b []byte, cs *CellSpans) []byte {
+	b = append(b, "  "...)
+	b = append(b, cs.Cell...)
 	if cs.Tree == nil {
-		fmt.Fprintf(b, "  %s abandoned class=%s\n", cs.Cell, cs.Class)
-		return
+		b = append(b, " abandoned class="...)
+		b = append(b, cs.Class...)
+		return append(b, '\n')
 	}
-	lat := "latency=-"
+	b = append(b, " latency="...)
 	if cs.Latency.Found {
-		lat = fmt.Sprintf("latency=%d", cs.Latency.Events)
+		b = strconv.AppendInt(b, cs.Latency.Events, 10)
+	} else {
+		b = append(b, '-')
 	}
-	fmt.Fprintf(b, "  %s %s", cs.Cell, lat)
 	if cs.Class != "" {
-		fmt.Fprintf(b, " class=%s", cs.Class)
+		b = append(b, " class="...)
+		b = append(b, cs.Class...)
 	}
-	b.WriteString("\n")
+	b = append(b, '\n')
 	spans := cs.Tree.Spans()
 	depth := make([]int, len(spans))
 	for i := range spans {
@@ -298,10 +307,21 @@ func writeCanonicalTree(b *strings.Builder, cs *CellSpans) {
 			d = depth[s.Parent] + 1
 		}
 		depth[i] = d
-		fmt.Fprintf(b, "  %s%s %q [%d,%d]", strings.Repeat("  ", d+1), s.Kind, s.Name, s.StartV, s.EndV)
-		if s.Aborted {
-			b.WriteString(" aborted")
+		for j := 0; j < d+2; j++ {
+			b = append(b, "  "...)
 		}
-		b.WriteString("\n")
+		b = append(b, s.Kind.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, s.Name)
+		b = append(b, " ["...)
+		b = strconv.AppendUint(b, s.StartV, 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, s.EndV, 10)
+		b = append(b, ']')
+		if s.Aborted {
+			b = append(b, " aborted"...)
+		}
+		b = append(b, '\n')
 	}
+	return b
 }

@@ -10,6 +10,7 @@ package span_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -376,5 +377,73 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	// process_name + 2 worker tracks; 2 spans per settled cell.
 	if meta != 3 || complete != 4 {
 		t.Errorf("got %d metadata / %d complete events, want 3/4", meta, complete)
+	}
+}
+
+// fmtCanonical is Forest.Canonical as it was written with fmt, the
+// format the span-forest golden and the RQ3 digests pin.
+func fmtCanonical(f *span.Forest) string {
+	var b strings.Builder
+	for _, batch := range f.Batches {
+		fmt.Fprintf(&b, "%s cells=%d\n", batch.Name, len(batch.Cells))
+		for _, cs := range batch.Cells {
+			if cs.Tree == nil {
+				fmt.Fprintf(&b, "  %s abandoned class=%s\n", cs.Cell, cs.Class)
+				continue
+			}
+			lat := "latency=-"
+			if cs.Latency.Found {
+				lat = fmt.Sprintf("latency=%d", cs.Latency.Events)
+			}
+			fmt.Fprintf(&b, "  %s %s", cs.Cell, lat)
+			if cs.Class != "" {
+				fmt.Fprintf(&b, " class=%s", cs.Class)
+			}
+			b.WriteString("\n")
+			spans := cs.Tree.Spans()
+			depth := make([]int, len(spans))
+			for i, s := range spans {
+				d := 0
+				if s.Parent >= 0 {
+					d = depth[s.Parent] + 1
+				}
+				depth[i] = d
+				fmt.Fprintf(&b, "  %s%s %q [%d,%d]", strings.Repeat("  ", d+1), s.Kind, s.Name, s.StartV, s.EndV)
+				if s.Aborted {
+					b.WriteString(" aborted")
+				}
+				b.WriteString("\n")
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestCanonicalFormat pins the canonical tree lines to their fmt
+// rendering on quoted and non-ASCII span names, a zero latency, a
+// failure class, aborted spans and an abandoned cell.
+func TestCanonicalFormat(t *testing.T) {
+	tr, v := clockTree("4.6/XSA-\"q\"/injection")
+	*v = 2
+	tr.MMOp(`alloc "«é»"` + "\t\u2028")
+	*v = 5
+	tr.Phase("")
+	tr.Abort()
+	c := span.NewCollector()
+	c.StartBatch([]string{"4.6/XSA-\"q\"/injection", "4.13/b/exploit"})
+	c.FinishCell(&span.CellSpans{Cell: "4.6/XSA-\"q\"/injection", Class: "error", Latency: span.Latency{Found: true}, Tree: tr})
+	c.FinishCell(&span.CellSpans{Cell: "4.13/b/exploit", Class: "hang"})
+	f := c.Forest()
+	want := "batch01 cells=2\n" +
+		"  4.6/XSA-\"q\"/injection latency=0 class=error\n" +
+		"    cell \"4.6/XSA-\\\"q\\\"/injection\" [0,5]\n" +
+		"      mm_op \"alloc \\\"«é»\\\"\\t\\u2028\" [2,5] aborted\n" +
+		"        phase \"\" [5,5] aborted\n" +
+		"  4.13/b/exploit abandoned class=hang\n"
+	if got := f.Canonical(); got != want {
+		t.Errorf("Canonical() =\n%s\nwant\n%s", got, want)
+	}
+	if got := fmtCanonical(f); got != want {
+		t.Errorf("fmt rendering =\n%s\nwant\n%s", got, want)
 	}
 }

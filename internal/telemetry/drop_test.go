@@ -88,7 +88,7 @@ func TestCoverageUnperturbedBySinkFaults(t *testing.T) {
 	r := NewRecorder(4)
 	r.AttachCoverage(coverage.NewMap())
 	r.AttachFaults(faults.NewInjector().Arm(faults.SiteSinkWrite, 1))
-	r.HypercallExit(1, 1, "mmu_update", nil)
+	r.HypercallExit(1, 1, NewOp("hypercall", "mmu_update"), nil)
 	if got := r.Emitted(); got != 0 {
 		t.Errorf("Emitted = %d, want 0 (write faulted)", got)
 	}

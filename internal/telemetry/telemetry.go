@@ -231,6 +231,18 @@ func (r *Recorder) emit(e Event) {
 	r.emitted++
 }
 
+// Restore emits an event some other recorder already counted and
+// covered: it passes the sink path — sink-write faults, Seq numbering,
+// the ring — and nothing else. A snapshot fork restores its boot
+// journal's events this way, after adding the journal's counters and
+// coverage in bulk.
+func (r *Recorder) Restore(e Event) {
+	if r == nil {
+		return
+	}
+	r.emit(e)
+}
+
 // Add increments a named counter by n.
 func (r *Recorder) Add(name string, n uint64) {
 	if r == nil {
@@ -242,23 +254,36 @@ func (r *Recorder) Add(name string, n uint64) {
 // Inc increments a named counter by one.
 func (r *Recorder) Inc(name string) { r.Add(name, 1) }
 
-// HypercallEnter records dispatcher entry. name is the hypercall's
-// symbolic name, used as the counter key ("hypercall.mmu_update").
-func (r *Recorder) HypercallEnter(dom uint16, nr int32, name string) {
+// Op is one instrumented operation's wire label together with its
+// counter key: Counter is "grant.map" for the grant op "map". Build
+// each Op once, where the operation is declared, so recording the
+// operation builds no key.
+type Op struct {
+	Label, Counter string
+}
+
+// NewOp builds the Op for an operation label of a counter family:
+// "hypercall" for HypercallEnter/HypercallExit, "grant" for GrantOp,
+// "domctl" for DomctlOp.
+func NewOp(family, label string) Op { return Op{Label: label, Counter: family + "." + label} }
+
+// HypercallEnter records dispatcher entry. op is the hypercall's
+// symbolic name and its counter key ("hypercall.mmu_update").
+func (r *Recorder) HypercallEnter(dom uint16, nr int32, op Op) {
 	if r == nil {
 		return
 	}
-	r.counters["hypercall."+name]++
-	r.emit(Event{Kind: KindHypercallEnter, Dom: dom, Nr: nr, Label: name})
+	r.counters[op.Counter]++
+	r.emit(Event{Kind: KindHypercallEnter, Dom: dom, Nr: nr, Label: op.Label})
 }
 
 // HypercallExit records dispatcher exit; err may be nil.
-func (r *Recorder) HypercallExit(dom uint16, nr int32, name string, err error) {
+func (r *Recorder) HypercallExit(dom uint16, nr int32, op Op, err error) {
 	if r == nil {
 		return
 	}
-	r.cov.Hypercall(int(nr), name, err != nil)
-	e := Event{Kind: KindHypercallExit, Dom: dom, Nr: nr, Label: name}
+	r.cov.Hypercall(int(nr), op.Label, err != nil)
+	e := Event{Kind: KindHypercallExit, Dom: dom, Nr: nr, Label: op.Label}
 	if err != nil {
 		r.counters["hypercall.errors"]++
 		e.Detail = err.Error()
@@ -374,23 +399,23 @@ func (r *Recorder) EvidenceState(useCase, line string) {
 }
 
 // GrantOp records a grant-table operation.
-func (r *Recorder) GrantOp(dom uint16, op string, ref int) {
+func (r *Recorder) GrantOp(dom uint16, op Op, ref int) {
 	if r == nil {
 		return
 	}
-	r.cov.GrantOp(op)
-	r.counters["grant."+op]++
-	r.emit(Event{Kind: KindGrantOp, Dom: dom, Val: uint64(ref), Label: op})
+	r.cov.GrantOp(op.Label)
+	r.counters[op.Counter]++
+	r.emit(Event{Kind: KindGrantOp, Dom: dom, Val: uint64(ref), Label: op.Label})
 }
 
 // DomctlOp records a management-plane operation on a target domain.
-func (r *Recorder) DomctlOp(dom uint16, op string, target uint16) {
+func (r *Recorder) DomctlOp(dom uint16, op Op, target uint16) {
 	if r == nil {
 		return
 	}
-	r.cov.DomctlOp(op)
-	r.counters["domctl."+op]++
-	r.emit(Event{Kind: KindDomctlOp, Dom: dom, Val: uint64(target), Label: op})
+	r.cov.DomctlOp(op.Label)
+	r.counters[op.Counter]++
+	r.emit(Event{Kind: KindDomctlOp, Dom: dom, Val: uint64(target), Label: op.Label})
 }
 
 // Enabled reports whether the recorder is collecting (false for nil).

@@ -15,8 +15,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Inc("x")
 	r.Add("x", 3)
-	r.HypercallEnter(1, 2, "mmu_update")
-	r.HypercallExit(1, 2, "mmu_update", errors.New("boom"))
+	r.HypercallEnter(1, 2, NewOp("hypercall", "mmu_update"))
+	r.HypercallExit(1, 2, NewOp("hypercall", "mmu_update"), errors.New("boom"))
 	r.PageTypeGet(5, "l1")
 	r.PageTypePut(5, "l1")
 	r.ValidationReject(1, 2, "nope")
@@ -26,8 +26,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.InjectorTransition(3, "initial", "erroneous", "KEEP_PAGE_ACCESS")
 	r.ScenarioStep("XSA-148-priv", "step")
 	r.Evidence("XSA-148-priv", "evidence")
-	r.GrantOp(2, "map", 7)
-	r.DomctlOp(0, "pause", 2)
+	r.GrantOp(2, NewOp("grant", "map"), 7)
+	r.DomctlOp(0, NewOp("domctl", "pause"), 2)
+	r.Restore(Event{Kind: KindPageTypeGet})
 	if r.Enabled() {
 		t.Error("nil recorder reports Enabled")
 	}
@@ -74,11 +75,11 @@ func TestRingWraparound(t *testing.T) {
 // the error-only Detail of hypercall exits.
 func TestRecorderCountersSortedAndTyped(t *testing.T) {
 	r := NewRecorder(0)
-	r.HypercallEnter(1, 1, "mmu_update")
-	r.HypercallExit(1, 1, "mmu_update", nil)
-	r.HypercallEnter(1, 20, "grant_table_op")
-	r.HypercallExit(1, 20, "grant_table_op", errors.New("refused"))
-	r.GrantOp(1, "map", 3)
+	r.HypercallEnter(1, 1, NewOp("hypercall", "mmu_update"))
+	r.HypercallExit(1, 1, NewOp("hypercall", "mmu_update"), nil)
+	r.HypercallEnter(1, 20, NewOp("hypercall", "grant_table_op"))
+	r.HypercallExit(1, 20, NewOp("hypercall", "grant_table_op"), errors.New("refused"))
+	r.GrantOp(1, NewOp("grant", "map"), 3)
 
 	counters := r.Counters()
 	for i := 1; i < len(counters); i++ {
@@ -112,8 +113,8 @@ func TestRecorderCountersSortedAndTyped(t *testing.T) {
 // TestJSONLRoundTrip writes profiles and reads them back.
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(0)
-	r.HypercallEnter(1, 1, "mmu_update")
-	r.HypercallExit(1, 1, "mmu_update", nil)
+	r.HypercallEnter(1, 1, NewOp("hypercall", "mmu_update"))
+	r.HypercallExit(1, 1, NewOp("hypercall", "mmu_update"), nil)
 	r.PageTypeGet(42, "l1")
 	p := r.Profile("4.6/XSA-148-priv/injection", 123456)
 

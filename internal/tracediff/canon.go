@@ -15,8 +15,6 @@
 package tracediff
 
 import (
-	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -61,30 +59,42 @@ func (e Event) equal(o Event) bool {
 
 // String renders the event compactly for divergence evidence.
 func (e Event) String() string {
-	var b strings.Builder
-	b.WriteString(e.Kind)
+	var buf [128]byte
+	return string(e.appendText(buf[:0]))
+}
+
+// appendText appends the String rendering of the event to b. Quoted
+// fields go through strconv.AppendQuote, which is what fmt's %q uses.
+func (e Event) appendText(b []byte) []byte {
+	b = append(b, e.Kind...)
 	if e.Dom != 0 {
-		fmt.Fprintf(&b, " dom=%d", e.Dom)
+		b = append(b, " dom="...)
+		b = strconv.AppendUint(b, uint64(e.Dom), 10)
 	}
 	if e.Nr != 0 {
-		fmt.Fprintf(&b, " nr=%d", e.Nr)
+		b = append(b, " nr="...)
+		b = strconv.AppendInt(b, int64(e.Nr), 10)
 	}
 	if e.Addr != "0" {
-		fmt.Fprintf(&b, " addr=%s", e.Addr)
+		b = append(b, " addr="...)
+		b = append(b, e.Addr...)
 	}
 	if e.Val != "0" {
-		fmt.Fprintf(&b, " val=%s", e.Val)
+		b = append(b, " val="...)
+		b = append(b, e.Val...)
 	}
 	if e.Label != "" {
-		fmt.Fprintf(&b, " label=%q", e.Label)
+		b = append(b, " label="...)
+		b = strconv.AppendQuote(b, e.Label)
 	}
 	if e.Detail != "" {
-		fmt.Fprintf(&b, " detail=%q", e.Detail)
+		b = append(b, " detail="...)
+		b = strconv.AppendQuote(b, e.Detail)
 	}
 	if e.StateAudit {
-		b.WriteString(" [state-audit]")
+		b = append(b, " [state-audit]"...)
 	}
-	return b.String()
+	return b
 }
 
 // Effect kinds: the events that express what a run *did to the system*
@@ -208,17 +218,18 @@ func (c *Canonicalizer) classify(v uint64) string {
 	}
 }
 
-// hexPrefixed matches 0x literals; bareHex matches unprefixed runs of
-// four or more hex digits (checked for at least one decimal digit
-// before replacing, so hex-alphabet words like "dead" survive).
-var (
-	hexPrefixed = regexp.MustCompile(`0x[0-9a-fA-F]+`)
-	bareHex     = regexp.MustCompile(`\b[0-9a-fA-F]{4,}\b`)
-)
-
 // normalizeText masks the run-identity tokens out of a label or detail
 // string: the run's own version banner, the mode words, and every
 // address-bearing hex literal (classified like numeric operands).
+//
+// The hex masking is two scans, each equivalent to one regexp pass
+// (the reference passes live in the tests, which fuzz the scanners
+// against them): first every 0x literal, `0x[0-9a-fA-F]+`, then every
+// bare run of four or more hex digits standing as a whole word,
+// `\b[0-9a-fA-F]{4,}\b`, over the first scan's output. A bare run
+// is masked only when it holds a decimal digit, so hex-alphabet words
+// like "dead" survive, and a literal too long for 64 bits stays as it
+// is.
 func (c *Canonicalizer) normalizeText(s string) string {
 	if s == "" {
 		return s
@@ -228,22 +239,72 @@ func (c *Canonicalizer) normalizeText(s string) string {
 	}
 	s = strings.ReplaceAll(s, "injection", placeholderMode)
 	s = strings.ReplaceAll(s, "exploit", placeholderMode)
-	s = hexPrefixed.ReplaceAllStringFunc(s, func(tok string) string {
-		v, err := strconv.ParseUint(tok[2:], 16, 64)
-		if err != nil {
-			return tok
+	return c.maskBareHex(c.maskHexPrefixed(s))
+}
+
+// maskHexPrefixed classifies every leftmost-longest `0x[0-9a-fA-F]+`
+// literal in s. It returns s itself when nothing changes.
+func (c *Canonicalizer) maskHexPrefixed(s string) string {
+	var b []byte
+	done := 0 // s[:done] is already in b
+	for i := 0; i+2 < len(s); {
+		if s[i] != '0' || s[i+1] != 'x' || !isHex(s[i+2]) {
+			i++
+			continue
 		}
-		return c.classify(v)
-	})
-	s = bareHex.ReplaceAllStringFunc(s, func(tok string) string {
-		if !strings.ContainsAny(tok, "0123456789") {
-			return tok
+		j := i + 3
+		for j < len(s) && isHex(s[j]) {
+			j++
 		}
-		v, err := strconv.ParseUint(tok, 16, 64)
-		if err != nil {
-			return tok
+		if v, err := strconv.ParseUint(s[i+2:j], 16, 64); err == nil {
+			b = append(append(b, s[done:i]...), c.classify(v)...)
+			done = j
 		}
-		return c.classify(v)
-	})
-	return s
+		i = j
+	}
+	if b == nil {
+		return s
+	}
+	return string(append(b, s[done:]...))
+}
+
+// maskBareHex classifies every word of s — a maximal run of ASCII
+// [0-9A-Za-z_], so both its ends are `\b` boundaries — that is four or
+// more hex digits long and holds a decimal digit. It returns s itself
+// when nothing changes.
+func (c *Canonicalizer) maskBareHex(s string) string {
+	var b []byte
+	done := 0
+	for i := 0; i < len(s); {
+		if !isWord(s[i]) {
+			i++
+			continue
+		}
+		j, hex, digit := i, true, false
+		for ; j < len(s) && isWord(s[j]); j++ {
+			hex = hex && isHex(s[j])
+			digit = digit || s[j] >= '0' && s[j] <= '9'
+		}
+		if hex && digit && j-i >= 4 {
+			if v, err := strconv.ParseUint(s[i:j], 16, 64); err == nil {
+				b = append(append(b, s[done:i]...), c.classify(v)...)
+				done = j
+			}
+		}
+		i = j
+	}
+	if b == nil {
+		return s
+	}
+	return string(append(b, s[done:]...))
+}
+
+func isHex(ch byte) bool {
+	return ch >= '0' && ch <= '9' || ch >= 'a' && ch <= 'f' || ch >= 'A' && ch <= 'F'
+}
+
+// isWord is regexp's ASCII `\w`; every other byte, UTF-8 included,
+// is a word boundary.
+func isWord(ch byte) bool {
+	return ch >= '0' && ch <= '9' || ch >= 'a' && ch <= 'z' || ch >= 'A' && ch <= 'Z' || ch == '_'
 }

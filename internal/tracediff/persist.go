@@ -28,12 +28,14 @@ func CanonicalStreams(version string, machineFrames uint64, evs []telemetry.Even
 		}
 	}
 	effectLines = make([]string, 0, n)
+	var buf []byte
 	for i := range evs {
 		if !isEffectKind(evs[i].Kind) {
 			continue
 		}
 		e := c.event(&evs[i])
-		line := e.String()
+		buf = e.appendText(buf[:0])
+		line := string(buf)
 		effectLines = append(effectLines, line)
 		if e.StateAudit {
 			auditLines = append(auditLines, line)
