@@ -107,7 +107,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // BenchmarkMatrixParallel's pre-telemetry numbers (the same guard
 // covers the event bus — a nil Sched hook is the same
 // predicted-not-taken nil branch); "server" tracks the -listen
-// overhead recorded in BENCH_obs.json; "coverage" tracks the cost of
+// overhead recorded in BENCH_matrix.json; "coverage" tracks the cost of
 // the per-cell coverage maps on top of plain telemetry (the -coverage
 // flag's overhead — with coverage disabled, "on" is the baseline that
 // must not move); "stream" tracks the timeline publishing on an event
@@ -627,11 +627,11 @@ func BenchmarkAblationScanGranularity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		scen, err := exploits.ScenarioByName("XSA-148-priv")
+		spec, err := exploits.SpecByName("XSA-148-priv")
 		if err != nil {
 			b.Fatal(err)
 		}
-		return e, scen.Run(env)
+		return e, spec.Run(env)
 	}
 	b.Run("per-page-64B", func(b *testing.B) {
 		e, o := newWindow(b)

@@ -25,10 +25,15 @@ func main() {
 	type cell struct{ errState, secViol, handled bool }
 	results := make(map[string]map[string]cell)
 
-	var refs []campaign.CellRef
+	specs := exploits.Specs()
+	var versions []string
 	for _, v := range hv.Versions() {
-		for _, s := range exploits.Scenarios() {
-			refs = append(refs, campaign.CellRef{Version: v.Name, UseCase: s.Name, Mode: campaign.ModeInjection})
+		versions = append(versions, v.Name)
+	}
+	var refs []campaign.CellRef
+	for _, ref := range campaign.MatrixRefs(versions, specs) {
+		if ref.Mode == campaign.ModeInjection {
+			refs = append(refs, ref)
 		}
 	}
 	entries, err := (&campaign.Runner{}).RunCellRefs(context.Background(), refs)
@@ -58,7 +63,7 @@ func main() {
 		fmt.Printf(" | %-7s state viol", v.Name)
 	}
 	fmt.Println()
-	for _, s := range exploits.Scenarios() {
+	for _, s := range specs {
 		fmt.Printf("%-16s", s.Name)
 		for _, v := range hv.Versions() {
 			c := results[s.Name][v.Name]
@@ -70,7 +75,7 @@ func main() {
 	// The assessment conclusion of Section VIII.
 	fmt.Println()
 	handled := 0
-	for _, s := range exploits.Scenarios() {
+	for _, s := range specs {
 		if !results[s.Name]["4.13"].handled {
 			continue
 		}
@@ -89,5 +94,5 @@ func main() {
 	}
 	fmt.Printf("\nassessment: 4.13 tolerates %d of %d injected states -> a measurably "+
 		"different security level,\nlater attributable to the XSA-213..315 "+
-		"follow-up hardening (Section VIII).\n", handled, len(exploits.Scenarios()))
+		"follow-up hardening (Section VIII).\n", handled, len(specs))
 }

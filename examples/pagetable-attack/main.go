@@ -26,12 +26,12 @@ func runCase(v hv.Version, mode campaign.Mode) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scen, err := exploits.ScenarioByName("XSA-148-priv")
+	spec, err := exploits.SpecByName("XSA-148-priv")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("=== XSA-148-priv, %s mode, Xen %s ===\n", mode, v.Name)
-	o := scen.Run(senv)
+	o := spec.Run(senv)
 	for _, l := range o.Log {
 		fmt.Println("  " + l)
 	}

@@ -41,7 +41,7 @@ func main() {
 	// 3. Run a full injection script: the XSA-182 erroneous state
 	// (writable recursive page-table mapping) on a version where the
 	// vulnerability does not exist.
-	scen, err := exploits.ScenarioByName("XSA-182-test")
+	spec, err := exploits.SpecByName("XSA-182-test")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	outcome := scen.Run(senv)
+	outcome := spec.Run(senv)
 	fmt.Println("\ninjection transcript:")
 	for _, line := range outcome.Log {
 		fmt.Println("  " + line)

@@ -13,13 +13,13 @@ import (
 	"repro/internal/hv"
 )
 
-func TestScenariosReturnsFreshCopies(t *testing.T) {
-	a := exploits.Scenarios()
+func TestSpecsReturnsFreshCopies(t *testing.T) {
+	a := exploits.Specs()
 	a[0].Name = "CLOBBERED"
 	a[0].Run = nil
-	b := exploits.Scenarios()
+	b := exploits.Specs()
 	if b[0].Name != "XSA-212-crash" || b[0].Run == nil {
-		t.Errorf("mutating one Scenarios() result bled into the next call: %+v", b[0])
+		t.Errorf("mutating one Specs() result bled into the next call: %+v", b[0].Name)
 	}
 }
 

@@ -33,9 +33,10 @@ type AvailabilityRow struct {
 // handled states leave it intact — the dependability-benchmark view of
 // Table III.
 func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]AvailabilityRow, error) {
-	rows := make([]AvailabilityRow, 0, len(exploits.Scenarios()))
-	for _, scen := range exploits.Scenarios() {
-		if spec, err := exploits.SpecByName(scen.Name); err != nil || !spec.AppliesTo(v.Name) {
+	specs := exploits.Specs()
+	rows := make([]AvailabilityRow, 0, len(specs))
+	for _, spec := range specs {
+		if !spec.AppliesTo(v.Name) {
 			continue
 		}
 		e, err := NewEnvironment(v, ModeInjection)
@@ -46,12 +47,12 @@ func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]Availabili
 		if err != nil {
 			return nil, err
 		}
-		outcome := scen.Run(env)
+		outcome := spec.Run(env)
 		victim := e.Guests[1] // guest01: neither dom0 nor the attacker
 		res := workload.Run(victim, cfg)
 		rows = append(rows, AvailabilityRow{
 			Version:          v.Name,
-			UseCase:          scen.Name,
+			UseCase:          spec.Name,
 			Injected:         outcome.ErroneousState,
 			Violation:        e.HV.Crashed(),
 			VictimCompletion: res.CompletionRate(cfg),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exploits"
 	"repro/internal/hv"
 	"repro/internal/telemetry"
 )
@@ -17,16 +18,31 @@ import (
 // see strictly less of the batch than the parallel run it was meant to
 // debug.
 
-// batchWithFailures puts bogus use cases in the middle and at the end,
+// panicking is a spec whose scenario panics: a failing cell that
+// resolution cannot reject up front, unlike an unknown use-case name.
+func panicking(name string) *exploits.Spec {
+	return &exploits.Spec{Name: name, Run: func(*exploits.Env) *exploits.Outcome { panic(name + " panicked") }}
+}
+
+// batchWithFailures puts panicking cells in the middle and at the end,
 // with valid cells after the first failure.
-func batchWithFailures() []cell {
+func batchWithFailures(t *testing.T) []cell {
+	t.Helper()
+	p := campaignPlan()
+	spec := func(name string) *exploits.Spec {
+		s, err := p.spec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	v := hv.Version46()
 	return []cell{
-		{v, "XSA-182-test", ModeExploit},
-		{v, "no-such-use-case", ModeExploit},
-		{v, "XSA-182-test", ModeInjection},
-		{v, "also-missing", ModeInjection},
-		{v, "XSA-148-priv", ModeExploit},
+		{v, spec("XSA-182-test"), ModeExploit},
+		{v, panicking("first-panic"), ModeExploit},
+		{v, spec("XSA-182-test"), ModeInjection},
+		{v, panicking("second-panic"), ModeInjection},
+		{v, spec("XSA-148-priv"), ModeExploit},
 	}
 }
 
@@ -34,7 +50,7 @@ func runBatch(t *testing.T, workers int) (string, uint64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	r := &Runner{Workers: workers, Telemetry: reg}
-	_, err := r.runEntries(context.Background(), batchWithFailures())
+	_, err := r.runEntries(context.Background(), batchWithFailures(t))
 	if err == nil {
 		t.Fatalf("workers=%d: batch with bogus cells succeeded", workers)
 	}
@@ -49,7 +65,7 @@ func runBatch(t *testing.T, workers int) (string, uint64) {
 
 func TestSerialAndParallelFailureSemanticsAgree(t *testing.T) {
 	serialErr, serialDone := runBatch(t, 1)
-	if !strings.Contains(serialErr, "no-such-use-case") {
+	if !strings.Contains(serialErr, "4.6/first-panic/exploit") {
 		t.Errorf("serial error %q does not name the first failing cell in cell order", serialErr)
 	}
 	// All three valid cells completed despite the failure at index 1.

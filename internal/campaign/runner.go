@@ -150,7 +150,7 @@ type CellObserver interface {
 	// abandoned cells), lat its RQ3 detection latency, spanV the
 	// virtual-time length of its span tree, and wall the observed wall
 	// time (not deterministic).
-	CellSettled(cell string, res *RunResult, cerr *CellError, cov *coverage.Map, lat span.Latency, spanV uint64, wall time.Duration)
+	CellSettled(cell CellRef, res *RunResult, cerr *CellError, cov *coverage.Map, lat span.Latency, spanV uint64, wall time.Duration)
 }
 
 // SchedObserver observes the engine's wall-clock scheduling decisions:
@@ -280,23 +280,25 @@ func sanitizeStack(stack []byte) string {
 	return goroutineID.ReplaceAllString(s, "goroutine ?")
 }
 
-// cell is one (version, use case, mode) coordinate of a campaign.
+// cell is one (version, use case, mode) coordinate of a campaign,
+// resolved: spec points into the plan's registry copy, so a cell
+// carries its scenario from enumeration to settle without another
+// lookup.
 type cell struct {
 	version hv.Version
-	useCase string
+	spec    *exploits.Spec
 	mode    Mode
 }
 
 // plan is the version-independent part of the experimental setup,
 // precomputed once per process instead of once per run: the scenario
-// registry (declarative specs in campaign order), the derived scenario
-// lookup, and the domain/IP layout of the standard environment.
-// Everything in it is immutable after construction, so concurrent
-// workers may share it freely.
+// registry (declarative specs in campaign order), the version profiles,
+// and the domain/IP layout of the standard environment. Everything in
+// it is immutable after construction, so concurrent workers may share
+// it freely.
 type plan struct {
 	specs      []exploits.Spec
-	scenarios  map[string]exploits.Scenario
-	order      []exploits.Scenario
+	versions   []hv.Version
 	guestNames []string
 	guestIPs   []string
 }
@@ -309,12 +311,7 @@ var (
 // campaignPlan returns the shared warm-boot prototype.
 func campaignPlan() *plan {
 	planOnce.Do(func() {
-		p := &plan{scenarios: make(map[string]exploits.Scenario)}
-		p.specs = exploits.Specs()
-		p.order = exploits.Scenarios()
-		for _, s := range p.order {
-			p.scenarios[s.Name] = s
-		}
+		p := &plan{specs: exploits.Specs(), versions: hv.Versions()}
 		p.guestIPs = []string{"10.3.1.178", "10.3.1.179", AttackerIP}
 		for i := range p.guestIPs {
 			p.guestNames = append(p.guestNames, fmt.Sprintf("guest%02d", i+1))
@@ -324,9 +321,33 @@ func campaignPlan() *plan {
 	return sharedPlan
 }
 
+// spec resolves a use-case name to its spec in the plan's registry
+// copy, whose order is the registry's, without allocating.
+func (p *plan) spec(useCase string) (*exploits.Spec, error) {
+	i, err := exploits.SpecIndex(useCase)
+	if err != nil {
+		return nil, err
+	}
+	return &p.specs[i], nil
+}
+
+// resolve turns a ref into a cell: the version is one of the plan's
+// profiles and the spec a pointer into its registry copy.
+func (p *plan) resolve(ref CellRef) (cell, error) {
+	for _, v := range p.versions {
+		if v.Name != ref.Version {
+			continue
+		}
+		s, err := p.spec(ref.UseCase)
+		return cell{version: v, spec: s, mode: ref.Mode}, err
+	}
+	_, err := hv.VersionByName(ref.Version)
+	return cell{}, err
+}
+
 // String renders the cell's trace identity, "version/use-case/mode".
 func (c cell) String() string {
-	return c.version.Name + "/" + c.useCase + "/" + string(c.mode)
+	return c.version.Name + "/" + c.spec.Name + "/" + string(c.mode)
 }
 
 // runScenario executes one cell's lifecycle in its own fresh
@@ -342,17 +363,8 @@ func (c cell) String() string {
 // non-nil only for a forked environment; the caller invokes it once the
 // cell has settled cleanly.
 func runScenario(c cell, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree) (*RunResult, func(), error) {
-	p := campaignPlan()
-	scen, ok := p.scenarios[c.useCase]
-	if !ok {
-		// Fall through to the canonical lookup for its error message.
-		var err error
-		if scen, err = exploits.ScenarioByName(c.useCase); err != nil {
-			return nil, nil, err
-		}
-	}
 	boot := tree.Phase(span.PhaseBoot)
-	e, recycle, err := cellEnvironment(p, c, rec, inj, tree)
+	e, recycle, err := cellEnvironment(campaignPlan(), c, rec, inj, tree)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -368,7 +380,7 @@ func runScenario(c cell, rec *telemetry.Recorder, inj *faults.Injector, tree *sp
 		attack = span.PhaseInject
 	}
 	ap := tree.Phase(attack)
-	outcome := scen.Run(env)
+	outcome := c.spec.Run(env)
 	tree.End(ap)
 	as := tree.Phase(span.PhaseAssess)
 	verdict := monitor.Assess(e.HV, e.Guests, outcome)
@@ -479,7 +491,7 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, worker int, queuedAt time.Time) cellOutcome {
 	id := c.String()
 	if err := ctx.Err(); err != nil {
-		return r.settle(id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
+		return r.settle(c, id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
 	}
 	var inj *faults.Injector
 	if r.Faults != nil {
@@ -506,7 +518,7 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 	// scenario and its hypervisor version.
 	go pprof.Do(ctx, pprof.Labels(
 		"cell", id,
-		"scenario", c.useCase,
+		"scenario", c.spec.Name,
 		"version", c.version.Name,
 	), func(context.Context) {
 		// The cell's recorder and span tree live on this goroutine so a
@@ -570,7 +582,7 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 		abandoned.Store(true)
 		out.err = &CellError{Cell: id, Class: FailCanceled, Message: ctx.Err().Error(), cause: ctx.Err()}
 	}
-	return r.settle(id, worker, began, queueNS, time.Since(began), out)
+	return r.settle(c, id, worker, began, queueNS, time.Since(began), out)
 }
 
 // settle notifies the observers of a cell's settled outcome, files its
@@ -583,8 +595,9 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 // feeds the RQ3 detection-latency histogram; an abandoned cell (hang,
 // cancel while running) carries no tree — its stub records only worker,
 // wall placement and failure class, and the racing goroutine keeps its
-// tree. Cells canceled before dispatch file no spans.
-func (r *Runner) settle(id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
+// tree. Cells canceled before dispatch file no spans. id is c's trace
+// identity, rendered once by the caller.
+func (r *Runner) settle(c cell, id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
 	if r.Spans != nil && !began.IsZero() {
 		cs := &span.CellSpans{
 			Cell:     id,
@@ -606,7 +619,8 @@ func (r *Runner) settle(id string, worker int, began time.Time, queueNS int64, w
 		r.Coverage.FinishCell(id, out.cov)
 	}
 	if r.Observer != nil {
-		r.Observer.CellSettled(id, out.res, out.err, out.cov, out.latency, rootSpanV(out.tree), wall)
+		ref := CellRef{Version: c.version.Name, UseCase: c.spec.Name, Mode: c.mode}
+		r.Observer.CellSettled(ref, out.res, out.err, out.cov, out.latency, rootSpanV(out.tree), wall)
 	}
 	if r.Progress != nil {
 		r.Progress.CellFinished(id, wall, out.profile, out.err)
@@ -644,7 +658,9 @@ func rootSpanV(t *span.Tree) uint64 {
 // runCells executes a batch of cells and returns one outcome per cell,
 // in cell order, never failing as a whole: panics, hangs and
 // cancellation all land as per-cell records. On cancellation, cells
-// never dispatched are marked FailCanceled without running.
+// never dispatched are marked FailCanceled without running, on worker
+// -1. A one-worker pool runs the cells strictly in cell order on
+// worker 0.
 func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
 	outs := make([]cellOutcome, len(cells))
 	in := r.instrumentation()
@@ -674,12 +690,6 @@ func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
 	if n > len(cells) {
 		n = len(cells)
 	}
-	if n <= 1 {
-		for i, c := range cells {
-			outs[i] = r.runGuarded(ctx, c, in, 0, queuedAt)
-		}
-		return outs
-	}
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -697,8 +707,9 @@ func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
 		case <-ctx.Done():
 			err := ctx.Err()
 			for j := i; j < len(cells); j++ {
-				outs[j] = r.settle(cells[j].String(), -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{
-					Cell: cells[j].String(), Class: FailCanceled, Message: err.Error(), cause: err,
+				id := cells[j].String()
+				outs[j] = r.settle(cells[j], id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{
+					Cell: id, Class: FailCanceled, Message: err.Error(), cause: err,
 				}})
 			}
 			close(next)
@@ -712,13 +723,18 @@ func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
 }
 
 // RunContext executes one cell under the runner's configuration: the
-// single-cell entry point behind the CLI's -cell flag. The cell is a
-// one-cell batch, announced and settled like any campaign batch, so a
-// panicking or wedged cell reports a classified error instead of
-// killing the caller, and cancellation classifies the cell as canceled
-// instead of letting it run to completion.
+// single-cell entry point behind the CLI's -cell flag. An unknown use
+// case fails before anything is announced. The cell is a one-cell
+// batch, announced and settled like any campaign batch, so a panicking
+// or wedged cell reports a classified error instead of killing the
+// caller, and cancellation classifies the cell as canceled instead of
+// letting it run to completion.
 func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	out := r.runCells(ctx, []cell{{version: v, useCase: useCase, mode: mode}})[0]
+	spec, err := campaignPlan().spec(useCase)
+	if err != nil {
+		return nil, err
+	}
+	out := r.runCells(ctx, []cell{{version: v, spec: spec, mode: mode}})[0]
 	if out.err != nil {
 		return nil, out.err.surfaced()
 	}
@@ -731,27 +747,12 @@ func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, m
 // every cell appears in the returned entries, failed ones carrying
 // their *CellError in Err with a nil Result.
 func (r *Runner) RunMatrixContext(ctx context.Context) ([]MatrixEntry, error) {
-	return r.RunMatrixSpecs(ctx, campaignPlan().specs)
-}
-
-// RunMatrixSpecs is RunMatrixContext over an explicit spec list: the
-// same scheduling, dispatch and settle path as the full matrix, scoped
-// to a registry subset. The seed-identity regression uses it to run the
-// original paper scenarios alone and diff their artifacts against the
-// frozen pre-expansion output.
-func (r *Runner) RunMatrixSpecs(ctx context.Context, specs []exploits.Spec) ([]MatrixEntry, error) {
-	var cells []cell
-	for _, v := range hv.Versions() {
-		for _, s := range specs {
-			if !s.AppliesTo(v.Name) {
-				continue
-			}
-			for _, mode := range []Mode{ModeExploit, ModeInjection} {
-				cells = append(cells, cell{v, s.Name, mode})
-			}
-		}
+	p := campaignPlan()
+	names := make([]string, len(p.versions))
+	for i, v := range p.versions {
+		names[i] = v.Name
 	}
-	return r.runEntries(ctx, cells)
+	return r.RunCellRefs(ctx, MatrixRefs(names, p.specs))
 }
 
 // surfaced is the error a failed cell reports when it stops its caller.
@@ -774,29 +775,48 @@ type CellRef struct {
 	Mode    Mode
 }
 
+// MatrixRefs enumerates the campaign matrix over versions and specs in
+// dispatch order: version-major, then spec order, exploit before
+// injection, skipping specs that do not apply to a version. It is the
+// one definition of which cells a campaign holds and in what order.
+func MatrixRefs(versions []string, specs []exploits.Spec) []CellRef {
+	refs := make([]CellRef, 0, 2*len(versions)*len(specs))
+	for _, v := range versions {
+		for i := range specs {
+			if !specs[i].AppliesTo(v) {
+				continue
+			}
+			for _, mode := range []Mode{ModeExploit, ModeInjection} {
+				refs = append(refs, CellRef{Version: v, UseCase: specs[i].Name, Mode: mode})
+			}
+		}
+	}
+	return refs
+}
+
 // RunCellRefs executes an explicit cell list, the delta-rerun entry
 // point behind `repro -ledger -resume`. Refs run in the given order
 // through the same dispatch and settle path as a full matrix, so a
 // subset rerun is deterministic exactly like the campaign it patches —
 // callers must pass refs in dispatch order (version-major, registry
 // spec order, exploit before injection) for the settled artifacts to
-// merge byte-identically. An unknown version name is an error before
-// anything runs.
+// merge byte-identically (MatrixRefs yields that order). An unknown
+// version or use case is an error before anything is announced.
 func (r *Runner) RunCellRefs(ctx context.Context, refs []CellRef) ([]MatrixEntry, error) {
-	cells := make([]cell, 0, len(refs))
-	for _, ref := range refs {
-		v, err := hv.VersionByName(ref.Version)
+	p := campaignPlan()
+	cells := make([]cell, len(refs))
+	for i, ref := range refs {
+		c, err := p.resolve(ref)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: cell ref %s/%s/%s: %w", ref.Version, ref.UseCase, ref.Mode, err)
 		}
-		cells = append(cells, cell{v, ref.UseCase, ref.Mode})
+		cells[i] = c
 	}
 	return r.runEntries(ctx, cells)
 }
 
 // runEntries runs matrix cells and turns them into entries in cell
-// order: the one multi-cell path, behind RunMatrixSpecs and
-// RunCellRefs. Failure semantics are uniform across pool sizes: every
+// order: the one multi-cell path, behind RunCellRefs. Failure semantics are uniform across pool sizes: every
 // cell runs to completion and, unless ContinueOnError is set, the first
 // failure in cell order is the campaign's error, so serial and parallel
 // runs of a partially failing batch agree on it. With ContinueOnError
@@ -809,7 +829,7 @@ func (r *Runner) runEntries(ctx context.Context, cells []cell) ([]MatrixEntry, e
 		if o.err != nil && !r.ContinueOnError {
 			return nil, fmt.Errorf("campaign: matrix %s: %w", c, o.err.surfaced())
 		}
-		entries[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: o.res, Err: o.err}
+		entries[i] = MatrixEntry{Version: c.version.Name, UseCase: c.spec.Name, Mode: c.mode, Result: o.res, Err: o.err}
 	}
 	return entries, nil
 }

@@ -12,11 +12,16 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/exploits"
+	"repro/internal/hv"
 	"repro/internal/report"
+	"repro/internal/span"
 )
 
 var workerCounts = []int{1, 4, 8}
@@ -45,14 +50,32 @@ func checkAcrossWorkers(t *testing.T, what string, ws []int, render func([]campa
 	}
 }
 
+// versionNames lists every hypervisor profile by name, in campaign
+// order.
+func versionNames() []string {
+	var names []string
+	for _, v := range hv.Versions() {
+		names = append(names, v.Name)
+	}
+	return names
+}
+
+// runSpecs runs the matrix over specs on r: every version each spec
+// applies to, both modes, in dispatch order.
+func runSpecs(t *testing.T, r *campaign.Runner, specs []exploits.Spec) []campaign.MatrixEntry {
+	t.Helper()
+	entries, err := r.RunCellRefs(context.Background(), campaign.MatrixRefs(versionNames(), specs))
+	if err != nil {
+		t.Fatalf("Workers=%d RunCellRefs: %v", r.Workers, err)
+	}
+	return entries
+}
+
 // exportMatrix runs the matrix over specs on r and returns its JSON
 // artifact.
 func exportMatrix(t *testing.T, r *campaign.Runner, specs []exploits.Spec) []byte {
 	t.Helper()
-	entries, err := r.RunMatrixSpecs(context.Background(), specs)
-	if err != nil {
-		t.Fatalf("Workers=%d RunMatrixSpecs: %v", r.Workers, err)
-	}
+	entries := runSpecs(t, r, specs)
 	var buf bytes.Buffer
 	if err := campaign.WriteExport(&buf, entries, r.Faults.Seed(), r.ContinueOnError); err != nil {
 		t.Fatalf("WriteExport: %v", err)
@@ -115,6 +138,37 @@ func TestRunnerUnknownUseCaseError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), `unknown use case "XSA-0-bogus"`) {
 			t.Errorf("Workers=%d: error = %v, want unknown-use-case text", w, err)
+		}
+	}
+}
+
+// countingObserver counts CellSettled deliveries.
+type countingObserver struct{ settled atomic.Int64 }
+
+func (o *countingObserver) CellSettled(campaign.CellRef, *campaign.RunResult, *campaign.CellError, *coverage.Map, span.Latency, uint64, time.Duration) {
+	o.settled.Add(1)
+}
+
+// An unknown use case in a ref list fails resolution before the batch
+// is announced: no cell runs, and neither the schedule nor the settle
+// hook hears of any.
+func TestRunCellRefsRejectsUnknownUseCaseBeforeDispatch(t *testing.T) {
+	valid := campaign.MatrixRefs([]string{"4.6"}, exploits.Specs())
+	bogus := campaign.CellRef{Version: "4.6", UseCase: "XSA-0-bogus", Mode: campaign.ModeExploit}
+	refs := []campaign.CellRef{valid[0], valid[1], bogus, valid[2], valid[3]}
+	for _, w := range []int{1, 4} {
+		sched, obs := newRecordingSched(), &countingObserver{}
+		_, err := (&campaign.Runner{Workers: w, Sched: sched, Observer: obs}).RunCellRefs(context.Background(), refs)
+		want := `campaign: cell ref 4.6/XSA-0-bogus/exploit: exploits: unknown use case "XSA-0-bogus"`
+		if err == nil || err.Error() != want {
+			t.Errorf("Workers=%d: error = %v, want %s", w, err, want)
+		}
+		if sched.batches != 0 || len(sched.dispatched) != 0 || len(sched.settled) != 0 {
+			t.Errorf("Workers=%d: schedule hook fired (batches=%d dispatched=%d settled=%d)",
+				w, sched.batches, len(sched.dispatched), len(sched.settled))
+		}
+		if n := obs.settled.Load(); n != 0 {
+			t.Errorf("Workers=%d: observer settled %d cells, want 0", w, n)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package campaign_test
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,11 +45,7 @@ func seedFile(t *testing.T, name string) string {
 // TestSeedMatrixByteIdentical diffs the rendered matrix of the original
 // twelve cells against the frozen seed artifact.
 func TestSeedMatrixByteIdentical(t *testing.T) {
-	r := &campaign.Runner{Workers: 1}
-	entries, err := r.RunMatrixSpecs(context.Background(), seedSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := runSpecs(t, &campaign.Runner{Workers: 1}, seedSpecs(t))
 	if got, want := report.Matrix(entries), seedFile(t, "matrix.txt"); got != want {
 		t.Errorf("seed matrix drifted from the frozen artifact:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -59,11 +54,7 @@ func TestSeedMatrixByteIdentical(t *testing.T) {
 // TestSeedEquivalenceByteIdentical diffs the rendered RQ2 equivalence
 // table of the original cells against the frozen seed artifact.
 func TestSeedEquivalenceByteIdentical(t *testing.T) {
-	r := &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrixSpecs(context.Background(), seedSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := runSpecs(t, &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}, seedSpecs(t))
 	verdicts, err := tracediff.MatrixEquivalence(entries)
 	if err != nil {
 		t.Fatal(err)

@@ -197,8 +197,11 @@ func TestForkHangFiresInForkOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen := campaignPlan().scenarios["XSA-182-test"]
-	if out := scen.Run(env); out == nil {
+	spec, err := campaignPlan().spec("XSA-182-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := spec.Run(env); out == nil {
 		t.Fatal("scenario produced no outcome")
 	}
 	if !e1.HV.Hung() {

@@ -427,9 +427,6 @@ func (h *Hypervisor) XenL4() mm.MFN { return h.xenL4 }
 // HeapBase returns the first frame of the Xen heap.
 func (h *Hypervisor) HeapBase() mm.MFN { return h.heapBase }
 
-// HeapFrames returns the size of the Xen heap in frames.
-func (h *Hypervisor) HeapFrames() int { return xenHeapFrames }
-
 // PageFaults returns how many faults the native #PF handler absorbed.
 func (h *Hypervisor) PageFaults() int { return h.pfCount }
 

@@ -34,27 +34,20 @@ type Delta struct {
 // degenerate delta. The prior record must be Compatible with cfg;
 // callers enforce that (ErrIncompatible) before planning.
 func PlanDelta(prev *Record, cfg Config) Delta {
-	var d Delta
-	for _, v := range cfg.Versions {
-		for _, s := range exploits.Specs() {
-			if !s.AppliesTo(v) {
-				continue
-			}
-			for _, mode := range []campaign.Mode{campaign.ModeExploit, campaign.ModeInjection} {
-				d.Expected++
-				if prev != nil {
-					e := prev.EntryByKey(Key{Scenario: s.Name, Version: v, Mode: string(mode), Seed: cfg.Seed})
-					if e != nil && e.SpecDigest == s.Digest() {
-						d.Reused = append(d.Reused, e)
-						continue
-					}
-					if e != nil {
-						d.Stale++
-					}
+	refs := campaign.MatrixRefs(cfg.Versions, exploits.Specs())
+	d := Delta{Expected: len(refs)}
+	for _, ref := range refs {
+		if prev != nil {
+			if e := prev.EntryByKey(Key{Scenario: ref.UseCase, Version: ref.Version, Mode: string(ref.Mode), Seed: cfg.Seed}); e != nil {
+				// MatrixRefs names only registry specs, so the lookup holds.
+				if s, _ := exploits.SpecByName(ref.UseCase); e.SpecDigest == s.Digest() {
+					d.Reused = append(d.Reused, e)
+					continue
 				}
-				d.Rerun = append(d.Rerun, campaign.CellRef{Version: v, UseCase: s.Name, Mode: mode})
+				d.Stale++
 			}
 		}
+		d.Rerun = append(d.Rerun, ref)
 	}
 	return d
 }

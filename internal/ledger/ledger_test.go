@@ -242,27 +242,43 @@ func TestStoreRunsNewestFirst(t *testing.T) {
 	}
 }
 
-// livePrefix builds entries for the live registry's first n (version,
-// spec, mode) coordinates in dispatch order — the shape PlanDelta walks.
-func livePrefix(cfg ledger.Config, n int) []*ledger.Entry {
+// liveEntries builds an entry for every cell of the live registry in
+// dispatch order — the shape PlanDelta walks.
+func liveEntries(t *testing.T, cfg ledger.Config) []*ledger.Entry {
+	t.Helper()
 	var out []*ledger.Entry
-	for _, v := range cfg.Versions {
-		for _, s := range exploits.Specs() {
-			if !s.AppliesTo(v) {
-				continue
-			}
-			for _, mode := range []string{string(campaign.ModeExploit), string(campaign.ModeInjection)} {
-				if len(out) >= n {
-					return out
-				}
-				e := entry(v, s.Name, mode, 0)
-				e.Seed = cfg.Seed
-				e.SpecDigest = s.Digest()
-				out = append(out, e)
-			}
+	for _, ref := range campaign.MatrixRefs(cfg.Versions, exploits.Specs()) {
+		e := entry(ref.Version, ref.UseCase, string(ref.Mode), 0)
+		e.Seed = cfg.Seed
+		s, err := exploits.SpecByName(ref.UseCase)
+		if err != nil {
+			t.Fatal(err)
 		}
+		e.SpecDigest = s.Digest()
+		out = append(out, e)
 	}
 	return out
+}
+
+// TestMatrixRefsIsDispatchOrder pins the one matrix enumeration to the
+// committed baseline record, whose settled entries are in dispatch
+// order: the same 102 cells, in the same sequence.
+func TestMatrixRefsIsDispatchOrder(t *testing.T) {
+	base, err := ledger.LoadRecordFile(filepath.Join("..", "..", "LEDGER_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := campaign.MatrixRefs(ledger.CurrentConfig(0, false).Versions, exploits.Specs())
+	if len(refs) != 102 || len(base.Entries) != len(refs) {
+		t.Fatalf("MatrixRefs lists %d cells, baseline record %d, want 102", len(refs), len(base.Entries))
+	}
+	for i, ref := range refs {
+		e := base.Entries[i]
+		if ref.Version != e.Version || ref.UseCase != e.Scenario || string(ref.Mode) != e.Mode {
+			t.Errorf("cell %d: MatrixRefs %s/%s/%s, baseline %s/%s/%s",
+				i, ref.Version, ref.UseCase, ref.Mode, e.Version, e.Scenario, e.Mode)
+		}
+	}
 }
 
 func TestPlanDelta(t *testing.T) {
@@ -274,9 +290,9 @@ func TestPlanDelta(t *testing.T) {
 	}
 
 	run := &ledger.Run{RunID: cfg.RunID(), Config: cfg, Cells: full.Expected}
-	entries := livePrefix(cfg, full.Expected)
+	entries := liveEntries(t, cfg)
 	if len(entries) != full.Expected {
-		t.Fatalf("live prefix built %d entries, expected %d", len(entries), full.Expected)
+		t.Fatalf("live registry built %d entries, expected %d", len(entries), full.Expected)
 	}
 	complete := ledger.Settle(run, entries)
 	d := ledger.PlanDelta(complete, cfg)
@@ -290,14 +306,14 @@ func TestPlanDelta(t *testing.T) {
 		t.Errorf("3 absent cells must plan 3 reruns: rerun=%d reused=%d", len(d.Rerun), len(d.Reused))
 	}
 
-	stale := livePrefix(cfg, full.Expected)
+	stale := liveEntries(t, cfg)
 	stale[0].SpecDigest = "0000000000000000"
 	d = ledger.PlanDelta(ledger.Settle(run, stale), cfg)
 	if len(d.Rerun) != 1 || d.Stale != 1 {
 		t.Errorf("a changed spec digest must invalidate exactly its cell: rerun=%d stale=%d", len(d.Rerun), d.Stale)
 	}
 
-	interrupted := livePrefix(cfg, full.Expected)
+	interrupted := liveEntries(t, cfg)
 	interrupted[1].Verdict = nil
 	interrupted[1].Error = &campaign.CellError{Cell: "x", Class: campaign.FailCanceled, Message: "interrupted"}
 	d = ledger.PlanDelta(ledger.Settle(run, interrupted), cfg)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,10 +20,10 @@ import (
 // the campaign.CellObserver the repro binary attaches under `-ledger`:
 // every settled cell becomes one appended journal line, so the record
 // survives a SIGINT or crash at any point with everything that had
-// settled. Settle order is the runner's deterministic dispatch-order
-// funnel, so the journal itself — not just the settled record — is
-// byte-identical at any worker count (modulo the segregated wall_ns
-// field).
+// settled. Lines land in settle (completion) order, which varies from
+// run to run with more than one worker; the settled record.json, whose
+// entries Settle puts in dispatch order, is the artifact that is
+// byte-identical at any worker count.
 //
 // Ledger I/O never fails the campaign: write errors accumulate and
 // surface via Errors / Close, mirroring the flight recorder's
@@ -82,16 +81,11 @@ func (w *Writer) Dir() string { return w.dir }
 // cell into a journal entry. res is non-nil for a successful cell, cerr
 // for a failed one; cov, lat and spanV carry the cell's coverage map,
 // RQ3 latency and span makespan.
-func (w *Writer) CellSettled(cell string, res *campaign.RunResult, cerr *campaign.CellError, cov *coverage.Map, lat span.Latency, spanV uint64, wall time.Duration) {
-	parts := strings.SplitN(cell, "/", 3)
-	if len(parts) != 3 {
-		w.fail(fmt.Errorf("ledger: malformed cell id %q", cell))
-		return
-	}
+func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cerr *campaign.CellError, cov *coverage.Map, lat span.Latency, spanV uint64, wall time.Duration) {
 	e := &Entry{
-		Scenario: parts[1],
-		Version:  parts[0],
-		Mode:     parts[2],
+		Scenario: cell.UseCase,
+		Version:  cell.Version,
+		Mode:     string(cell.Mode),
 		Seed:     w.run.Config.Seed,
 		SpanV:    spanV,
 		Error:    cerr,

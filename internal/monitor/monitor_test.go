@@ -22,11 +22,11 @@ func assess(t *testing.T, v hv.Version, useCase string, mode campaign.Mode) (*ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := exploits.ScenarioByName(useCase)
+	spec, err := exploits.SpecByName(useCase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := scen.Run(env)
+	o := spec.Run(env)
 	return e, monitor.Assess(e.HV, e.Guests, o)
 }
 

@@ -109,9 +109,6 @@ type Span struct {
 	done bool
 }
 
-// KindName is the span kind's wire name, serialized for /spans.
-func (s *Span) KindName() string { return s.Kind.String() }
-
 // Tree builds one cell's span tree. Like the telemetry recorder it is
 // single-goroutine by design — one cell, one worker, one tree — and the
 // nil Tree is the disabled state.
