@@ -18,7 +18,10 @@
 # plain matrix; `bench` additionally emits BENCH_snapshot.json
 # (BootEnvironment vs SnapshotBuild vs CellFork) so the snapshot/COW
 # fork path's per-cell cost is tracked next to the full boot it
-# replaces. `benchdiff` is the CI regression gate: it
+# replaces, and BENCH_ledger.json (BenchmarkLedgerIO: journal appends,
+# record settle and write, resume load, over the committed baseline's
+# entries with no campaign) so the run ledger's persistence cost is
+# tracked apart from the cells. `benchdiff` is the CI regression gate: it
 # re-runs the tracked benchmarks and fails if any grew past 2x its
 # committed baseline in ns/op or B/op.
 # `spans` runs the causal-span suite — every opened span closed exactly
@@ -53,7 +56,8 @@
 # behind for CI to attach on failure.
 # `fuzz` runs every Fuzz* target in the module for 10 s each (today
 # FuzzNormalizeText, which holds the trace canonicalizer's hex-masking
-# scanners to the regexp passes they replace). A failing input is left
+# scanners to the regexp passes they replace, and FuzzLedgerJSON, which
+# holds the run ledger's JSON appenders to encoding/json). A failing input is left
 # under the package's testdata/fuzz/ for `go test` to replay.
 
 GO ?= go
@@ -65,6 +69,7 @@ GO ?= go
 # have joined the committed baseline unreviewed.
 MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkMatrixTelemetry$$
 SNAPSHOT_BENCHES = ^BenchmarkBootEnvironment$$|^BenchmarkSnapshotBuild$$|^BenchmarkCellFork$$
+LEDGER_BENCHES   = ^BenchmarkLedgerIO$$
 
 .PHONY: all build test race vet fuzz bench benchdiff bench-check check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
 
@@ -97,6 +102,9 @@ bench:
 	$(GO) test -run '^$$' -bench '$(SNAPSHOT_BENCHES)' -benchmem -json . > BENCH_snapshot.json
 	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_snapshot.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
 	@echo "wrote BENCH_snapshot.json"
+	$(GO) test -run '^$$' -bench '$(LEDGER_BENCHES)' -benchmem -json . > BENCH_ledger.json
+	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_ledger.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
+	@echo "wrote BENCH_ledger.json"
 
 # The regression gate: re-run the tracked benchmarks and compare them
 # against the committed baselines, in time and in bytes. The thresholds
@@ -110,7 +118,9 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff -threshold 2.0 BENCH_matrix.json BENCH_matrix.new.json
 	$(GO) test -run '^$$' -bench '$(SNAPSHOT_BENCHES)' -benchmem -json . > BENCH_snapshot.new.json
 	$(GO) run ./cmd/benchdiff -threshold 2.0 BENCH_snapshot.json BENCH_snapshot.new.json
-	@rm -f BENCH_matrix.new.json BENCH_snapshot.new.json
+	$(GO) test -run '^$$' -bench '$(LEDGER_BENCHES)' -benchmem -json . > BENCH_ledger.new.json
+	$(GO) run ./cmd/benchdiff -threshold 2.0 BENCH_ledger.json BENCH_ledger.new.json
+	@rm -f BENCH_matrix.new.json BENCH_snapshot.new.json BENCH_ledger.new.json
 
 trace-demo:
 	$(GO) run ./cmd/repro -cell 4.6/XSA-148-priv/injection -trace trace-demo.jsonl > /dev/null
@@ -178,8 +188,9 @@ bench-check:
 # runs it as its own step.
 check: build vet lint-scenarios test race fuzz trace-demo chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
 
-# BENCH_matrix.json and BENCH_snapshot.json are committed baselines
-# (benchdiff reads them), so clean removes only what targets generate.
+# BENCH_matrix.json, BENCH_snapshot.json and BENCH_ledger.json are
+# committed baselines (benchdiff reads them), so clean removes only what
+# targets generate.
 clean:
 	rm -f BENCH_*.new.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
 	rm -f cov-matrix.json cov-diff.txt ledger-diff.txt

@@ -277,6 +277,101 @@ func TestMatrixTelemetryStationary(t *testing.T) {
 	}
 }
 
+// BenchmarkLedgerIO times the run ledger's persistence path alone, with
+// no campaign, over the committed LEDGER_baseline.json entries (the
+// settled 102-cell matrix): journal appends the 102 entries as journal
+// lines, close settles them and writes record.json, and resume-load is
+// what `repro -ledger dir -resume` does before running the delta —
+// LatestMatching on a store whose journal holds half the cells, then
+// NewWriter on the same run.
+func BenchmarkLedgerIO(b *testing.B) {
+	base, err := ledger.LoadRecordFile("LEDGER_baseline.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ledger.CurrentConfig(0, false)
+	// writer opens a writer on a fresh store and journals prior.
+	writer := func(b *testing.B, dir string, prior []*ledger.Entry) *ledger.Writer {
+		store, err := ledger.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := store.NewWriter(cfg, base.Cells)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Import(prior)
+		return w
+	}
+	closeWriter := func(b *testing.B, w *ledger.Writer) {
+		if _, err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	b.Run("journal", func(b *testing.B) {
+		w := writer(b, b.TempDir(), nil)
+		journal := filepath.Join(w.Dir(), "cells.jsonl")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.Import(base.Entries)
+			b.StopTimer()
+			// The journal is opened for append, so emptying it keeps
+			// every op writing to a file of the same size.
+			if err := os.Truncate(journal, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.StopTimer()
+		closeWriter(b, w)
+	})
+
+	b.Run("close", func(b *testing.B) {
+		root := b.TempDir()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := filepath.Join(root, "store")
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			w := writer(b, dir, base.Entries)
+			b.StartTimer()
+			closeWriter(b, w)
+		}
+	})
+
+	b.Run("resume-load", func(b *testing.B) {
+		dir := b.TempDir()
+		// One of the two modes of every (version, scenario) pair: the
+		// baseline lists each pair's exploit cell before its injection.
+		half := make([]*ledger.Entry, 0, len(base.Entries)/2)
+		for i := 0; i < len(base.Entries); i += 2 {
+			half = append(half, base.Entries[i])
+		}
+		closeWriter(b, writer(b, dir, half))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			store, err := ledger.Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prev, err := store.LatestMatching(cfg)
+			if err != nil || prev == nil || prev.Completed != len(half) {
+				b.Fatalf("prior record %v, %v; want %d cells", prev, err, len(half))
+			}
+			w, err := store.NewWriter(cfg, base.Cells)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			closeWriter(b, w)
+			b.StartTimer()
+		}
+	})
+}
+
 // --- Substrate microbenchmarks ---
 
 // Allocator microbenchmarks. The free-set used to be a linear-scan free

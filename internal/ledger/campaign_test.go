@@ -8,10 +8,13 @@ package ledger_test
 // uninterrupted run writes.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,5 +274,114 @@ func TestRecordDerivedArtifacts(t *testing.T) {
 	}
 	if err := rep.Verify(); err != nil {
 		t.Errorf("rebuilt coverage report fails verification: %v", err)
+	}
+}
+
+// TestTornJournalAtEveryOffset journals a real matrix under seeded
+// chaos and then tears cells.jsonl at every byte offset inside its last
+// line, the states a crash mid-append can leave. At each offset the
+// torn line must be skipped: Load settles exactly the other cells and
+// the resume plan reruns exactly the torn line's cell.
+//
+// The resume path's writer (NewWriter after LatestMatching) reuses
+// LatestMatching's decode of the journal. When the journal is torn
+// between the two calls, the reuse must miss and the writer must start
+// from the torn journal's cells; that is checked at the line's first,
+// middle and last offsets, since each check decodes the whole journal
+// twice.
+func TestTornJournalAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	store, err := ledger.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 7
+	cfg := ledger.CurrentConfig(seed, true)
+	w, err := store.NewWriter(cfg, ledger.PlanDelta(nil, cfg).Expected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.NewPlan(seed, faults.DefaultDensity)
+	defer plan.ReleaseAll()
+	r := &campaign.Runner{Workers: 2, Observer: w, ContinueOnError: true, Faults: plan}
+	if _, err := r.RunMatrixContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	full, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Complete() || full.Failed() == 0 {
+		t.Fatalf("journaled %d/%d cells, %d failed; want all, some failed", full.Completed, full.Cells, full.Failed())
+	}
+
+	// Completion order is arbitrary with two workers, so any order of
+	// the lines is a journal the run could have written. The shortest
+	// (a failed cell's) goes last, since every offset decodes the whole
+	// journal.
+	journal := filepath.Join(store.RunDir(full.RunID), "cells.jsonl")
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty tail after the final newline
+	sort.SliceStable(lines, func(i, j int) bool { return len(lines[i]) > len(lines[j]) })
+	data = bytes.Join(lines, nil)
+	last := lines[len(lines)-1]
+	start := len(data) - len(last)
+	var torn ledger.Entry
+	if err := json.Unmarshal(last, &torn); err != nil {
+		t.Fatal(err)
+	}
+	tornRef := []campaign.CellRef{{Version: torn.Version, UseCase: torn.Scenario, Mode: campaign.Mode(torn.Mode)}}
+
+	// untorn checks rec holds every cell but the torn one.
+	untorn := func(what string, off int, rec *ledger.Record) {
+		t.Helper()
+		ok := rec.Completed == full.Completed-1 && rec.EntryByKey(torn.Key()) == nil
+		for _, e := range full.Entries {
+			ok = ok && (e.Key() == torn.Key() || rec.EntryByKey(e.Key()) != nil)
+		}
+		if !ok {
+			t.Fatalf("offset %d: %s holds %d cells, want the %d untorn ones", off, what, rec.Completed, full.Completed-1)
+		}
+	}
+
+	// Offsets start..len-2 leave the line without its closing brace;
+	// len-1 drops only the newline, leaving a whole entry that decodes.
+	for off := start; off < len(data)-1; off++ {
+		if err := os.WriteFile(journal, data[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := store.LatestMatching(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untorn("Load", off, rec)
+		if rerun := ledger.PlanDelta(rec, cfg).Rerun; !reflect.DeepEqual(rerun, tornRef) {
+			t.Fatalf("offset %d: resume reruns %v, want %v", off, rerun, tornRef)
+		}
+	}
+
+	for _, off := range []int{start, (start + len(data) - 2) / 2, len(data) - 2} {
+		if err := os.WriteFile(journal, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if prev, err := store.LatestMatching(cfg); err != nil || prev.Completed != full.Completed {
+			t.Fatalf("offset %d: intact journal loads %v, %v", off, prev, err)
+		}
+		if err := os.Truncate(journal, int64(off)); err != nil {
+			t.Fatal(err)
+		}
+		lw, err := store.NewWriter(cfg, full.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := lw.Snapshot()
+		if _, err := lw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		untorn("resumed writer", off, snap)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // The on-disk layout. A store directory holds one subdirectory per run
@@ -32,6 +33,53 @@ const (
 // Store is a directory of campaign run records.
 type Store struct {
 	dir string
+
+	// mu guards memo: the obs server's /runs endpoints call Load on the
+	// live store while a campaign writes through it.
+	mu   sync.Mutex
+	memo journalMemo
+}
+
+// journalStamp identifies one state of a journal file: its path, and
+// the size and modification time read from an open handle on it. The
+// zero stamp (a missing journal) matches no open file.
+type journalStamp struct {
+	path  string
+	size  int64
+	mtime int64
+}
+
+func stampOf(path string, f *os.File) (journalStamp, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return journalStamp{}, err
+	}
+	return journalStamp{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano()}, nil
+}
+
+// journalMemo is the entries the store's last Load decoded. A resume
+// loads the prior record (LatestMatching) and then opens a writer on
+// the same run directory (NewWriter); the memo lets the writer start
+// from that decode instead of reading the journal a second time.
+type journalMemo struct {
+	stamp   journalStamp
+	entries []*Entry
+}
+
+// takeMemo clears the memo and returns its entries when they were
+// decoded from the state the journal at path, open as f, is in now; any
+// append, truncation or rewrite since moves the size or mtime and
+// misses.
+func (s *Store) takeMemo(path string, f *os.File) ([]*Entry, bool) {
+	s.mu.Lock()
+	m := s.memo
+	s.memo = journalMemo{}
+	s.mu.Unlock()
+	now, err := stampOf(path, f)
+	if err != nil || now != m.stamp {
+		return nil, false
+	}
+	return m.entries, true
 }
 
 // Open opens (creating if needed) a run store directory.
@@ -86,10 +134,13 @@ func (s *Store) Load(id string) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, err := readJournal(filepath.Join(dir, journalFile))
+	entries, stamp, err := readJournal(filepath.Join(dir, journalFile))
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	s.memo = journalMemo{stamp: stamp, entries: entries}
+	s.mu.Unlock()
 	return Settle(run, entries), nil
 }
 
@@ -124,16 +175,27 @@ func readRunFile(path string) (*Run, error) {
 
 // readJournal decodes a cells.jsonl journal, last entry per key wins.
 // A truncated final line (crash mid-append) is skipped, not fatal: the
-// cell it carried simply reruns on resume.
-func readJournal(path string) ([]*Entry, error) {
+// cell it carried simply reruns on resume. The stamp is taken before
+// the scan, so a journal appended to meanwhile decodes at least what
+// the stamp names and never matches it again; a missing journal has
+// the zero stamp.
+//
+// Decoded entries are shared, never mutated in place: Settle and the
+// Writer copy an entry before changing any field, which is what lets a
+// Load's decode seed a NewWriter (Store.takeMemo).
+func readJournal(path string) ([]*Entry, journalStamp, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, journalStamp{}, nil
 		}
-		return nil, fmt.Errorf("ledger: open journal: %w", err)
+		return nil, journalStamp{}, fmt.Errorf("ledger: open journal: %w", err)
 	}
 	defer f.Close()
+	stamp, err := stampOf(path, f)
+	if err != nil {
+		return nil, journalStamp{}, fmt.Errorf("ledger: stat journal: %w", err)
+	}
 
 	byKey := make(map[Key]int)
 	var entries []*Entry
@@ -156,29 +218,29 @@ func readJournal(path string) ([]*Entry, error) {
 		entries = append(entries, &e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ledger: scan journal: %w", err)
+		return nil, journalStamp{}, fmt.Errorf("ledger: scan journal: %w", err)
 	}
-	return entries, nil
-}
-
-// marshalRecord renders a record as the settled record.json bytes: the
-// canonical interchange form byte-identity is asserted over.
-func marshalRecord(rec *Record) ([]byte, error) {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return entries, stamp, nil
 }
 
 // WriteRecordFile writes a record's settled JSON form, the format
-// `make ledger-baseline` commits and `tracecheck runs diff` consumes.
+// `make ledger-baseline` commits and `tracecheck runs diff` consumes:
+// the bytes of json.MarshalIndent(rec, "", "  ") and a newline, the
+// canonical interchange form byte-identity is asserted over.
 func WriteRecordFile(path string, rec *Record) error {
-	data, err := marshalRecord(rec)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("ledger: marshal record: %w", err)
+		return fmt.Errorf("ledger: write record: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	bw := bufio.NewWriterSize(f, 32<<10)
+	err = writeRecord(bw, rec)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("ledger: write record: %w", err)
 	}
 	return nil

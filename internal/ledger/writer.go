@@ -25,8 +25,8 @@ import (
 // entries Settle puts in dispatch order, is the artifact that is
 // byte-identical at any worker count.
 //
-// Ledger I/O never fails the campaign: write errors accumulate and
-// surface via Errors / Close, mirroring the flight recorder's
+// Ledger I/O never fails the campaign: journal write errors accumulate
+// and surface via Errors / Close, mirroring the flight recorder's
 // discipline.
 type Writer struct {
 	store *Store
@@ -35,6 +35,7 @@ type Writer struct {
 
 	mu      sync.Mutex
 	f       *os.File
+	line    []byte // the journal line buffer, reused under mu
 	entries map[Key]*Entry
 	errs    []error
 }
@@ -56,17 +57,25 @@ func (s *Store) NewWriter(cfg Config, expectedCells int) (*Writer, error) {
 	if err := writeRunFile(dir, run); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(dir, journalFile)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: open journal: %w", err)
 	}
 	w := &Writer{store: s, run: run, dir: dir, f: f, entries: make(map[Key]*Entry, expectedCells)}
 	// A resumed same-config run starts from what the journal already
 	// holds; re-executed cells supersede their old entries as they land.
-	if prior, err := readJournal(filepath.Join(dir, journalFile)); err == nil {
-		for _, e := range prior {
-			w.entries[e.Key()] = e
-		}
+	// A resume has usually just loaded this journal (LatestMatching), so
+	// the store's memo of that decode is taken when the journal is
+	// still in the state it was decoded from.
+	prior, ok := s.takeMemo(path, f)
+	if !ok {
+		// An unreadable journal is not fatal: the writer starts empty
+		// and the resume reruns what the journal held.
+		prior, _, _ = readJournal(path)
+	}
+	for _, e := range prior {
+		w.entries[e.Key()] = e
 	}
 	return w, nil
 }
@@ -174,18 +183,14 @@ func (w *Writer) StripEquivalence() {
 
 // append journals one entry and indexes it (last write wins).
 func (w *Writer) append(e *Entry) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		w.fail(fmt.Errorf("ledger: marshal entry %s: %w", e.Key(), err))
-		return
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.entries[e.Key()] = e
 	if w.f == nil {
 		return
 	}
-	if _, err := w.f.Write(append(data, '\n')); err != nil {
+	w.line = append(appendEntry(w.line[:0], e), '\n')
+	if _, err := w.f.Write(w.line); err != nil {
 		w.errs = append(w.errs, fmt.Errorf("ledger: journal %s: %w", e.Key(), err))
 	}
 }

@@ -52,9 +52,11 @@ func (f *FlightRecorder) CellFinished(cell string, _ time.Duration, profile *tel
 		stem += f.RunID + "-"
 	}
 	stem = filepath.Join(dir, stem+strings.ReplaceAll(cell, "/", "-"))
+	// The exclusive create arbitrates name collisions between workers,
+	// so the lock guards only the two lists.
+	path, err := dump(stem, profile)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	path, err := f.dump(stem, profile)
 	if err != nil {
 		f.errors = append(f.errors, fmt.Errorf("obs: flight dump for %s: %w", cell, err))
 		return
@@ -64,7 +66,7 @@ func (f *FlightRecorder) CellFinished(cell string, _ time.Duration, profile *tel
 
 // dump writes the profile to stem.jsonl, falling back to stem-2.jsonl,
 // stem-3.jsonl, … when the name is taken, and returns the path used.
-func (f *FlightRecorder) dump(stem string, profile *telemetry.CellProfile) (string, error) {
+func dump(stem string, profile *telemetry.CellProfile) (string, error) {
 	var file *os.File
 	var path string
 	for n := 1; ; n++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,5 +139,43 @@ func TestFlightRecorderSkips(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("flight dir not empty: %d files", len(entries))
+	}
+}
+
+// TestFlightRecorderConcurrentDumps has two workers dump different
+// failing cells at once, as a chaos campaign's pool does: the dumps
+// are written outside the recorder's lock, and both must land and be
+// listed.
+func TestFlightRecorderConcurrentDumps(t *testing.T) {
+	dir := t.TempDir()
+	fr := &FlightRecorder{Dir: dir, RunID: "f21da3650bd2e9ae"}
+	cells := []string{"4.6/XSA-182-test/exploit", "4.13/XSA-212-crash/injection"}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, cell := range cells {
+		wg.Add(1)
+		go func(cell string) {
+			defer wg.Done()
+			<-start
+			fr.CellFinished(cell, time.Millisecond, &telemetry.CellProfile{Cell: cell},
+				&campaign.CellError{Cell: cell, Class: "error", Message: "boom"})
+		}(cell)
+	}
+	close(start)
+	wg.Wait()
+
+	for _, err := range fr.Errors() {
+		t.Errorf("flight recorder error: %v", err)
+	}
+	if dumps := fr.Dumps(); len(dumps) != len(cells) {
+		t.Fatalf("got %d dumps %v, want one per cell", len(dumps), dumps)
+	}
+	for _, want := range []string{
+		"flight-f21da3650bd2e9ae-4.6-XSA-182-test-exploit.jsonl",
+		"flight-f21da3650bd2e9ae-4.13-XSA-212-crash-injection.jsonl",
+	} {
+		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
+			t.Errorf("missing dump %s: %v", want, err)
+		}
 	}
 }
