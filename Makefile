@@ -25,11 +25,11 @@
 # re-runs the tracked benchmarks and fails if any grew past 2x its
 # committed baseline in ns/op or B/op.
 # `spans` runs the causal-span suite — every opened span closed exactly
-# once (including under chaos), the canonical forest digest and RQ3
-# detection latencies pinned — then drives a full -spans matrix through
-# the CLI, checks the summary carries the critical path and the RQ3
-# table, and validates the Perfetto trace with `tracecheck spans`. The
-# trace (spans-demo.json) is left behind for CI to attach on failure.
+# once (including under chaos), the canonical forest digest pinned —
+# then drives a full -spans matrix through the CLI, checks the summary
+# carries the critical path, and validates the Perfetto trace with
+# `tracecheck spans`. The trace (spans-demo.json) is left behind for CI
+# to attach on failure.
 # `lint-scenarios` is the registry gate: the scenario-registry
 # invariants, lookup pins and corpus-distribution goldens — cheap, so it
 # runs before the expensive campaign gates and fails fast on a
@@ -42,9 +42,10 @@
 # behind for CI to attach on failure).
 # `ledger-diff` is the run-record regression gate: it journals a fresh
 # full matrix into ledger-ci/ and diffs the settled record against the
-# committed LEDGER_baseline.json with `tracecheck runs diff` — a verdict
-# flip or a lost coverage edge fails the build (tier changes and drift
-# are reported but pass). ledger-diff.txt and the ledger-ci/ record
+# committed LEDGER_baseline.json with `tracecheck runs diff` — a
+# baseline cell missing from the fresh run, a verdict flip or a lost
+# coverage edge fails the build (tier changes, drift and new cells are
+# reported but pass). ledger-diff.txt and the ledger-ci/ record
 # directory are left behind for CI to attach on failure.
 # `ledger-baseline` regenerates LEDGER_baseline.json after an
 # intentional behaviour change (review the runs diff first).
@@ -56,9 +57,11 @@
 # behind for CI to attach on failure.
 # `fuzz` runs every Fuzz* target in the module for 10 s each (today
 # FuzzNormalizeText, which holds the trace canonicalizer's hex-masking
-# scanners to the regexp passes they replace, and FuzzLedgerJSON, which
-# holds the run ledger's JSON appenders to encoding/json). A failing input is left
-# under the package's testdata/fuzz/ for `go test` to replay.
+# scanners to the regexp passes they replace; FuzzLedgerJSON, which
+# holds the run ledger's JSON appenders to encoding/json; and
+# FuzzReadTrace, which holds the JSONL trace parser to never panic and
+# to round-trip what it accepts). A failing input is left under the
+# package's testdata/fuzz/ for `go test` to replay.
 
 GO ?= go
 
@@ -136,11 +139,10 @@ equivalence:
 
 spans:
 	$(GO) test ./internal/span/
-	$(GO) test -run 'Span|Latency' ./internal/campaign/ ./internal/obs/ ./internal/report/
+	$(GO) test -run 'Span' ./internal/campaign/ ./internal/obs/ ./internal/report/
 	$(GO) run ./cmd/repro -matrix -workers 4 -spans spans-demo.json > spans-summary.txt
 	@grep -q 'CAUSAL SPAN SUMMARY' spans-summary.txt
 	@grep -q 'critical path: makespan=' spans-summary.txt
-	@grep -q 'DETECTION LATENCY (RQ3)' spans-summary.txt
 	$(GO) run ./cmd/tracecheck spans spans-demo.json
 
 lint-scenarios:

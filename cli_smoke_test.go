@@ -359,7 +359,7 @@ func TestCLISmoke(t *testing.T) {
 	})
 
 	// Causal spans end to end: a matrix run with -spans renders the span
-	// summary (critical path + RQ3 latency table) and writes a Chrome
+	// summary (phase totals + critical path) and writes a Chrome
 	// trace-event file that tracecheck's spans mode validates.
 	t.Run("spans", func(t *testing.T) {
 		spans := filepath.Join(t.TempDir(), "spans.json")
@@ -372,7 +372,6 @@ func TestCLISmoke(t *testing.T) {
 			"FULL CAMPAIGN MATRIX",
 			"CAUSAL SPAN SUMMARY (virtual time, events)",
 			"critical path: makespan=",
-			"DETECTION LATENCY (RQ3)",
 			"wrote span trace to",
 		} {
 			if !strings.Contains(string(out), want) {

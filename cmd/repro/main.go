@@ -54,7 +54,7 @@
 // graded from their persisted effect streams, the same grader a -ledger
 // record uses. With -matrix the one matrix run renders both artifacts.
 //
-// Causal spans (RQ3):
+// Causal spans:
 //
 //	repro -matrix -spans spans.json    # span forest as Chrome trace JSON
 //
@@ -63,9 +63,11 @@
 // writes the forest as Chrome trace-event JSON — load it in Perfetto
 // (ui.perfetto.dev) or chrome://tracing; each campaign worker renders
 // as its own track — and prints the deterministic span summary:
-// per-phase virtual totals, the critical-path analysis of each batch at
-// the configured pool size, and the per-cell detection-latency table.
-// Span structure is measured in virtual time (the per-cell event
+// per-phase virtual totals and the critical-path analysis of each batch
+// at the configured pool size. Each cell's inject or exploit phase span
+// ends at its trigger point, the virtual time the attack state was
+// reached; RQ3 is answered by the verdicts that follow it. Span
+// structure is measured in virtual time (the per-cell event
 // counter), so it is byte-identical at any -workers value.
 //
 // Coverage maps (RQ1):
@@ -131,12 +133,12 @@
 // -ledger gives the campaign a deterministic, content-addressed run ID
 // (digest of the scenario-registry digest, version set, chaos seed,
 // mode flags and build version) and journals every cell's settled
-// outcome — verdict, equivalence tier, coverage digest and edges,
-// detection latency, span makespan, failure class — live into
-// <dir>/<run-id>/ as cells settle. The settled record is byte-identical
-// at any -workers count and fork path; -resume re-executes only cells
-// whose key is absent or whose registry spec changed and merges to
-// artifacts byte-identical to a full run. Inspect and diff records with
+// outcome — verdict, equivalence tier, coverage digest and edges, span
+// makespan, failure class — live into <dir>/<run-id>/ as cells settle.
+// The settled record is byte-identical at any -workers count and fork
+// path; -resume re-executes only cells whose key is absent or whose
+// registry spec changed and merges to artifacts byte-identical to a
+// full run. Inspect and diff records with
 // "tracecheck runs list|show|diff".
 //
 // Robustness:

@@ -139,9 +139,6 @@ func runsShow(ref string) {
 		if e.Coverage != nil {
 			line += fmt.Sprintf("  cov=%d:%s", e.Coverage.Edges, e.Coverage.Digest)
 		}
-		if e.Latency != nil && e.Latency.Found {
-			line += fmt.Sprintf("  lat=%d", e.Latency.Events)
-		}
 		fmt.Println(line)
 	}
 }
@@ -150,6 +147,6 @@ func runsDiff(a, b string) {
 	d := ledger.Diff(loadRef(a), loadRef(b))
 	fmt.Print(d.Render())
 	if d.Fatal() {
-		log.Fatalf("FATAL: %d verdict flip(s), %d lost coverage edge(s)", len(d.Flips), len(d.LostEdges))
+		log.Fatalf("FATAL: %d baseline cell(s) missing, %d verdict flip(s), %d lost coverage edge(s)", len(d.OnlyA), len(d.Flips), len(d.LostEdges))
 	}
 }

@@ -128,14 +128,13 @@ type Runner struct {
 	Log *slog.Logger
 
 	// Observer, when set, receives every settled cell's full outcome —
-	// verdict or failure record, coverage map, detection latency, span
-	// length, wall time — exactly once, the persistence hook the run
-	// ledger implements. Unlike Progress it sees the result itself, not
-	// just the telemetry profile. Setting it gives every cell a
-	// recorder, a coverage map and a span tree (as with SalvageProfiles
-	// / Coverage / Spans), which leaves results and rendered tables
-	// byte-identical to an unobserved run. Implementations must be safe
-	// for concurrent use.
+	// verdict or failure record, coverage map, span length, wall time —
+	// exactly once, the persistence hook the run ledger implements. Unlike
+	// Progress it sees the result itself, not just the telemetry profile.
+	// Setting it gives every cell a recorder, a coverage map and a span
+	// tree (as with SalvageProfiles / Coverage / Spans), which leaves
+	// results and rendered tables byte-identical to an unobserved run.
+	// Implementations must be safe for concurrent use.
 	Observer CellObserver
 }
 
@@ -147,10 +146,9 @@ type Runner struct {
 type CellObserver interface {
 	// CellSettled delivers one cell's settled outcome. Exactly one of
 	// res/cerr is non-nil. cov is the cell's coverage map (nil for
-	// abandoned cells), lat its RQ3 detection latency, spanV the
-	// virtual-time length of its span tree, and wall the observed wall
-	// time (not deterministic).
-	CellSettled(cell CellRef, res *RunResult, cerr *CellError, cov *coverage.Map, lat span.Latency, spanV uint64, wall time.Duration)
+	// abandoned cells), spanV the virtual-time length of its span tree,
+	// and wall the observed wall time (not deterministic).
+	CellSettled(cell CellRef, res *RunResult, cerr *CellError, cov *coverage.Map, spanV uint64, wall time.Duration)
 }
 
 // SchedObserver observes the engine's wall-clock scheduling decisions:
@@ -421,16 +419,15 @@ func (r *Runner) instrumentation() instrumentation {
 // cellOutcome pairs one cell's result with its failure record; exactly
 // one of res/err is set. profile carries the cell's telemetry snapshot
 // when one exists — on failure it is the salvage profile the flight
-// recorder dumps. tree and latency carry the cell's span capture when
-// the runner collects spans; sending them over the outcome channel is
-// what hands tree ownership from the cell goroutine back to the worker
-// (an abandoned cell keeps its tree, and the worker records a stub).
+// recorder dumps. tree carries the cell's span capture when the runner
+// collects spans; sending it over the outcome channel is what hands
+// tree ownership from the cell goroutine back to the worker (an
+// abandoned cell keeps its tree, and the worker records a stub).
 type cellOutcome struct {
 	res     *RunResult
 	err     *CellError
 	profile *telemetry.CellProfile
 	tree    *span.Tree
-	latency span.Latency
 	cov     *coverage.Map
 }
 
@@ -464,17 +461,6 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 		if recycle != nil && !abandoned.Load() {
 			recycle()
 		}
-	}
-	if tree != nil {
-		// No event lands after the profile snapshot, so its copy of the
-		// ring serves the latency scan when there is one.
-		var evs []telemetry.Event
-		if out.profile != nil {
-			evs = out.profile.Events
-		} else {
-			evs = rec.Events()
-		}
-		out.latency = span.DetectionLatency(tree, evs)
 	}
 	return out
 }
@@ -591,12 +577,11 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 // dispatched — funnels through here, so the coverage collector sees
 // exactly one FinishCell per cell (abandoned cells file a nil map,
 // which settles as empty coverage deterministically). A dispatched cell
-// (non-zero began) also files its span capture with the collector and
-// feeds the RQ3 detection-latency histogram; an abandoned cell (hang,
-// cancel while running) carries no tree — its stub records only worker,
-// wall placement and failure class, and the racing goroutine keeps its
-// tree. Cells canceled before dispatch file no spans. id is c's trace
-// identity, rendered once by the caller.
+// (non-zero began) also files its span capture with the collector; an
+// abandoned cell (hang, cancel while running) carries no tree — its
+// stub records only worker, wall placement and failure class, and the
+// racing goroutine keeps its tree. Cells canceled before dispatch file
+// no spans. id is c's trace identity, rendered once by the caller.
 func (r *Runner) settle(c cell, id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
 	if r.Spans != nil && !began.IsZero() {
 		cs := &span.CellSpans{
@@ -604,23 +589,19 @@ func (r *Runner) settle(c cell, id string, worker int, began time.Time, queueNS 
 			Worker:   worker,
 			OffsetNS: began.Sub(r.Spans.Epoch()).Nanoseconds(),
 			WallNS:   wall.Nanoseconds(),
-			Latency:  out.latency,
 			Tree:     out.tree,
 		}
 		if out.err != nil {
 			cs.Class = string(out.err.Class)
 		}
 		r.Spans.FinishCell(cs)
-		if r.Telemetry != nil && out.latency.Found && out.latency.Events >= 0 {
-			r.Telemetry.Histogram(telemetry.DetectionLatencyHistogram).Observe(uint64(out.latency.Events))
-		}
 	}
 	if r.Coverage != nil {
 		r.Coverage.FinishCell(id, out.cov)
 	}
 	if r.Observer != nil {
 		ref := CellRef{Version: c.version.Name, UseCase: c.spec.Name, Mode: c.mode}
-		r.Observer.CellSettled(ref, out.res, out.err, out.cov, out.latency, rootSpanV(out.tree), wall)
+		r.Observer.CellSettled(ref, out.res, out.err, out.cov, rootSpanV(out.tree), wall)
 	}
 	if r.Progress != nil {
 		r.Progress.CellFinished(id, wall, out.profile, out.err)

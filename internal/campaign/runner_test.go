@@ -21,7 +21,6 @@ import (
 	"repro/internal/exploits"
 	"repro/internal/hv"
 	"repro/internal/report"
-	"repro/internal/span"
 )
 
 var workerCounts = []int{1, 4, 8}
@@ -145,7 +144,7 @@ func TestRunnerUnknownUseCaseError(t *testing.T) {
 // countingObserver counts CellSettled deliveries.
 type countingObserver struct{ settled atomic.Int64 }
 
-func (o *countingObserver) CellSettled(campaign.CellRef, *campaign.RunResult, *campaign.CellError, *coverage.Map, span.Latency, uint64, time.Duration) {
+func (o *countingObserver) CellSettled(campaign.CellRef, *campaign.RunResult, *campaign.CellError, *coverage.Map, uint64, time.Duration) {
 	o.settled.Add(1)
 }
 

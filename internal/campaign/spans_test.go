@@ -1,11 +1,10 @@
 package campaign_test
 
 // The causal span layer's campaign-level contract: span trees are
-// measured in virtual time, so the forest's canonical structure — and
-// the RQ3 detection latencies derived from it — are byte-identical at
-// any worker count and pinned here as goldens; installing the
-// collector changes no rendered artifact; and every tree the engine
-// salvages from a chaos-faulted cell still satisfies the
+// measured in virtual time, so the forest's canonical structure is
+// byte-identical at any worker count and pinned here as a golden;
+// installing the collector changes no rendered artifact; and every tree
+// the engine salvages from a chaos-faulted cell still satisfies the
 // closed-exactly-once invariant.
 
 import (
@@ -41,12 +40,12 @@ func matrixForest(t *testing.T, workers int, opts func(*campaign.Runner)) *span.
 // canonical span forest. It moves only when the simulated stack's
 // event flow changes — which is exactly the kind of change that must
 // be reviewed, not absorbed.
-const matrixForestDigest = "d691b31efbf5439e5f824c3757d0089a96de2640beacd2b8c491425a2bdf7dc2"
+const matrixForestDigest = "8090f4a691f014a462ddfb7d323ef7dd694ed451057f7ccb935aff6c6163ad63"
 
 // The golden canonical subtree of one injection cell, pinned in full:
 // boot's page-table allocations, the three-step arbitrary_access
 // injection, and the assess audit, all in event-count time.
-const goldenInjectionCell = `  4.6/XSA-148-priv/injection latency=0
+const goldenInjectionCell = `  4.6/XSA-148-priv/injection
     cell "4.6/XSA-148-priv/injection" [0,283]
       phase "boot" [0,259]
         mm_op "alloc_range[16]" [0,0]
@@ -90,49 +89,6 @@ func TestMatrixSpanForestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The RQ3 table: per-injection-cell detection latency in virtual-time
-// events. The trigger (injection complete) varies per cell with the
-// attack's event cost; the monitor's audit fires on the very next
-// event in every default-matrix cell, so the latency distance is 0.
-func TestDetectionLatencyGolden(t *testing.T) {
-	wantTrigger := map[string]uint64{
-		"4.6/XSA-212-crash/injection":  267,
-		"4.6/XSA-212-priv/injection":   276,
-		"4.6/XSA-148-priv/injection":   281,
-		"4.6/XSA-182-test/injection":   268,
-		"4.8/XSA-212-crash/injection":  267,
-		"4.8/XSA-212-priv/injection":   276,
-		"4.8/XSA-148-priv/injection":   281,
-		"4.8/XSA-182-test/injection":   268,
-		"4.13/XSA-212-crash/injection": 266,
-		"4.13/XSA-212-priv/injection":  266,
-		"4.13/XSA-148-priv/injection":  280,
-		"4.13/XSA-182-test/injection":  267,
-	}
-	f := matrixForest(t, 4, nil)
-	seen := 0
-	for _, cs := range f.Cells() {
-		want, ok := wantTrigger[cs.Cell]
-		if !ok {
-			// Exploit cells measure too (exploit phase as trigger) but
-			// only the injection cells are the pinned RQ3 table.
-			if !cs.Latency.Found {
-				t.Errorf("%s: no detection latency measured", cs.Cell)
-			}
-			continue
-		}
-		seen++
-		l := cs.Latency
-		if !l.Found || l.TriggerV != want || l.EvidenceV != want || l.Events != 0 {
-			t.Errorf("%s: latency = found=%v trigger=%d evidence=%d events=%d, want trigger=evidence=%d events=0",
-				cs.Cell, l.Found, l.TriggerV, l.EvidenceV, l.Events, want)
-		}
-	}
-	if seen != len(wantTrigger) {
-		t.Errorf("pinned %d injection cells, found %d in the forest", len(wantTrigger), seen)
-	}
-}
-
 // Installing the span collector must not perturb the campaign's
 // rendered artifact — spans observe the run, they don't participate.
 func TestMatrixOutputUnchangedBySpans(t *testing.T) {
@@ -151,7 +107,7 @@ func TestMatrixOutputUnchangedBySpans(t *testing.T) {
 }
 
 // The single-cell entry point also collects: one one-cell batch, one
-// tree, latency measured.
+// tree.
 func TestRunSingleCellCollectsSpans(t *testing.T) {
 	r := &campaign.Runner{Workers: 1, Spans: span.NewCollector()}
 	if _, err := r.RunContext(context.Background(), campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
@@ -164,9 +120,6 @@ func TestRunSingleCellCollectsSpans(t *testing.T) {
 	cells := f.Cells()
 	if len(cells) != 1 || cells[0].Tree == nil {
 		t.Fatalf("got %d settled cells (tree present: %v), want 1 with a tree", len(cells), len(cells) == 1 && cells[0].Tree != nil)
-	}
-	if !cells[0].Latency.Found {
-		t.Errorf("single-cell run measured no detection latency: %+v", cells[0].Latency)
 	}
 }
 
@@ -226,20 +179,19 @@ func TestPanicLeavesClosedAbortedTree(t *testing.T) {
 	if campaign.FailureClass(hit.Class) != campaign.FailPanic {
 		t.Errorf("panicked cell classified %q, want %q", hit.Class, campaign.FailPanic)
 	}
-	aborted := 0
+	aborted, boot := 0, false
 	for _, s := range hit.Tree.Spans() {
 		if s.Aborted {
 			aborted++
+		} else if s.Kind == span.KindPhase && s.Name == span.PhaseBoot {
+			boot = true
 		}
 	}
 	if aborted == 0 {
 		t.Error("panicked cell's tree has no aborted spans; the unwind left no trace")
 	}
-	if _, ok := hit.Tree.PhaseEnd(span.PhaseBoot); !ok {
+	if !boot {
 		t.Error("panicked cell's tree lost its completed boot phase")
-	}
-	if hit.Latency.Found {
-		t.Errorf("panicked cell measured a detection latency: %+v", hit.Latency)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/span"
 	"repro/internal/tracediff"
 )
 
@@ -38,9 +37,6 @@ func fmtCanonicalLine(e *Entry) string {
 	if e.Coverage != nil {
 		fmt.Fprintf(&b, " cov=%sx%d", e.Coverage.Digest, e.Coverage.Edges)
 	}
-	if e.Latency != nil && e.Latency.Found {
-		fmt.Fprintf(&b, " latency=%d", e.Latency.Events)
-	}
 	if e.SpanV != 0 {
 		fmt.Fprintf(&b, " span_v=%d", e.SpanV)
 	}
@@ -68,19 +64,17 @@ func TestCanonicalLineFormat(t *testing.T) {
 			Verdict:     &VerdictRecord{ErroneousState: true, Handled: true, ScriptError: "PoC \"failed\": «é»\t\u2028"},
 			Equivalence: &tracediff.CellVerdict{Tier: "equivalent", Basis: "state-audit", RefVersion: "4.6", BaseEvents: 0, InjectionEvents: 12},
 			Coverage:    &CoverageRecord{Digest: "9f4b1e8b005694b1", Edges: 0},
-			Latency:     &span.Latency{Found: true},
 			SpanV:       18446744073709551615,
 			Profiled:    true,
 			Effects:     []string{"scenario_step label=\"«mode»\"", ""},
 			Error:       &campaign.CellError{Class: campaign.FailPanic, Message: "boom \"x\"\n"}},
 			"cell 4.6/XSA-148-priv/injection seed=-7 spec=0123456789abcdef verdict=101 " +
 				`script-err="PoC \"failed\": «é»\t\u2028" equiv=equivalent/state-audit@4.6:0/12 ` +
-				"cov=9f4b1e8b005694b1x0 latency=0 span_v=18446744073709551615 " +
+				"cov=9f4b1e8b005694b1x0 span_v=18446744073709551615 " +
 				"effects=2:" + fmt.Sprintf("%016x", fnvString(fnvOffset, "scenario_step label=\"«mode»\"\n")) +
 				" audit=0:" + fmt.Sprintf("%016x", fnvOffset) +
 				` err=panic:"boom \"x\"\n"`},
-		{Entry{Version: "4.13", Scenario: "s", Mode: "exploit", Profiled: true, StateAudit: []string{"a"},
-			Latency: &span.Latency{Found: false, Events: 9}},
+		{Entry{Version: "4.13", Scenario: "s", Mode: "exploit", Profiled: true, StateAudit: []string{"a"}},
 			"cell 4.13/s/exploit seed=0 spec= effects=0:" + fmt.Sprintf("%016x", fnvOffset) +
 				" audit=1:" + fmt.Sprintf("%016x", fnvString(fnvOffset, "a"))},
 	} {

@@ -78,12 +78,6 @@ type TierChange struct {
 	From, To *tracediff.CellVerdict
 }
 
-// LatencyDrift is one cell whose RQ3 detection latency moved.
-type LatencyDrift struct {
-	Cell     cellCoord
-	From, To int64
-}
-
 // SpanDrift is one cell whose span makespan (virtual time) moved.
 type SpanDrift struct {
 	Cell     cellCoord
@@ -104,10 +98,8 @@ type RunDiff struct {
 	// losses (coverage.Diff over the reconstructed reports), each with
 	// its first-witness cell.
 	NewEdges, LostEdges []coverage.UnionEdge
-	// LatencyDrifts and SpanDrifts are virtual-time movements on shared
-	// successful cells.
-	LatencyDrifts []LatencyDrift
-	SpanDrifts    []SpanDrift
+	// SpanDrifts are span-makespan movements on shared successful cells.
+	SpanDrifts []SpanDrift
 }
 
 // Diff compares two records, a as the baseline and b as the candidate.
@@ -139,29 +131,14 @@ func Diff(a, b *Record) *RunDiff {
 		if e.Mode == string(campaign.ModeInjection) && !sameTier(prev.Equivalence, e.Equivalence) {
 			d.TierChanges = append(d.TierChanges, TierChange{Cell: c, From: prev.Equivalence, To: e.Equivalence})
 		}
-		if prev.Error == nil && e.Error == nil {
-			la, lb := latencyOf(prev), latencyOf(e)
-			if la != lb {
-				d.LatencyDrifts = append(d.LatencyDrifts, LatencyDrift{Cell: c, From: la, To: lb})
-			}
-			if prev.SpanV != e.SpanV {
-				d.SpanDrifts = append(d.SpanDrifts, SpanDrift{Cell: c, From: prev.SpanV, To: e.SpanV})
-			}
+		if prev.Error == nil && e.Error == nil && prev.SpanV != e.SpanV {
+			d.SpanDrifts = append(d.SpanDrifts, SpanDrift{Cell: c, From: prev.SpanV, To: e.SpanV})
 		}
 	}
 	d.NewEdges, d.LostEdges = coverage.Diff(a.CoverageReport(), b.CoverageReport())
 	sortUnion(d.NewEdges)
 	sortUnion(d.LostEdges)
 	return d
-}
-
-// latencyOf folds an entry's latency to a comparable scalar: the event
-// distance when found, a sentinel when not measured.
-func latencyOf(e *Entry) int64 {
-	if e.Latency == nil || !e.Latency.Found {
-		return -1 << 62
-	}
-	return e.Latency.Events
 }
 
 func sameTier(a, b *tracediff.CellVerdict) bool {
@@ -182,17 +159,18 @@ func sortUnion(edges []coverage.UnionEdge) {
 }
 
 // Fatal reports whether the diff crosses the regression gate `make
-// ledger-diff` enforces: a verdict flip or a lost coverage edge.
-// Tier changes, drift and growth are reported but not fatal.
+// ledger-diff` enforces: a baseline cell missing from the candidate, a
+// verdict flip or a lost coverage edge. Tier changes, drift and cells
+// only the candidate has are reported but not fatal.
 func (d *RunDiff) Fatal() bool {
-	return len(d.Flips) > 0 || len(d.LostEdges) > 0
+	return len(d.OnlyA) > 0 || len(d.Flips) > 0 || len(d.LostEdges) > 0
 }
 
 // Clean reports a diff with nothing to say.
 func (d *RunDiff) Clean() bool {
 	return len(d.OnlyA) == 0 && len(d.OnlyB) == 0 && len(d.Flips) == 0 &&
 		len(d.TierChanges) == 0 && len(d.NewEdges) == 0 && len(d.LostEdges) == 0 &&
-		len(d.LatencyDrifts) == 0 && len(d.SpanDrifts) == 0
+		len(d.SpanDrifts) == 0
 }
 
 // Render writes the diff as a canonical text report.
@@ -238,12 +216,6 @@ func (d *RunDiff) Render() string {
 			fmt.Fprintf(&b, "  LOST %s/%s x%d first=%s\n", e.Family, e.Name, e.Count, e.FirstCell)
 		}
 	}
-	if len(d.LatencyDrifts) > 0 {
-		fmt.Fprintf(&b, "DETECTION LATENCY DRIFT (%d)\n", len(d.LatencyDrifts))
-		for _, l := range d.LatencyDrifts {
-			fmt.Fprintf(&b, "  %s: %s -> %s events\n", l.Cell, latencyString(l.From), latencyString(l.To))
-		}
-	}
 	if len(d.SpanDrifts) > 0 {
 		fmt.Fprintf(&b, "SPAN MAKESPAN DRIFT (%d)\n", len(d.SpanDrifts))
 		for _, s := range d.SpanDrifts {
@@ -262,11 +234,4 @@ func tierString(cv *tracediff.CellVerdict) string {
 		s += "@" + cv.RefVersion
 	}
 	return s
-}
-
-func latencyString(v int64) string {
-	if v == -1<<62 {
-		return "unmeasured"
-	}
-	return fmt.Sprintf("%d", v)
 }

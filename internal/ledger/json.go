@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/coverage"
-	"repro/internal/span"
 	"repro/internal/tracediff"
 )
 
@@ -181,10 +180,6 @@ func (w *jsonWriter) entry(e *Entry) {
 		w.key("coverage")
 		w.coverage(e.Coverage)
 	}
-	if e.Latency != nil {
-		w.key("latency")
-		w.latency(e.Latency)
-	}
 	if e.SpanV != 0 {
 		w.uint("span_v", e.SpanV)
 	}
@@ -264,15 +259,6 @@ func (w *jsonWriter) edge(e *coverage.Edge) {
 	w.str("family", string(e.Family))
 	w.str("name", e.Name)
 	w.uint("count", e.Count)
-	w.close('}')
-}
-
-func (w *jsonWriter) latency(l *span.Latency) {
-	w.open('{')
-	w.bool("found", l.Found)
-	w.uint("trigger_v", l.TriggerV)
-	w.uint("evidence_v", l.EvidenceV)
-	w.int("events", l.Events)
 	w.close('}')
 }
 

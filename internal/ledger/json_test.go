@@ -7,13 +7,14 @@ package ledger
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/coverage"
-	"repro/internal/span"
 	"repro/internal/tracediff"
 )
 
@@ -95,6 +96,32 @@ func TestLedgerJSONCoversEveryField(t *testing.T) {
 	checkJSON(t, &Record{Config: Config{Versions: []string{}}, Entries: []*Entry{}})
 }
 
+// TestBaselineIsWriterOutput holds the committed baseline to exactly
+// what WriteRecordFile writes for the record it holds: a hand edit, or
+// a member the entry type no longer has, fails here.
+func TestBaselineIsWriterOutput(t *testing.T) {
+	const path = "../../LEDGER_baseline.json"
+	rec, err := LoadRecordFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "record.json")
+	if err := WriteRecordFile(out, rec); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("rewriting %s changes it (%d bytes -> %d); regenerate it with `make ledger-baseline`", path, len(want), len(got))
+	}
+}
+
 // fuzzEntry builds an entry from fuzzed strings and integers. shape
 // selects which nested pointers are present and whether each slice is
 // nil, empty or full.
@@ -125,11 +152,8 @@ func fuzzEntry(a, b, c string, n int64, u uint64, shape uint16) *Entry {
 		}
 	}
 	if bit(11) {
-		e.Latency = &span.Latency{Found: bit(12), TriggerV: u, EvidenceV: u >> 1, Events: n}
-	}
-	if bit(13) {
 		e.Error = &campaign.CellError{Cell: a, Class: campaign.FailureClass(b), Message: c}
-		if bit(14) {
+		if bit(12) {
 			e.Error.Stack = a + b
 		}
 	}
@@ -168,10 +192,8 @@ func fuzzShape(e *Entry) uint16 {
 	set(8, e.Coverage != nil)
 	set(9, e.Coverage != nil && e.Coverage.EdgeList != nil)
 	set(10, e.Coverage != nil && len(e.Coverage.EdgeList) != 0)
-	set(11, e.Latency != nil)
-	set(12, e.Latency != nil && e.Latency.Found)
-	set(13, e.Error != nil)
-	set(14, e.Error != nil && e.Error.Stack != "")
+	set(11, e.Error != nil)
+	set(12, e.Error != nil && e.Error.Stack != "")
 	return s
 }
 

@@ -8,11 +8,10 @@
 //
 // The record is the claim the paper's tables make, made durable:
 // verdict booleans, RQ2 equivalence tier and basis, coverage digest and
-// edges, RQ3 detection latency, span makespan, failure class. Entries
-// also keep each profiled cell's canonical effect stream, so
-// equivalence is regradable offline — a resumed run merges reused and
-// re-executed cells and regrades the whole matrix from the record,
-// byte-identical to an uninterrupted run.
+// edges, span makespan, failure class. Entries also keep each profiled
+// cell's canonical effect stream, so equivalence is regradable offline
+// — a resumed run merges reused and re-executed cells and regrades the
+// whole matrix from the record, byte-identical to an uninterrupted run.
 //
 // Determinism discipline matches the rest of the tree: the canonical
 // record is byte-identical at any `-workers` count, any chaos seed
@@ -34,7 +33,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/exploits"
 	"repro/internal/hv"
-	"repro/internal/span"
 	"repro/internal/tracediff"
 )
 
@@ -141,8 +139,6 @@ type Entry struct {
 	// entries once the run's matrix is graded.
 	Equivalence *tracediff.CellVerdict `json:"equivalence,omitempty"`
 	Coverage    *CoverageRecord        `json:"coverage,omitempty"`
-	// Latency is the RQ3 detection latency (virtual time only).
-	Latency *span.Latency `json:"latency,omitempty"`
 	// SpanV is the cell's span-tree makespan in virtual time (the root
 	// span's duration), 0 for abandoned cells that kept no tree.
 	SpanV uint64 `json:"span_v,omitempty"`
@@ -220,10 +216,6 @@ func (e *Entry) appendCanonicalLine(b []byte) []byte {
 		b = append(b, e.Coverage.Digest...)
 		b = append(b, 'x')
 		b = strconv.AppendInt(b, int64(e.Coverage.Edges), 10)
-	}
-	if e.Latency != nil && e.Latency.Found {
-		b = append(b, " latency="...)
-		b = strconv.AppendInt(b, e.Latency.Events, 10)
 	}
 	if e.SpanV != 0 {
 		b = append(b, " span_v="...)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/exploits"
 	"repro/internal/ledger"
-	"repro/internal/span"
 )
 
 // testConfig is a small fixed-identity config for unit tests; the
@@ -161,6 +160,8 @@ func TestRecordFileRoundTripAndTamperDetection(t *testing.T) {
 // TestJournalLastWinsAndCrashSafety corrupts a journal the ways a crash
 // can: duplicate keys (a resumed re-execution), a garbage line, and a
 // truncated final line. Load must settle last-wins and skip the damage.
+// A line carrying a member the entry no longer has (the detection
+// latency older builds journaled) still loads and wins.
 func TestJournalLastWinsAndCrashSafety(t *testing.T) {
 	dir := t.TempDir()
 	store, err := ledger.Open(dir)
@@ -186,7 +187,10 @@ func TestJournalLastWinsAndCrashSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("not json\n{\"scenario\":\"XSA-212-cra"); err != nil {
+	if _, err := f.WriteString(`{"scenario":"XSA-212-crash","version":"4.6","mode":"injection",` +
+		`"verdict":{"erroneous_state":true,"security_violation":true,"handled":true},` +
+		`"latency":{"found":true,"trigger_v":267,"evidence_v":267,"events":0},"wall_ns":4}` + "\n" +
+		"not json\n{\"scenario\":\"XSA-212-cra"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -197,6 +201,9 @@ func TestJournalLastWinsAndCrashSafety(t *testing.T) {
 	}
 	if rec.Completed != 2 {
 		t.Fatalf("settled %d cells, want 2 (last-wins dedupe, damage skipped)", rec.Completed)
+	}
+	if e := rec.EntryByKey(other.Key()); e == nil || !e.Verdict.Handled {
+		t.Errorf("journal line with a latency member was not read: %+v", e)
 	}
 	e := rec.EntryByKey(ledger.Key{Scenario: "XSA-212-crash", Version: "4.6", Mode: "exploit"})
 	if e == nil || e.Verdict.Handled {
@@ -323,7 +330,7 @@ func TestPlanDelta(t *testing.T) {
 }
 
 // diffFixtures builds a baseline record and a mutated candidate with
-// one verdict flip, one lost coverage edge, and one latency drift.
+// one verdict flip, one lost coverage edge, and one span drift.
 func diffFixtures(t *testing.T) (*ledger.Record, *ledger.Record) {
 	t.Helper()
 	cfg := testConfig()
@@ -333,11 +340,11 @@ func diffFixtures(t *testing.T) (*ledger.Record, *ledger.Record) {
 			{Family: "hypercall", Name: "mmu_update:ok", Count: 3},
 			{Family: "pagetype", Name: "get:l1@general", Count: 1},
 		}}
-		a.Latency = &span.Latency{Found: true, Events: 5}
+		a.SpanV = 5
 		b := entry("4.6", "XSA-212-crash", "injection", 0)
 		if mutate {
 			a.Coverage.EdgeList = a.Coverage.EdgeList[:1]
-			a.Latency = &span.Latency{Found: true, Events: 9}
+			a.SpanV = 9
 			b.Verdict.SecurityViolation = false
 		}
 		for _, e := range []*ledger.Entry{a, b} {
@@ -370,14 +377,14 @@ func TestDiffDetectsRegressions(t *testing.T) {
 	if len(d.LostEdges) != 1 || d.LostEdges[0].Name != "get:l1@general" {
 		t.Errorf("lost edges %+v, want exactly get:l1@general", d.LostEdges)
 	}
-	if len(d.LatencyDrifts) != 1 || d.LatencyDrifts[0].From != 5 || d.LatencyDrifts[0].To != 9 {
-		t.Errorf("latency drifts %+v, want 5 -> 9", d.LatencyDrifts)
+	if len(d.SpanDrifts) != 1 || d.SpanDrifts[0].From != 5 || d.SpanDrifts[0].To != 9 {
+		t.Errorf("span drifts %+v, want 5 -> 9", d.SpanDrifts)
 	}
 	if !d.Fatal() {
 		t.Error("a verdict flip and a lost edge must be fatal")
 	}
 	out := d.Render()
-	for _, want := range []string{"VERDICT FLIPS (1)", "LOST pagetype/get:l1@general", "DETECTION LATENCY DRIFT (1)", "5 -> 9 events"} {
+	for _, want := range []string{"VERDICT FLIPS (1)", "LOST pagetype/get:l1@general", "SPAN MAKESPAN DRIFT (1)", "5 -> 9 virtual"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("diff render missing %q:\n%s", want, out)
 		}
@@ -393,5 +400,24 @@ func TestDiffDetectsRegressions(t *testing.T) {
 	}
 	if len(growth.NewEdges) != 1 || len(growth.LostEdges) != 0 {
 		t.Errorf("reverse diff edges: new=%d lost=%d, want 1/0", len(growth.NewEdges), len(growth.LostEdges))
+	}
+
+	// A baseline cell the candidate lost is fatal on its own; the same
+	// cell appearing only in the candidate is growth.
+	cfg := testConfig()
+	dropped := ledger.Settle(&ledger.Run{RunID: cfg.RunID(), Config: cfg, Cells: 2}, base.Entries[:1])
+	lost := ledger.Diff(base, dropped)
+	if len(lost.OnlyA) != 1 || len(lost.Flips) != 0 || len(lost.LostEdges) != 0 {
+		t.Fatalf("dropped-cell diff: onlyA=%d flips=%d lost=%d, want 1/0/0:\n%s",
+			len(lost.OnlyA), len(lost.Flips), len(lost.LostEdges), lost.Render())
+	}
+	if !lost.Fatal() {
+		t.Errorf("a baseline cell missing from the candidate must be fatal:\n%s", lost.Render())
+	}
+	if !strings.Contains(lost.Render(), "CELLS ONLY IN BASELINE (1)\n  4.6/XSA-212-crash/injection\n") {
+		t.Errorf("dropped-cell render does not name the cell:\n%s", lost.Render())
+	}
+	if added := ledger.Diff(dropped, base); len(added.OnlyB) != 1 || added.Fatal() {
+		t.Errorf("a cell only the candidate has must not be fatal: onlyB=%d fatal=%v", len(added.OnlyB), added.Fatal())
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/exploits"
-	"repro/internal/span"
 	"repro/internal/tracediff"
 )
 
@@ -88,9 +87,9 @@ func (w *Writer) Dir() string { return w.dir }
 
 // CellSettled implements campaign.CellObserver: it converts one settled
 // cell into a journal entry. res is non-nil for a successful cell, cerr
-// for a failed one; cov, lat and spanV carry the cell's coverage map,
-// RQ3 latency and span makespan.
-func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cerr *campaign.CellError, cov *coverage.Map, lat span.Latency, spanV uint64, wall time.Duration) {
+// for a failed one; cov and spanV carry the cell's coverage map and
+// span makespan.
+func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cerr *campaign.CellError, cov *coverage.Map, spanV uint64, wall time.Duration) {
 	e := &Entry{
 		Scenario: cell.UseCase,
 		Version:  cell.Version,
@@ -119,10 +118,6 @@ func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cer
 	}
 	if cov != nil {
 		e.Coverage = &CoverageRecord{Digest: cov.Digest(), Edges: cov.Len(), EdgeList: cov.Edges()}
-	}
-	if lat.Found || lat.TriggerV != 0 {
-		l := lat
-		e.Latency = &l
 	}
 	w.append(e)
 }

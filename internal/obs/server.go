@@ -251,8 +251,6 @@ func helpFor(name string) string {
 		"telemetry.sink_errors": "Telemetry events the streaming sink failed to write.",
 		telemetry.CellWallHistogram: "Per-cell wall time in nanoseconds " +
 			"(not deterministic across runs).",
-		telemetry.DetectionLatencyHistogram: "Per-cell detection latency in virtual-time events: " +
-			"attack-phase end to first monitor evidence (RQ3).",
 	}
 	if h, ok := exact[name]; ok {
 		return h

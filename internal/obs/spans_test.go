@@ -32,7 +32,7 @@ func sampleFamily(line string) string {
 // dashboard.
 func TestWriteMetricsEverySeriesDocumented(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := &campaign.Runner{Workers: 4, Telemetry: reg, Spans: span.NewCollector()}
+	r := &campaign.Runner{Workers: 4, Telemetry: reg}
 	if _, err := r.RunMatrixContext(context.Background()); err != nil {
 		t.Fatalf("RunMatrixContext: %v", err)
 	}
@@ -74,9 +74,9 @@ func TestWriteMetricsEverySeriesDocumented(t *testing.T) {
 	if samples == 0 {
 		t.Fatal("campaign registry exposed no samples")
 	}
-	// The RQ3 histogram must be among them, fed by the span layer.
-	if !strings.Contains(out, "repro_detection_latency_events_count 102") {
-		t.Errorf("detection-latency histogram missing or not fed by all 102 cells:\n%s", out)
+	// The wall histogram must be among them, fed by every cell.
+	if !strings.Contains(out, "repro_cell_wall_ns_count 102") {
+		t.Errorf("cell-wall histogram missing or not fed by all 102 cells:\n%s", out)
 	}
 }
 
@@ -84,13 +84,12 @@ func TestWriteMetricsEverySeriesDocumented(t *testing.T) {
 // generic fallback for series it has never heard of.
 func TestHelpForCoverage(t *testing.T) {
 	for name, wantSpecific := range map[string]bool{
-		"hypercall.errors":                  true,
-		"hypercall.mmu_update":              true,
-		"grant.map":                         true,
-		"frames.alloc":                      true,
-		telemetry.CellWallHistogram:         true,
-		telemetry.DetectionLatencyHistogram: true,
-		"completely.novel_series":           false,
+		"hypercall.errors":          true,
+		"hypercall.mmu_update":      true,
+		"grant.map":                 true,
+		"frames.alloc":              true,
+		telemetry.CellWallHistogram: true,
+		"completely.novel_series":   false,
 	} {
 		h := helpFor(name)
 		if h == "" {

@@ -29,16 +29,15 @@ func phaseColumns(f *span.Forest) []string {
 }
 
 // SpanSummary renders the campaign's span forest: campaign-wide phase
-// totals, the deterministic critical-path analysis of every batch at
-// the given pool size, and the per-cell detection-latency table (RQ3).
-// Everything in it is measured in virtual time (events), so the output
-// is byte-identical at any worker count and golden-pinnable.
+// totals and the deterministic critical-path analysis of every batch
+// at the given pool size. Everything in it is measured in virtual time
+// (events), so the output is byte-identical at any worker count and
+// golden-pinnable.
 func SpanSummary(f *span.Forest, workers int) string {
 	var b strings.Builder
 	b.WriteString("CAUSAL SPAN SUMMARY (virtual time, events)\n")
 	b.WriteString(rule(72) + "\n")
-	cells := f.Cells()
-	if len(cells) == 0 {
+	if len(f.Cells()) == 0 {
 		b.WriteString("no spans collected (was the campaign run with -spans?)\n")
 		return b.String()
 	}
@@ -72,18 +71,6 @@ func SpanSummary(f *span.Forest, workers int) string {
 		}
 	}
 
-	b.WriteString(rule(72) + "\n")
-	b.WriteString("DETECTION LATENCY (RQ3)\n")
-	b.WriteString(fmt.Sprintf("%-36s %10s %10s %8s\n", "Cell", "trigger_v", "evidence_v", "latency"))
-	b.WriteString(rule(72) + "\n")
-	for _, cs := range cells {
-		if !cs.Latency.Found {
-			b.WriteString(fmt.Sprintf("%-36s %10s %10s %8s\n", cs.Cell, "-", "-", "-"))
-			continue
-		}
-		b.WriteString(fmt.Sprintf("%-36s %10d %10d %8d\n",
-			cs.Cell, cs.Latency.TriggerV, cs.Latency.EvidenceV, cs.Latency.Events))
-	}
 	b.WriteString(rule(72) + "\n")
 	return b.String()
 }

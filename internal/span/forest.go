@@ -8,8 +8,7 @@ import (
 )
 
 // CellSpans is one settled cell's contribution to the forest: its span
-// tree, the worker that ran it, its wall placement, and its detection
-// latency. Trees are nil for cells the engine had to abandon (hangs,
+// tree, the worker that ran it, and its wall placement. Trees are nil for cells the engine had to abandon (hangs,
 // cancellations) — their goroutines own the tree and may still be
 // running, so the collector records only the classification.
 type CellSpans struct {
@@ -24,8 +23,6 @@ type CellSpans struct {
 	// Class is the failure classification for failed cells, "" on
 	// success.
 	Class string `json:"class,omitempty"`
-	// Latency is the cell's detection-latency measurement.
-	Latency Latency `json:"latency"`
 	// Tree is the cell's span tree, nil for abandoned cells.
 	Tree *Tree `json:"-"`
 }
@@ -286,12 +283,6 @@ func appendCanonicalTree(b []byte, cs *CellSpans) []byte {
 		b = append(b, " abandoned class="...)
 		b = append(b, cs.Class...)
 		return append(b, '\n')
-	}
-	b = append(b, " latency="...)
-	if cs.Latency.Found {
-		b = strconv.AppendInt(b, cs.Latency.Events, 10)
-	} else {
-		b = append(b, '-')
 	}
 	if cs.Class != "" {
 		b = append(b, " class="...)

@@ -284,18 +284,3 @@ func (t *Tree) Check() error {
 	}
 	return nil
 }
-
-// PhaseEnd returns the virtual end time of the named phase span, false
-// if the tree has no such phase.
-func (t *Tree) PhaseEnd(name string) (uint64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	for i := range t.spans {
-		s := &t.spans[i]
-		if s.Kind == KindPhase && s.Name == name {
-			return s.EndV, true
-		}
-	}
-	return 0, false
-}

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // clockTree builds a tree whose virtual clock the test advances by
@@ -80,11 +79,8 @@ func TestTreeLifecycle(t *testing.T) {
 			t.Errorf("span %d (%s %q) aborted on the happy path", s.ID, s.Kind, s.Name)
 		}
 	}
-	if end, ok := tr.PhaseEnd(span.PhaseInject); !ok || end != 9 {
-		t.Errorf("PhaseEnd(inject) = %d,%v, want 9,true", end, ok)
-	}
-	if _, ok := tr.PhaseEnd(span.PhaseExploit); ok {
-		t.Error("PhaseEnd(exploit) found a phase this tree never opened")
+	if p := spans[attack]; p.Kind != span.KindPhase || p.Name != span.PhaseInject || p.StartV != 7 || p.EndV != 9 {
+		t.Errorf("inject phase = %+v, want [7,9]", p)
 	}
 }
 
@@ -105,9 +101,6 @@ func TestNilTreeNoops(t *testing.T) {
 	}
 	if err := tr.Check(); err != nil {
 		t.Errorf("nil Check = %v", err)
-	}
-	if _, ok := tr.PhaseEnd(span.PhaseBoot); ok {
-		t.Error("nil PhaseEnd found a phase")
 	}
 }
 
@@ -182,48 +175,6 @@ func TestCheckRejectsOpenSpans(t *testing.T) {
 	err := tr.Check()
 	if err == nil || !strings.Contains(err.Error(), "still open") {
 		t.Errorf("Check on open tree = %v, want still-open error", err)
-	}
-}
-
-func TestDetectionLatency(t *testing.T) {
-	build := func(attack string, endV uint64) *span.Tree {
-		tr, v := clockTree("cell")
-		if attack != "" {
-			p := tr.Phase(attack)
-			*v = endV
-			tr.End(p)
-		}
-		tr.Finish()
-		return tr
-	}
-	evidence := func(seq uint64) []telemetry.Event {
-		return []telemetry.Event{
-			{Kind: telemetry.KindScenarioStep, Seq: 1},
-			{Kind: telemetry.KindVerdictEvidence, Seq: seq},
-			{Kind: telemetry.KindVerdictEvidence, Seq: seq + 10}, // first wins
-		}
-	}
-
-	lat := span.DetectionLatency(build(span.PhaseInject, 20), evidence(25))
-	if !lat.Found || lat.TriggerV != 20 || lat.EvidenceV != 25 || lat.Events != 5 {
-		t.Errorf("inject latency = %+v, want trigger=20 evidence=25 events=5", lat)
-	}
-
-	// Exploit phase is the fallback attack boundary.
-	lat = span.DetectionLatency(build(span.PhaseExploit, 30), evidence(28))
-	if !lat.Found || lat.Events != -2 {
-		t.Errorf("exploit latency = %+v, want events=-2 (evidence mid-attack)", lat)
-	}
-
-	// No attack phase (cell failed in boot) or no evidence: not found.
-	if lat := span.DetectionLatency(build("", 0), evidence(5)); lat.Found {
-		t.Errorf("latency without attack phase = %+v, want not found", lat)
-	}
-	if lat := span.DetectionLatency(build(span.PhaseInject, 20), nil); lat.Found {
-		t.Errorf("latency without evidence = %+v, want not found", lat)
-	}
-	if lat := span.DetectionLatency(nil, evidence(5)); lat.Found {
-		t.Errorf("nil-tree latency = %+v, want not found", lat)
 	}
 }
 
@@ -326,7 +277,7 @@ func TestCanonicalExcludesWallAndWorker(t *testing.T) {
 	}
 	for _, want := range []string{
 		"batch01 cells=2\n",
-		"  a latency=-\n",
+		"  a\n",
 		`    cell "a" [0,4]`,
 		`      phase "boot" [0,4]`,
 		"  b abandoned class=hang\n",
@@ -381,7 +332,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 }
 
 // fmtCanonical is Forest.Canonical as it was written with fmt, the
-// format the span-forest golden and the RQ3 digests pin.
+// format the span-forest golden and digest pin.
 func fmtCanonical(f *span.Forest) string {
 	var b strings.Builder
 	for _, batch := range f.Batches {
@@ -391,11 +342,7 @@ func fmtCanonical(f *span.Forest) string {
 				fmt.Fprintf(&b, "  %s abandoned class=%s\n", cs.Cell, cs.Class)
 				continue
 			}
-			lat := "latency=-"
-			if cs.Latency.Found {
-				lat = fmt.Sprintf("latency=%d", cs.Latency.Events)
-			}
-			fmt.Fprintf(&b, "  %s %s", cs.Cell, lat)
+			fmt.Fprintf(&b, "  %s", cs.Cell)
 			if cs.Class != "" {
 				fmt.Fprintf(&b, " class=%s", cs.Class)
 			}
@@ -420,8 +367,8 @@ func fmtCanonical(f *span.Forest) string {
 }
 
 // TestCanonicalFormat pins the canonical tree lines to their fmt
-// rendering on quoted and non-ASCII span names, a zero latency, a
-// failure class, aborted spans and an abandoned cell.
+// rendering on quoted and non-ASCII span names, a failure class,
+// aborted spans and an abandoned cell.
 func TestCanonicalFormat(t *testing.T) {
 	tr, v := clockTree("4.6/XSA-\"q\"/injection")
 	*v = 2
@@ -431,11 +378,11 @@ func TestCanonicalFormat(t *testing.T) {
 	tr.Abort()
 	c := span.NewCollector()
 	c.StartBatch([]string{"4.6/XSA-\"q\"/injection", "4.13/b/exploit"})
-	c.FinishCell(&span.CellSpans{Cell: "4.6/XSA-\"q\"/injection", Class: "error", Latency: span.Latency{Found: true}, Tree: tr})
+	c.FinishCell(&span.CellSpans{Cell: "4.6/XSA-\"q\"/injection", Class: "error", Tree: tr})
 	c.FinishCell(&span.CellSpans{Cell: "4.13/b/exploit", Class: "hang"})
 	f := c.Forest()
 	want := "batch01 cells=2\n" +
-		"  4.6/XSA-\"q\"/injection latency=0 class=error\n" +
+		"  4.6/XSA-\"q\"/injection class=error\n" +
 		"    cell \"4.6/XSA-\\\"q\\\"/injection\" [0,5]\n" +
 		"      mm_op \"alloc \\\"«é»\\\"\\t\\u2028\" [2,5] aborted\n" +
 		"        phase \"\" [5,5] aborted\n" +

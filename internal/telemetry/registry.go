@@ -174,12 +174,6 @@ func (g *Registry) Histogram(name string) *Histogram {
 // per-cell wall times.
 const CellWallHistogram = "cell.wall_ns"
 
-// DetectionLatencyHistogram is the registry histogram fed with per-cell
-// detection latencies in virtual-time events (RQ3): the event-count
-// distance from the end of the attack phase to the first
-// verdict_evidence event the monitor recorded.
-const DetectionLatencyHistogram = "detection.latency_events"
-
 // Record merges one cell profile into the aggregate: every cell counter
 // is added to the registry counter of the same name, and the cell's
 // wall time is observed into the CellWallHistogram. Safe to call from
