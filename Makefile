@@ -58,10 +58,14 @@
 # `fuzz` runs every Fuzz* target in the module for 10 s each (today
 # FuzzNormalizeText, which holds the trace canonicalizer's hex-masking
 # scanners to the regexp passes they replace; FuzzLedgerJSON, which
-# holds the run ledger's JSON appenders to encoding/json; and
+# holds the run ledger's JSON appenders to encoding/json;
 # FuzzReadTrace, which holds the JSONL trace parser to never panic and
-# to round-trip what it accepts). A failing input is left under the
-# package's testdata/fuzz/ for `go test` to replay.
+# to round-trip what it accepts; and FuzzCoverageReport, which holds
+# the coverage report's JSON decode and Verify to never panic and to
+# round-trip what verifies). A failing input is left under the
+# package's testdata/fuzz/ for `go test` to replay. Minimizing an input
+# is capped at 1 s: the default 60 s spent on each new 100 KB coverage
+# report would use up a target's whole 10 s budget.
 
 GO ?= go
 
@@ -94,7 +98,7 @@ fuzz:
 	@for file in $$(grep -rl --include='*_test.go' '^func Fuzz' cmd internal); do \
 		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
 			echo "fuzz $$target in ./$$(dirname $$file)"; \
-			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./$$(dirname $$file) || exit 1; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s ./$$(dirname $$file) || exit 1; \
 		done; \
 	done
 

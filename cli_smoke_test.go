@@ -292,9 +292,9 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
-	// -matrix with -equivalence runs the matrix once: the coverage
-	// collector sees each of the 102 cells exactly once, so the report
-	// matches the committed baseline byte for byte.
+	// -matrix with -equivalence runs the matrix once, and both artifacts
+	// read the one run record: the coverage report settles each of the
+	// 102 cells exactly once and matches the committed baseline.
 	t.Run("matrix-equivalence-coverage", func(t *testing.T) {
 		cov := filepath.Join(t.TempDir(), "cov.json")
 		out, err := exec.Command(filepath.Join(dir, "repro"),
@@ -313,14 +313,22 @@ func TestCLISmoke(t *testing.T) {
 	// Every experiment of one invocation renders from one matrix run:
 	// the default report (Table III, Fig. 4 and the matrix) and the JSON
 	// export (runs and scores) each settle the 102 cells once, and a
-	// chaos export dumps each failing cell's flight record once.
+	// chaos export dumps each failing cell's flight record once. The run
+	// record keeps one entry per cell, so a cell run twice would not
+	// show in the coverage report; the wall schedule counts every
+	// settled run and would.
 	t.Run("one-matrix-run", func(t *testing.T) {
 		scratch := t.TempDir()
 		for _, args := range [][]string{{}, {"-json"}} {
 			cov := filepath.Join(scratch, "cov.json")
-			cmd := exec.Command(filepath.Join(dir, "repro"), append(args, "-workers", "2", "-coverage", cov)...)
-			if out, err := cmd.CombinedOutput(); err != nil {
-				t.Fatalf("repro %v -coverage: %v\n%s", args, err, out)
+			sched := filepath.Join(scratch, "sched.json")
+			cmd := exec.Command(filepath.Join(dir, "repro"), append(args, "-workers", "2", "-coverage", cov, "-schedule", sched)...)
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("repro %v -coverage -schedule: %v\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), "cells: 102 settled") {
+				t.Errorf("repro %v: schedule summary does not settle 102 cells:\n%s", args, out)
 			}
 			checkBaselineCoverage(t, cov)
 		}
@@ -341,6 +349,19 @@ func TestCLISmoke(t *testing.T) {
 				t.Errorf("cell dumped twice (%s): the export ran it twice", filepath.Base(dump))
 			}
 		}
+	})
+
+	// A -cell run ahead of the matrix is the same cell as the matrix's
+	// own: the run record keeps it once, so the coverage report settles
+	// the 102 matrix cells and matches the committed baseline.
+	t.Run("cell-matrix-coverage", func(t *testing.T) {
+		cov := filepath.Join(t.TempDir(), "cov.json")
+		out, err := exec.Command(filepath.Join(dir, "repro"),
+			"-cell", "4.6/XSA-148-priv/injection", "-matrix", "-workers", "2", "-coverage", cov).CombinedOutput()
+		if err != nil {
+			t.Fatalf("repro -cell -matrix -coverage: %v\n%s", err, out)
+		}
+		checkBaselineCoverage(t, cov)
 	})
 
 	// -listen wires the observability server into a campaign run and

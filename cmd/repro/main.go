@@ -25,8 +25,12 @@
 // Table III, Fig. 4, the matrix, -equivalence, -score and -json are
 // projections of one campaign matrix: an invocation runs the matrix
 // once, the first time one of them needs it, and renders each from the
-// same entries, so every cell reaches -trace, -spans, -coverage and the
-// flight recorder exactly once.
+// same entries, so every cell reaches -trace, -spans and the flight
+// recorder exactly once.
+//
+// -equivalence, -coverage and -ledger keep a run record, one entry per
+// cell (a rerun cell supersedes its entry), journaled under -ledger and
+// in memory otherwise; the RQ1/RQ2 artifacts all render from it.
 //
 // By default each (version, mode) environment boots once per process
 // and every cell runs on a copy-on-write fork of the sealed machine;
@@ -46,13 +50,13 @@
 //	repro -equivalence             # run both modes, diff traces per cell
 //	repro -equivalence -workers 8  # same, on an 8-worker pool
 //
-// -equivalence runs the full matrix with telemetry and structurally
-// compares each scenario's exploit trace against its injection trace
-// per version (canonicalized: addresses folded to layout roles, version
-// and mode banners masked), reporting equivalent-modulo-noise or
-// divergent per cell and exiting non-zero on any divergence. Cells are
-// graded from their persisted effect streams, the same grader a -ledger
-// record uses. With -matrix the one matrix run renders both artifacts.
+// -equivalence runs the full matrix and structurally compares each
+// scenario's exploit trace against its injection trace per version
+// (canonicalized: addresses folded to layout roles, version and mode
+// banners masked), reporting equivalent-modulo-noise or divergent per
+// cell and exiting non-zero on any divergence or failed cell. Cells are
+// graded from the run record's persisted effect streams, no telemetry
+// needed. With -matrix the one matrix run renders both artifacts.
 //
 // Causal spans:
 //
@@ -74,15 +78,15 @@
 //
 //	repro -matrix -coverage cov.json   # per-cell edge coverage + campaign union
 //
-// -coverage accumulates a deterministic coverage map per cell —
-// behaviour edges derived from the telemetry stream (hypercall
-// outcomes, page-type transitions per frame class, validation rejects,
-// walk denials, injector transitions, grant/domctl ops) — writes the
-// settled campaign report (per-cell maps, attributed union, canonical
-// digest) as JSON, and prints the coverage summary with the
+// -coverage records a deterministic coverage map per cell — behaviour
+// edges derived from the telemetry stream (hypercall outcomes,
+// page-type transitions per frame class, validation rejects, walk
+// denials, injector transitions, grant/domctl ops) — writes the run
+// record's report (per-cell maps, attributed union, canonical digest)
+// as JSON, interrupted or not, and prints the coverage summary with the
 // exploit-vs-injection shared-edge table. The report is byte-identical
-// at any -workers value, under seeded -chaos, and fork-vs-fresh boot;
-// diff two runs with "tracecheck cov a.json b.json".
+// at any -workers value, under seeded -chaos, fork-vs-fresh boot and
+// -resume; diff two runs with "tracecheck cov a.json b.json".
 //
 // Live observability:
 //
@@ -92,15 +96,15 @@
 //	repro -matrix -listen :8080 -serve              # keep serving after the run
 //	curl -N http://localhost:8080/events            # live SSE event stream
 //
-// -listen also serves the live campaign event stream: /events is an
-// SSE endpoint carrying batch/cell lifecycle events with monotonic
-// IDs — a reconnecting client sends Last-Event-ID and replays the
-// retained ring gaplessly — plus /schedule (the wall-clock worker
-// schedule as JSON) and /debug/pprof (the Go profiling endpoints).
-// Slow /events consumers lose events instead of slowing the campaign;
-// the loss is counted per connection and surfaced in-band. -serve
-// keeps the server (and /events replay, /runs, pprof) up after the
-// campaign completes until Ctrl-C.
+// /coverage serves the run record's report whenever one is kept.
+// -listen also serves the live campaign event stream: /events is an SSE
+// endpoint carrying batch/cell lifecycle events with monotonic IDs — a
+// reconnecting client sends Last-Event-ID and replays the retained ring
+// gaplessly — plus /schedule (the wall-clock worker schedule as JSON)
+// and /debug/pprof (the Go profiling endpoints). Slow /events consumers
+// lose events instead of slowing the campaign; the loss is counted per
+// connection and surfaced in-band. -serve keeps the server (and /events
+// replay, /runs, pprof) up after the campaign completes until Ctrl-C.
 //
 // Wall schedule:
 //
@@ -183,7 +187,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/campaign"
-	"repro/internal/coverage"
 	"repro/internal/events"
 	"repro/internal/exploits"
 	"repro/internal/faults"
@@ -339,17 +342,13 @@ func run(out io.Writer) (err error) {
 	defer stop()
 
 	runner := &campaign.Runner{Workers: *workers, ContinueOnError: *contOnErr}
-	if *traceOut != "" || *metrics || *equivalence || *listenAddr != "" || *ledgerDir != "" {
-		// -equivalence needs every cell's event trace; -listen needs the
-		// registry behind /metrics; -ledger persists each cell's
-		// canonical streams so equivalence regrades from the record.
+	if *traceOut != "" || *metrics || *listenAddr != "" {
+		// -trace writes every cell's events; -metrics and -listen read
+		// the registry's aggregate.
 		runner.Telemetry = telemetry.NewRegistry()
 	}
 	if *spansOut != "" {
 		runner.Spans = span.NewCollector()
-	}
-	if *covOut != "" {
-		runner.Coverage = coverage.NewCollector()
 	}
 	if *chaos != 0 {
 		plan := faults.NewPlan(*chaos, faults.DefaultDensity)
@@ -413,42 +412,46 @@ func run(out io.Writer) (err error) {
 		runner.Sched = timeline
 	}
 
+	// The run record behind every RQ1/RQ2 artifact: journaled into the
+	// store under -ledger, in memory otherwise.
 	var (
 		ledgerStore *ledger.Store
-		ledgerW     *ledger.Writer
+		record      *ledger.Writer
 		ledgerPrev  *ledger.Record
-		delta       ledger.Delta
 	)
 	if *ledgerDir != "" {
-		store, lerr := ledger.Open(*ledgerDir)
-		if lerr != nil {
-			return lerr
+		if ledgerStore, err = ledger.Open(*ledgerDir); err != nil {
+			return err
 		}
 		if *resume {
-			ledgerPrev, lerr = store.LatestMatching(runCfg)
-			if lerr != nil {
-				return fmt.Errorf("-resume: %w", lerr)
+			if ledgerPrev, err = ledgerStore.LatestMatching(runCfg); err != nil {
+				return fmt.Errorf("-resume: %w", err)
 			}
 		}
-		delta = ledger.PlanDelta(ledgerPrev, runCfg)
-		w, lerr := store.NewWriter(runCfg, delta.Expected)
-		if lerr != nil {
-			return lerr
+	}
+	delta := ledger.PlanDelta(ledgerPrev, runCfg)
+	switch {
+	case ledgerStore != nil:
+		if record, err = ledgerStore.NewWriter(runCfg, delta.Expected); err != nil {
+			return err
 		}
-		runner.Observer = w
-		ledgerStore, ledgerW = store, w
+	case *equivalence || *covOut != "":
+		record = ledger.NewWriter(runCfg, delta.Expected)
+	}
+	if record != nil {
+		runner.Observer = record
 	}
 
 	// Live observers: the HTTP server (-listen) serves the timeline,
-	// the bus and the collectors; the flight recorder (armed whenever
-	// the campaign is allowed to outlive failing cells, so their last
-	// events land on disk the moment the engine settles the failure) is
-	// the Progress hook.
+	// the bus, the span collector and the run record; the flight
+	// recorder (armed whenever the campaign is allowed to outlive
+	// failing cells, so their last events land on disk the moment the
+	// engine settles the failure) is the Progress hook.
 	var flight *obs.FlightRecorder
 	if *listenAddr != "" {
 		server := obs.NewServer(runner.Telemetry)
 		server.SetSpans(runner.Spans)
-		server.SetCoverage(runner.Coverage)
+		server.SetRecord(record)
 		server.SetRunID(runID)
 		server.SetLedger(ledgerStore)
 		server.SetBus(bus)
@@ -549,82 +552,55 @@ func run(out io.Writer) (err error) {
 			}
 			fmt.Fprintln(out, report.Fig4(rows))
 		}
-		if *ledgerDir != "" {
-			// The ledger flow: execute the delta (the full matrix on a
-			// fresh run), settle the record, grade equivalence from the
-			// persisted streams, and render every artifact from the
-			// settled record — full runs and resumed reruns share one
-			// rendering source, so merged artifacts are byte-identical.
+		if all || *matrix || *equivalence || *ledgerDir != "" {
+			// Run the matrix (a resume only the delta) and grade RQ2 from
+			// the run record; -ledger renders the matrix from the record
+			// too, so a resumed rerun merges byte-identically.
+			var entries []campaign.MatrixEntry
+			var err error
 			if ledgerPrev != nil {
 				log.Printf("ledger: resume from run %s: %d cells reused, %d to execute (%d stale)",
 					ledgerPrev.RunID, len(delta.Reused), len(delta.Rerun), delta.Stale)
 				if ledgerPrev.RunID != runID {
-					ledgerW.Import(delta.Reused)
+					record.Import(delta.Reused)
 				}
-			} else if *resume {
-				log.Print("ledger: no compatible prior run; executing the full matrix")
-			}
-			if len(delta.Rerun) > 0 {
-				entries, err := runner.RunCellRefs(ctx, delta.Rerun)
-				if err != nil {
-					// Close flushes what settled; a later -resume picks
-					// the journal up from exactly here.
-					ledgerW.Close()
-					return fmt.Errorf("ledger campaign: %w", err)
+				if len(delta.Rerun) > 0 {
+					_, err = runner.RunCellRefs(ctx, delta.Rerun)
 				}
-				for _, e := range entries {
-					collect(e.Result)
-				}
-			}
-			if snap := ledgerW.Snapshot(); snap.Complete() && snap.Failed() == 0 {
-				verdicts, eqErr := ledger.Equivalence(snap)
-				if eqErr != nil {
-					ledgerW.Close()
-					return fmt.Errorf("ledger equivalence: %w", eqErr)
-				}
-				ledgerW.RecordEquivalence(verdicts)
 			} else {
-				// A partial or failed matrix cannot carry verdicts
-				// inherited from a prior fully graded run.
-				ledgerW.StripEquivalence()
+				if *resume {
+					log.Print("ledger: no compatible prior run; executing the full matrix")
+				}
+				entries, err = matrixRun()
 			}
-			rec, lerr := ledgerW.Close()
-			if lerr != nil {
-				return fmt.Errorf("ledger: %w", lerr)
+			if err != nil {
+				return fmt.Errorf("full matrix: %w", err)
 			}
-			log.Printf("ledger: run %s settled %d/%d cells (record digest %s) in %s",
-				rec.RunID, rec.Completed, rec.Cells, rec.Digest, ledgerStore.RunDir(rec.RunID))
-			fmt.Fprintln(out, report.Matrix(rec.MatrixEntries()))
+			var rec *ledger.Record
+			if record != nil {
+				if snap := record.Snapshot(); snap.Complete() && snap.Failed() == 0 {
+					verdicts, err := ledger.Equivalence(snap)
+					if err != nil {
+						return fmt.Errorf("equivalence: %w", err)
+					}
+					record.RecordEquivalence(verdicts)
+				} else {
+					// A partial or failed matrix cannot carry verdicts
+					// inherited from a prior fully graded run.
+					record.StripEquivalence()
+				}
+				rec = record.Snapshot()
+				if *ledgerDir != "" {
+					entries = rec.MatrixEntries()
+				}
+			}
+			if all || *matrix || *ledgerDir != "" {
+				fmt.Fprintln(out, report.Matrix(entries))
+			}
 			if *equivalence {
 				verdicts, ok := rec.EquivalenceVerdicts()
 				if !ok {
 					return errors.New("equivalence: run record is not fully graded (failed or missing cells)")
-				}
-				if err := printEquivalence(out, verdicts); err != nil {
-					return err
-				}
-			}
-			if *covOut != "" {
-				rep := rec.CoverageReport()
-				if werr := writeFile(*covOut, "coverage", indentedJSON(rep)); werr != nil {
-					return werr
-				}
-				log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
-				fmt.Fprintln(out, report.CoverageSummary(rep))
-			}
-		}
-		if (all || *matrix || *equivalence) && *ledgerDir == "" {
-			entries, err := matrixRun()
-			if err != nil {
-				return fmt.Errorf("full matrix: %w", err)
-			}
-			if all || *matrix {
-				fmt.Fprintln(out, report.Matrix(entries))
-			}
-			if *equivalence {
-				verdicts, err := tracediff.MatrixEquivalence(entries)
-				if err != nil {
-					return fmt.Errorf("equivalence: %w", err)
 				}
 				if err := printEquivalence(out, verdicts); err != nil {
 					return err
@@ -739,14 +715,26 @@ func run(out io.Writer) (err error) {
 		}
 		fmt.Fprintln(out, report.SpanSummary(forest, poolSize))
 	}
-	if *covOut != "" && *ledgerDir == "" {
-		rep := runner.Coverage.Report()
-		if werr := writeFile(*covOut, "coverage", indentedJSON(rep)); werr != nil {
-			flushErrs = append(flushErrs, werr)
-		} else {
-			log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
+	if record != nil {
+		// Close settles whatever ran, a failed or interrupted run too:
+		// a later -resume picks the journal up from exactly here.
+		rec, cerr := record.Close()
+		if cerr != nil {
+			flushErrs = append(flushErrs, cerr)
 		}
-		fmt.Fprintln(out, report.CoverageSummary(rep))
+		if ledgerStore != nil {
+			log.Printf("ledger: run %s settled %d/%d cells (record digest %s) in %s",
+				rec.RunID, rec.Completed, rec.Cells, rec.Digest, ledgerStore.RunDir(rec.RunID))
+		}
+		if *covOut != "" {
+			rep := rec.CoverageReport()
+			if werr := writeFile(*covOut, "coverage", indentedJSON(rep)); werr != nil {
+				flushErrs = append(flushErrs, werr)
+			} else {
+				log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
+			}
+			fmt.Fprintln(out, report.CoverageSummary(rep))
+		}
 	}
 	if *scheduleOut != "" {
 		if werr := writeFile(*scheduleOut, "schedule", timeline.WriteChrome); werr != nil {

@@ -172,14 +172,13 @@ func (e *Environment) ScenarioEnv(mode Mode) (*exploits.Env, error) {
 }
 
 // RunResult bundles a scenario transcript with the hypervisor console,
-// the monitor's assessment and, when the runner profiles cells, the
-// telemetry snapshot.
+// the monitor's assessment and, under a Telemetry registry, the profile.
 type RunResult struct {
 	Outcome *exploits.Outcome
 	Verdict *monitor.Verdict
 	// Console is the cell's hypervisor console as the run left it.
 	Console []string
-	// Profile is the cell's telemetry snapshot, nil unless the cell ran
-	// under a profiling Runner.
+	// Profile is the cell's telemetry snapshot, nil unless the Runner
+	// has a Telemetry registry (an Observer gets it via CellSettled).
 	Profile *telemetry.CellProfile
 }

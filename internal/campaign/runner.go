@@ -128,13 +128,12 @@ type Runner struct {
 	Log *slog.Logger
 
 	// Observer, when set, receives every settled cell's full outcome —
-	// verdict or failure record, coverage map, span length, wall time —
-	// exactly once, the persistence hook the run ledger implements. Unlike
-	// Progress it sees the result itself, not just the telemetry profile.
-	// Setting it gives every cell a recorder, a coverage map and a span
-	// tree (as with SalvageProfiles / Coverage / Spans), which leaves
-	// results and rendered tables byte-identical to an unobserved run.
-	// Implementations must be safe for concurrent use.
+	// verdict or failure record, profile, coverage map, span length,
+	// wall time — exactly once: the hook the run record implements.
+	// Setting it gives every cell a recorder, a profile, a coverage map
+	// and a span tree (as with SalvageProfiles / Coverage / Spans); only
+	// the observer sees the profile, so results and rendered tables stay
+	// byte-identical to an unobserved run. Must be concurrency-safe.
 	Observer CellObserver
 }
 
@@ -145,10 +144,11 @@ type Runner struct {
 // return quickly.
 type CellObserver interface {
 	// CellSettled delivers one cell's settled outcome. Exactly one of
-	// res/cerr is non-nil. cov is the cell's coverage map (nil for
-	// abandoned cells), spanV the virtual-time length of its span tree,
-	// and wall the observed wall time (not deterministic).
-	CellSettled(cell CellRef, res *RunResult, cerr *CellError, cov *coverage.Map, spanV uint64, wall time.Duration)
+	// res/cerr is non-nil. profile and cov are the cell's telemetry
+	// snapshot (a failed cell's salvage profile) and coverage map (both
+	// nil for abandoned cells), spanV its span tree's virtual length,
+	// and wall its observed wall time.
+	CellSettled(cell CellRef, res *RunResult, cerr *CellError, profile *telemetry.CellProfile, cov *coverage.Map, spanV uint64, wall time.Duration)
 }
 
 // SchedObserver observes the engine's wall-clock scheduling decisions:
@@ -396,7 +396,7 @@ type instrumentation struct {
 	coverage bool
 	// spans gives each cell a span tree.
 	spans bool
-	// profile snapshots a successful cell's profile into its result.
+	// profile snapshots a successful cell's profile.
 	profile bool
 	// announce tells the batch-aware hooks — the span and coverage
 	// collectors, the schedule observer and the log — about the batch
@@ -435,10 +435,10 @@ type cellOutcome struct {
 // place every exit of the cell body — clean return, error, recovered
 // panic — passes through. It closes the span tree (Finish on success,
 // Abort marking the failing phase otherwise), snapshots the telemetry
-// profile, records a successful profile in the registry, and returns a
-// cleanly completed fork to the snapshot pool. A failed cell carries
-// its salvage profile for the flight recorder; a successful one carries
-// a profile only when the batch's instrumentation asks for one.
+// profile, attaches a successful one to the result and the registry
+// when the runner has a registry, and returns a cleanly completed fork
+// to the snapshot pool. A failed cell carries its salvage profile for
+// the flight recorder.
 func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func(), abandoned *atomic.Bool) cellOutcome {
 	out := cellOutcome{res: res, err: cerr, tree: tree, cov: rec.Coverage()}
 	if cerr != nil {
@@ -446,10 +446,10 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 		out.profile = rec.Profile(id, time.Since(start).Nanoseconds())
 	} else {
 		if in.profile {
-			res.Profile = rec.Profile(id, time.Since(start).Nanoseconds())
-			out.profile = res.Profile
+			out.profile = rec.Profile(id, time.Since(start).Nanoseconds())
 			if r.Telemetry != nil {
-				r.Telemetry.Record(res.Profile)
+				res.Profile = out.profile
+				r.Telemetry.Record(out.profile)
 			}
 		}
 		tree.Finish()
@@ -601,7 +601,7 @@ func (r *Runner) settle(c cell, id string, worker int, began time.Time, queueNS 
 	}
 	if r.Observer != nil {
 		ref := CellRef{Version: c.version.Name, UseCase: c.spec.Name, Mode: c.mode}
-		r.Observer.CellSettled(ref, out.res, out.err, out.cov, rootSpanV(out.tree), wall)
+		r.Observer.CellSettled(ref, out.res, out.err, out.profile, out.cov, rootSpanV(out.tree), wall)
 	}
 	if r.Progress != nil {
 		r.Progress.CellFinished(id, wall, out.profile, out.err)

@@ -21,6 +21,7 @@ import (
 	"repro/internal/exploits"
 	"repro/internal/hv"
 	"repro/internal/report"
+	"repro/internal/telemetry"
 )
 
 var workerCounts = []int{1, 4, 8}
@@ -144,7 +145,7 @@ func TestRunnerUnknownUseCaseError(t *testing.T) {
 // countingObserver counts CellSettled deliveries.
 type countingObserver struct{ settled atomic.Int64 }
 
-func (o *countingObserver) CellSettled(campaign.CellRef, *campaign.RunResult, *campaign.CellError, *coverage.Map, uint64, time.Duration) {
+func (o *countingObserver) CellSettled(campaign.CellRef, *campaign.RunResult, *campaign.CellError, *telemetry.CellProfile, *coverage.Map, uint64, time.Duration) {
 	o.settled.Add(1)
 }
 

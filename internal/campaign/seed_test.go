@@ -7,9 +7,8 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/exploits"
+	"repro/internal/ledger"
 	"repro/internal/report"
-	"repro/internal/telemetry"
-	"repro/internal/tracediff"
 )
 
 // seedNames are the four paper scenarios the pre-expansion corpus
@@ -52,10 +51,12 @@ func TestSeedMatrixByteIdentical(t *testing.T) {
 }
 
 // TestSeedEquivalenceByteIdentical diffs the rendered RQ2 equivalence
-// table of the original cells against the frozen seed artifact.
+// table of the original cells, graded from an in-memory run record,
+// against the frozen seed artifact.
 func TestSeedEquivalenceByteIdentical(t *testing.T) {
-	entries := runSpecs(t, &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}, seedSpecs(t))
-	verdicts, err := tracediff.MatrixEquivalence(entries)
+	w := ledger.NewWriter(ledger.CurrentConfig(0, false), 0)
+	runSpecs(t, &campaign.Runner{Workers: 4, Observer: w}, seedSpecs(t))
+	verdicts, err := ledger.Equivalence(w.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package coverage
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -107,42 +109,42 @@ type FamilyCount struct {
 
 // Report settles the collected maps into dispatch order and computes
 // the union with first-witness attribution. It may be called while the
-// campaign is live (the /coverage endpoint does); unfinished cells
-// appear with empty coverage until they settle.
+// campaign is live; unfinished cells appear with empty coverage until
+// they settle.
 func (c *Collector) Report() *Report {
 	if c == nil {
 		return &Report{}
 	}
 	c.mu.Lock()
-	type settled struct {
-		id string
-		m  *Map
-	}
-	var cells []settled
+	var cells []CellCoverage
 	for _, b := range c.batches {
 		for _, id := range b.order {
-			cells = append(cells, settled{id: id, m: b.cells[id].m})
+			cells = append(cells, CellCoverage{Cell: id, Edges: b.cells[id].m.Edges()})
 		}
 	}
 	c.mu.Unlock()
+	return settle(cells)
+}
 
-	rep := &Report{}
+// settle completes the report of cells, given in dispatch order with
+// only Cell and Edges set, filling each cell's Digest and NewEdges.
+func settle(cells []CellCoverage) *Report {
+	rep := &Report{Cells: cells}
 	union := make(map[string]*UnionEdge)
-	for _, s := range cells {
-		edges := s.m.Edges()
-		cc := CellCoverage{Cell: s.id, Edges: edges, Digest: DigestOf(edges)}
-		for _, e := range edges {
+	for i := range cells {
+		cc := &cells[i]
+		cc.Digest = DigestOf(cc.Edges)
+		for _, e := range cc.Edges {
 			key := string(e.Family) + "/" + e.Name
 			u, ok := union[key]
 			if !ok {
-				u = &UnionEdge{Family: e.Family, Name: e.Name, FirstCell: s.id}
+				u = &UnionEdge{Family: e.Family, Name: e.Name, FirstCell: cc.Cell}
 				union[key] = u
 				cc.NewEdges++
 			}
 			u.Count += e.Count
 			u.Cells++
 		}
-		rep.Cells = append(rep.Cells, cc)
 	}
 	rep.Union = make([]UnionEdge, 0, len(union))
 	for _, u := range union {
@@ -187,16 +189,27 @@ func (r *Report) computeDigest() string {
 	return fmt.Sprintf("%016x", fnvString(fnvOffset, r.Canonical()))
 }
 
-// Verify recomputes each cell digest and the report digest from the
-// exported fields, catching hand-edited or truncated artifacts.
+// Verify re-settles the report from its cells' edge lists and checks
+// every derived field against the result, catching hand-edited or
+// truncated artifacts.
 func (r *Report) Verify() error {
-	for _, c := range r.Cells {
+	cells := make([]CellCoverage, len(r.Cells))
+	for i, c := range r.Cells {
 		if got := DigestOf(c.Edges); got != c.Digest {
 			return fmt.Errorf("cell %s: digest %s does not match edges (recomputed %s)", c.Cell, c.Digest, got)
 		}
+		cells[i] = CellCoverage{Cell: c.Cell, Edges: c.Edges}
 	}
-	if got := r.computeDigest(); got != r.Digest {
-		return fmt.Errorf("report digest %s does not match contents (recomputed %s)", r.Digest, got)
+	want := settle(cells)
+	if r.Canonical() != want.Canonical() {
+		return errors.New("new-edge counts or union do not match the cells' edges")
+	}
+	if r.TotalEdges != want.TotalEdges || !slices.Equal(r.Families, want.Families) {
+		return fmt.Errorf("total_edges %d and families %v do not match the union (recomputed %d, %v)",
+			r.TotalEdges, r.Families, want.TotalEdges, want.Families)
+	}
+	if r.Digest != want.Digest {
+		return fmt.Errorf("report digest %s does not match contents (recomputed %s)", r.Digest, want.Digest)
 	}
 	return nil
 }

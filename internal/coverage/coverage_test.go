@@ -268,16 +268,47 @@ func TestReportDiff(t *testing.T) {
 	}
 }
 
-func TestVerifyCatchesTampering(t *testing.T) {
+// settledReport is a two-cell report whose second cell repeats one of
+// the first cell's edges, so attribution, union counts and the family
+// breakdown all carry information Verify must recompute.
+func settledReport() *Report {
 	col := NewCollector()
-	m := NewMap()
-	m.GrantOp("map")
-	col.StartBatch([]string{"cell"})
-	col.FinishCell("cell", m)
-	rep := col.Report()
-	rep.Union[0].Count++
-	if err := rep.Verify(); err == nil {
-		t.Errorf("Verify must fail after tampering with the union")
+	a, b := NewMap(), NewMap()
+	a.GrantOp("map")
+	a.DomctlOp("pause")
+	b.GrantOp("map")
+	b.Hypercall(1, "mmu_update", false)
+	col.StartBatch([]string{"a", "b"})
+	col.FinishCell("b", b)
+	col.FinishCell("a", a)
+	return col.Report()
+}
+
+func TestVerifyCatchesTampering(t *testing.T) {
+	if err := settledReport().Verify(); err != nil {
+		t.Fatalf("untouched report fails Verify: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(*Report)
+	}{
+		{"union count", func(r *Report) { r.Union[0].Count++ }},
+		// total_edges and families are outside the digest: only
+		// re-settling the union catches them.
+		{"total_edges", func(r *Report) { r.TotalEdges = 999 }},
+		{"domctl family count", func(r *Report) { r.Families[0].Edges = 500 }},
+		{"dropped family", func(r *Report) { r.Families = r.Families[1:] }},
+		// Edits re-digested to look consistent must still disagree with
+		// the cells' edge lists.
+		{"new_edges re-digested", func(r *Report) { r.Cells[1].NewEdges = 2; r.Digest = r.computeDigest() }},
+		{"first witness re-digested", func(r *Report) { r.Union[0].FirstCell = "b"; r.Digest = r.computeDigest() }},
+		{"dropped union edge re-digested", func(r *Report) { r.Union = r.Union[1:]; r.Digest = r.computeDigest() }},
+	} {
+		rep := settledReport()
+		tc.tamper(rep)
+		if err := rep.Verify(); err == nil {
+			t.Errorf("%s: Verify passed a tampered report", tc.name)
+		}
 	}
 }
 

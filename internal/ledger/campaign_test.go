@@ -23,7 +23,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/telemetry"
-	"repro/internal/tracediff"
 )
 
 // runLedgerCampaign mirrors the repro binary's -ledger flow: plan the
@@ -205,46 +204,6 @@ func TestResumeAfterInterruptMergesByteIdentical(t *testing.T) {
 	}
 	if a, b := recordBytes(t, refDir, ref.RunID), recordBytes(t, dir, merged.RunID); a != b {
 		t.Error("merged record bytes diverge from the uninterrupted run")
-	}
-}
-
-// TestLiveAndRecordGradingAgree runs the full matrix once, profiled and
-// journaled, and grades RQ2 twice: from the live entries and from the
-// writer's record. Both project into the one grader, so all 51 verdicts
-// must agree field for field.
-func TestLiveAndRecordGradingAgree(t *testing.T) {
-	store, err := ledger.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ledger.CurrentConfig(0, false)
-	w, err := store.NewWriter(cfg, ledger.PlanDelta(nil, cfg).Expected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry(), Observer: w}
-	entries, err := r.RunMatrixContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := tracediff.MatrixEquivalence(entries)
-	if err != nil {
-		t.Fatalf("live grading: %v", err)
-	}
-	recorded, err := ledger.Equivalence(w.Snapshot())
-	if err != nil {
-		t.Fatalf("record grading: %v", err)
-	}
-	if _, err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(live) != 51 || len(recorded) != len(live) {
-		t.Fatalf("got %d live and %d record verdicts, want 51 each", len(live), len(recorded))
-	}
-	for i := range live {
-		if !reflect.DeepEqual(live[i], recorded[i]) {
-			t.Errorf("%s/%s: live %+v, record %+v", live[i].Version, live[i].UseCase, live[i], recorded[i])
-		}
 	}
 }
 

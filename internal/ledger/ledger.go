@@ -130,9 +130,9 @@ type Entry struct {
 	// SpecDigest pins the declarative identity of the scenario spec the
 	// cell ran under; a resume invalidates entries whose spec changed.
 	SpecDigest string `json:"spec_digest,omitempty"`
-	// Profiled reports the cell ran under a telemetry registry, i.e. its
-	// Effects stream attests the run (an empty stream from an unprofiled
-	// cell is not evidence).
+	// Profiled reports the writer received the successful cell's
+	// telemetry profile, i.e. its Effects stream attests the run (an
+	// empty stream from an unprofiled cell is not evidence).
 	Profiled bool           `json:"profiled,omitempty"`
 	Verdict  *VerdictRecord `json:"verdict,omitempty"`
 	// Equivalence is the cell's RQ2 verdict, attached to injection

@@ -421,3 +421,39 @@ func TestDiffDetectsRegressions(t *testing.T) {
 		t.Errorf("a cell only the candidate has must not be fatal: onlyB=%d fatal=%v", len(added.OnlyB), added.Fatal())
 	}
 }
+
+// TestInMemoryWriterSettlesLikeStore imports the committed baseline's
+// entries into an in-memory writer and a store-backed one: both settle
+// the baseline's record, and only the store-backed one writes files.
+func TestInMemoryWriterSettlesLikeStore(t *testing.T) {
+	base, err := ledger.LoadRecordFile("../../LEDGER_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := store.NewWriter(base.Config, base.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := ledger.NewWriter(base.Config, base.Cells)
+	for _, w := range []*ledger.Writer{mem, disk} {
+		w.Import(base.Entries)
+		rec, err := w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Digest != base.Digest || rec.Completed != base.Completed {
+			t.Errorf("writer in %q settled %d cells, digest %s; want %d, %s",
+				w.Dir(), rec.Completed, rec.Digest, base.Completed, base.Digest)
+		}
+	}
+	if mem.Dir() != "" {
+		t.Errorf("in-memory writer has record directory %q", mem.Dir())
+	}
+	if _, err := os.Stat(filepath.Join(disk.Dir(), "record.json")); err != nil {
+		t.Errorf("store-backed writer wrote no record.json: %v", err)
+	}
+}

@@ -10,11 +10,11 @@ import (
 	"repro/internal/tracediff"
 )
 
-// Artifact reconstruction. Under `-ledger` the repro binary renders its
-// matrix, equivalence and coverage artifacts from the settled record
-// rather than from live in-memory results — full runs and delta reruns
-// share one rendering source, which is what makes a merged rerun's
-// artifacts byte-identical to an uninterrupted run's.
+// Artifact reconstruction. The repro binary renders its equivalence
+// and coverage artifacts from the settled record (and, under -ledger,
+// its matrix too) rather than from live in-memory results — full runs
+// and delta reruns share one rendering source, which is what makes a
+// merged rerun's artifacts byte-identical to an uninterrupted run's.
 
 // MatrixEntries reconstructs renderable campaign matrix entries from
 // the record, in dispatch order. Successful cells rebuild the verdict

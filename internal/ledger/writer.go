@@ -12,25 +12,25 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/exploits"
+	"repro/internal/telemetry"
 	"repro/internal/tracediff"
 )
 
-// Writer journals a live campaign into a run record directory. It is
-// the campaign.CellObserver the repro binary attaches under `-ledger`:
-// every settled cell becomes one appended journal line, so the record
-// survives a SIGINT or crash at any point with everything that had
-// settled. Lines land in settle (completion) order, which varies from
-// run to run with more than one worker; the settled record.json, whose
-// entries Settle puts in dispatch order, is the artifact that is
-// byte-identical at any worker count.
+// Writer settles a live campaign into a run record: the
+// campaign.CellObserver every RQ1/RQ2 artifact of the repro binary
+// reads. One from NewWriter keeps the record in memory; one from
+// Store.NewWriter also journals every settled cell as one appended
+// line, so the record survives a SIGINT or crash with everything that
+// had settled. Lines land in completion order, which varies with more
+// than one worker; the settled record.json, in dispatch order, is the
+// artifact that is byte-identical at any worker count.
 //
 // Ledger I/O never fails the campaign: journal write errors accumulate
 // and surface via Errors / Close, mirroring the flight recorder's
 // discipline.
 type Writer struct {
-	store *Store
-	run   *Run
-	dir   string
+	run *Run
+	dir string // the record directory; empty for an in-memory writer
 
 	mu      sync.Mutex
 	f       *os.File
@@ -39,29 +39,36 @@ type Writer struct {
 	errs    []error
 }
 
+// NewWriter returns an in-memory writer for cfg: it journals nothing,
+// and its Close settles the record without writing a file.
+func NewWriter(cfg Config, expectedCells int) *Writer {
+	run := &Run{RunID: cfg.RunID(), Config: cfg, Cells: expectedCells}
+	return &Writer{run: run, entries: make(map[Key]*Entry, expectedCells)}
+}
+
 // NewWriter opens (creating or resuming) the record directory for cfg
 // and starts journaling. A directory left by an earlier run of the same
 // config is appended to — same experiment, same run ID, one journal —
 // and keeps its original creation provenance.
 func (s *Store) NewWriter(cfg Config, expectedCells int) (*Writer, error) {
-	id := cfg.RunID()
-	dir := s.RunDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	w := NewWriter(cfg, expectedCells)
+	w.dir = s.RunDir(w.run.RunID)
+	if err := os.MkdirAll(w.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: create run dir: %w", err)
 	}
-	run := &Run{RunID: id, Config: cfg, CreatedUnixNS: time.Now().UnixNano(), Cells: expectedCells}
-	if prev, err := readRunFile(filepath.Join(dir, runFile)); err == nil && prev.CreatedUnixNS != 0 {
-		run.CreatedUnixNS = prev.CreatedUnixNS
+	w.run.CreatedUnixNS = time.Now().UnixNano()
+	if prev, err := readRunFile(filepath.Join(w.dir, runFile)); err == nil && prev.CreatedUnixNS != 0 {
+		w.run.CreatedUnixNS = prev.CreatedUnixNS
 	}
-	if err := writeRunFile(dir, run); err != nil {
+	if err := writeRunFile(w.dir, w.run); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, journalFile)
+	path := filepath.Join(w.dir, journalFile)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: open journal: %w", err)
 	}
-	w := &Writer{store: s, run: run, dir: dir, f: f, entries: make(map[Key]*Entry, expectedCells)}
+	w.f = f
 	// A resumed same-config run starts from what the journal already
 	// holds; re-executed cells supersede their old entries as they land.
 	// A resume has usually just loaded this journal (LatestMatching), so
@@ -82,14 +89,15 @@ func (s *Store) NewWriter(cfg Config, expectedCells int) (*Writer, error) {
 // RunID returns the run's content-addressed identity.
 func (w *Writer) RunID() string { return w.run.RunID }
 
-// Dir returns the run's record directory.
+// Dir returns the run's record directory ("" in memory).
 func (w *Writer) Dir() string { return w.dir }
 
 // CellSettled implements campaign.CellObserver: it converts one settled
 // cell into a journal entry. res is non-nil for a successful cell, cerr
-// for a failed one; cov and spanV carry the cell's coverage map and
-// span makespan.
-func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cerr *campaign.CellError, cov *coverage.Map, spanV uint64, wall time.Duration) {
+// for a failed one; profile, cov and spanV carry the cell's telemetry
+// snapshot, coverage map and span makespan. Only a successful cell's
+// profile attests its run; a salvage profile is not persisted.
+func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cerr *campaign.CellError, profile *telemetry.CellProfile, cov *coverage.Map, spanV uint64, wall time.Duration) {
 	e := &Entry{
 		Scenario: cell.UseCase,
 		Version:  cell.Version,
@@ -112,9 +120,9 @@ func (w *Writer) CellSettled(cell campaign.CellRef, res *campaign.RunResult, cer
 			e.Verdict.ScriptError = res.Outcome.Err.Error()
 		}
 	}
-	if res != nil && res.Profile != nil {
+	if res != nil && profile != nil {
 		e.Profiled = true
-		e.Effects, e.StateAudit = tracediff.CanonicalStreams(e.Version, campaign.MachineFrames, res.Profile.Events)
+		e.Effects, e.StateAudit = tracediff.CanonicalStreams(e.Version, campaign.MachineFrames, profile.Events)
 	}
 	if cov != nil {
 		e.Coverage = &CoverageRecord{Digest: cov.Digest(), Edges: cov.Len(), EdgeList: cov.Edges()}
@@ -216,10 +224,10 @@ func (w *Writer) Errors() []error {
 	return append([]error(nil), w.errs...)
 }
 
-// Close settles the record, writes record.json, finalizes run.json and
-// closes the journal. The returned record is the run's canonical
-// outcome; the first accumulated I/O error (if any) is the returned
-// error.
+// Close settles the record and, for a store-backed writer, writes
+// record.json, finalizes run.json and closes the journal. The returned
+// record is the run's canonical outcome; the first accumulated I/O
+// error (if any) is the returned error.
 func (w *Writer) Close() (*Record, error) {
 	rec := w.Snapshot()
 	w.mu.Lock()
@@ -230,13 +238,15 @@ func (w *Writer) Close() (*Record, error) {
 		w.f = nil
 	}
 	w.mu.Unlock()
-	if err := WriteRecordFile(filepath.Join(w.dir, recordFile), rec); err != nil {
-		w.fail(err)
-	}
-	w.run.Completed = rec.Completed
-	w.run.Digest = rec.Digest
-	if err := writeRunFile(w.dir, w.run); err != nil {
-		w.fail(err)
+	if w.dir != "" {
+		if err := WriteRecordFile(filepath.Join(w.dir, recordFile), rec); err != nil {
+			w.fail(err)
+		}
+		w.run.Completed = rec.Completed
+		w.run.Digest = rec.Digest
+		if err := writeRunFile(w.dir, w.run); err != nil {
+			w.fail(err)
+		}
 	}
 	if errs := w.Errors(); len(errs) > 0 {
 		return rec, errs[0]

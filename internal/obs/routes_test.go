@@ -12,8 +12,11 @@ import (
 	"testing"
 
 	"repro/internal/buildinfo"
+	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/events"
+	"repro/internal/ledger"
+	"repro/internal/monitor"
 	"repro/internal/telemetry"
 )
 
@@ -53,7 +56,7 @@ func TestRoutesAndContentTypes(t *testing.T) {
 		t.Errorf("/spans disabled: status %d body %q, want 404 naming -spans", status, body)
 	}
 
-	// /coverage without a collector: same shape.
+	// /coverage without a run record: same shape.
 	status, _, body = get(t, base+"/coverage")
 	if status != 404 || !strings.Contains(body, "-coverage") {
 		t.Errorf("/coverage disabled: status %d body %q, want 404 naming -coverage", status, body)
@@ -87,17 +90,20 @@ func TestRoutesAndContentTypes(t *testing.T) {
 		t.Errorf("/metrics missing repro_build_info gauge:\n%s", body)
 	}
 	if strings.Contains(body, "repro_coverage_edges_total") {
-		t.Errorf("/metrics exposes coverage series without a collector:\n%s", body)
+		t.Errorf("/metrics exposes coverage series without a run record:\n%s", body)
 	}
 }
 
-// TestCoverageEndpoint installs a coverage collector, feeds it one
-// cell, and checks /coverage serves the live report and /metrics gains
+// TestCoverageEndpoint installs a run record holding two entries
+// imported from a prior run (a resume's reused cells) plus one cell
+// settled live, and checks /coverage serves the record's report — all
+// three cells, byte for byte what -coverage writes — and /metrics gains
 // the per-family edge gauge.
 func TestCoverageEndpoint(t *testing.T) {
 	srv := NewServer(telemetry.NewRegistry())
-	col := coverage.NewCollector()
-	srv.SetCoverage(col)
+	cfg := ledger.CurrentConfig(0, false)
+	w := ledger.NewWriter(cfg, ledger.PlanDelta(nil, cfg).Expected)
+	srv.SetRecord(w)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +111,22 @@ func TestCoverageEndpoint(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	base := "http://" + addr.String()
 
-	m := coverage.NewMap()
-	m.Hypercall(1, "mmu_update", false)
-	m.GrantOp("map")
-	col.StartBatch([]string{"4.6/x/exploit"})
-	col.FinishCell("4.6/x/exploit", m)
+	reused := func(mode string, m *coverage.Map) *ledger.Entry {
+		return &ledger.Entry{
+			Scenario: "XSA-148-priv", Version: "4.6", Mode: mode,
+			Verdict:  &ledger.VerdictRecord{},
+			Coverage: &ledger.CoverageRecord{Digest: m.Digest(), Edges: m.Len(), EdgeList: m.Edges()},
+		}
+	}
+	exp, inj := coverage.NewMap(), coverage.NewMap()
+	exp.Hypercall(1, "mmu_update", false)
+	inj.Hypercall(1, "mmu_update", false)
+	inj.InjectorOp("arbitrary_access")
+	w.Import([]*ledger.Entry{reused("exploit", exp), reused("injection", inj)})
+	live := coverage.NewMap()
+	live.GrantOp("map")
+	w.CellSettled(campaign.CellRef{Version: "4.13", UseCase: "XSA-148-priv", Mode: campaign.ModeExploit},
+		&campaign.RunResult{Verdict: &monitor.Verdict{}}, nil, nil, live, 0, 0)
 
 	status, ctype, body := get(t, base+"/coverage")
 	if status != 200 || !strings.Contains(ctype, "application/json") {
@@ -119,17 +136,25 @@ func TestCoverageEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
 		t.Fatalf("/coverage is not JSON: %v\n%s", err, body)
 	}
-	if rep.TotalEdges != 2 || len(rep.Cells) != 1 {
-		t.Errorf("/coverage report = %d edges across %d cells, want 2 across 1", rep.TotalEdges, len(rep.Cells))
+	if rep.TotalEdges != 3 || len(rep.Cells) != 3 {
+		t.Errorf("/coverage report = %d edges across %d cells, want 3 across 3", rep.TotalEdges, len(rep.Cells))
 	}
 	if err := rep.Verify(); err != nil {
 		t.Errorf("/coverage report fails self-verification: %v", err)
 	}
+	want, err := json.MarshalIndent(w.Snapshot().CoverageReport(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != string(want)+"\n" {
+		t.Errorf("/coverage differs from the record's coverage report:\n--- served ---\n%s--- record ---\n%s", body, want)
+	}
 
 	_, _, metrics := get(t, base+"/metrics")
 	for _, want := range []string{
-		`repro_coverage_edges_total{family="hypercall"} 1`,
 		`repro_coverage_edges_total{family="grant"} 1`,
+		`repro_coverage_edges_total{family="hypercall"} 1`,
+		`repro_coverage_edges_total{family="injector"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)

@@ -4,8 +4,8 @@
 // plus a flight recorder that dumps a failing cell's bounded event ring
 // to disk the moment the engine settles the failure. The server hooks
 // into nothing: it serves what is installed on it — the registry, the
-// span and coverage collectors, the ledger, and the events.Timeline and
-// bus that observe the engine through its one campaign.SchedObserver
+// span collector, the run record and its store, and the events.Timeline
+// and bus that observe the engine through its one campaign.SchedObserver
 // hook. The flight recorder plugs in through campaign.Progress; both
 // cost nothing when not installed.
 package obs
@@ -31,14 +31,14 @@ import (
 )
 
 // Server is the observability HTTP server: plain handlers over the
-// registry and whatever collectors, bus and timeline are installed
-// before Listen. It observes nothing itself — the campaign's
+// registry and whatever collector, record, bus and timeline are
+// installed before Listen. It observes nothing itself — the campaign's
 // events.Timeline is the Runner's Sched hook and backs /cells and
 // /schedule. All methods are safe for concurrent use.
 type Server struct {
 	reg    *telemetry.Registry
 	spans  *span.Collector
-	cov    *coverage.Collector
+	record *ledger.Writer
 	runID  string
 	ledger *ledger.Store
 	bus    *events.Bus
@@ -93,11 +93,10 @@ func (s *Server) SetLedger(st *ledger.Store) { s.ledger = st }
 // report that span collection is disabled.
 func (s *Server) SetSpans(c *span.Collector) { s.spans = c }
 
-// SetCoverage installs the campaign's coverage collector; /coverage
-// serves its live report and /metrics gains coverage_edges_total per
-// family. Call before Listen; nil (the default) makes /coverage report
-// that coverage is disabled.
-func (s *Server) SetCoverage(c *coverage.Collector) { s.cov = c }
+// SetRecord installs the campaign's run record; /coverage serves its
+// coverage report and /metrics gains repro_coverage_edges_total per
+// family. Call before Listen; nil (the default) makes /coverage 404.
+func (s *Server) SetRecord(w *ledger.Writer) { s.record = w }
 
 // Listen binds the address and starts serving in the background,
 // returning the bound address (useful with ":0"). Call Shutdown to
@@ -151,14 +150,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
-	if s.cov == nil {
-		http.Error(w, "coverage collection is disabled (run with -coverage)", http.StatusNotFound)
+	if s.record == nil {
+		http.Error(w, "no run record is kept (run with -coverage, -equivalence or -ledger)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.cov.Report())
+	_ = enc.Encode(s.record.Snapshot().CoverageReport())
 }
 
 func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
@@ -179,8 +178,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeRunInfo(w, s.runID)
 	}
 	WriteMetrics(w, s.reg)
-	if s.cov != nil {
-		writeCoverageMetrics(w, s.cov.Report())
+	if s.record != nil {
+		writeCoverageMetrics(w, s.record.Snapshot().CoverageReport())
 	}
 	if s.ledger != nil {
 		writeLedgerMetrics(w, s.ledger)
@@ -203,7 +202,7 @@ func WriteBuildInfo(w io.Writer) {
 		buildinfo.Version, buildinfo.GoVersion(), fmt.Sprint(campaign.SnapshotsEnabled()))
 }
 
-// writeCoverageMetrics renders the live coverage union as
+// writeCoverageMetrics renders the record's coverage union as
 // repro_coverage_edges_total, one series per edge family.
 func writeCoverageMetrics(w io.Writer, rep *coverage.Report) {
 	fmt.Fprintf(w, "# HELP repro_coverage_edges_total Distinct coverage edges observed, by family.\n")

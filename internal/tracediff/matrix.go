@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/campaign"
-	"repro/internal/hv"
 )
 
 // The RQ2 pairing. For every (scenario, version) cell the engine picks
@@ -83,8 +82,8 @@ type CellStreams struct {
 }
 
 // Grade computes per-cell trace-equivalence verdicts from persisted
-// streams, the one RQ2 grader: live matrices and run-ledger records
-// both project into it. versions is the campaign's version order, the
+// streams, the one RQ2 grader: run records project into it
+// (ledger.Equivalence). versions is the campaign's version order, the
 // order the reference exploit is searched in. Verdicts follow the
 // cells' order, one per exploit/injection pair (version-major,
 // scenario-minor for a dispatch-ordered matrix). Persisted streams
@@ -153,38 +152,4 @@ func Grade(cells []CellStreams, versions []string) ([]CellVerdict, error) {
 		out = append(out, cv)
 	}
 	return out, nil
-}
-
-// MatrixEquivalence grades a profiled campaign matrix by projecting
-// every cell's recorded events through CanonicalStreams into Grade.
-// Entries must come from a Runner with a Telemetry registry (every cell
-// needs its event trace) and a fully successful run — a failed or
-// unprofiled cell is an error, because an equivalence claim over a
-// partial matrix would be vacuous.
-func MatrixEquivalence(entries []campaign.MatrixEntry) ([]CellVerdict, error) {
-	cells := make([]CellStreams, len(entries))
-	for i, e := range entries {
-		if e.Err != nil {
-			return nil, fmt.Errorf("tracediff: cell %s/%s/%s failed: %w", e.Version, e.UseCase, e.Mode, e.Err)
-		}
-		if e.Result == nil || e.Result.Profile == nil {
-			return nil, fmt.Errorf("tracediff: cell %s/%s/%s has no telemetry profile (run with a Telemetry registry)", e.Version, e.UseCase, e.Mode)
-		}
-		eff, audit := CanonicalStreams(e.Version, campaign.MachineFrames, e.Result.Profile.Events)
-		cells[i] = CellStreams{
-			Version:           e.Version,
-			UseCase:           e.UseCase,
-			Mode:              e.Mode,
-			ErroneousState:    e.Result.Verdict.ErroneousState,
-			SecurityViolation: e.Result.Verdict.SecurityViolation,
-			Effects:           eff,
-			StateAudit:        audit,
-		}
-	}
-	vs := hv.Versions()
-	versions := make([]string, len(vs))
-	for i, v := range vs {
-		versions[i] = v.Name
-	}
-	return Grade(cells, versions)
 }
