@@ -5,7 +5,11 @@
 # trajectory across PRs by emitting BENCH_matrix.json (test2json
 # stream of `go test -bench -benchmem` over the anchored
 # $(MATRIX_BENCHES) set). `trace-demo` generates a one-cell JSONL trace and asserts it
-# is non-empty, parseable and carries the expected event families.
+# is non-empty, parseable and carries the expected event families; it
+# then writes the same cell's trace booted fresh (-no-snapshot) and fails
+# unless the two cmp equal once wall_ns is stripped, so the forked
+# cell's shared boot prefix plus its own events is the fresh boot's
+# stream byte for byte.
 # `chaos` runs the fault-injection suite under the race detector (the
 # chaos tests exercise panic recovery, watchdog abandonment and
 # cancellation across worker pools — exactly where races would hide)
@@ -132,6 +136,9 @@ benchdiff:
 trace-demo:
 	$(GO) run ./cmd/repro -cell 4.6/XSA-148-priv/injection -trace trace-demo.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck trace-demo.jsonl
+	$(GO) run ./cmd/repro -cell 4.6/XSA-148-priv/injection -no-snapshot -trace trace-demo-fresh.jsonl > /dev/null
+	@sed -E 's/"wall_ns":[0-9]+,?//' trace-demo.jsonl > trace-demo-nowall.jsonl
+	@sed -E 's/"wall_ns":[0-9]+,?//' trace-demo-fresh.jsonl | cmp trace-demo-nowall.jsonl -
 
 chaos:
 	$(GO) test -race ./internal/faults/
@@ -198,7 +205,7 @@ check: build vet lint-scenarios test race fuzz trace-demo chaos equivalence span
 # committed baselines (benchdiff reads them), so clean removes only what
 # targets generate.
 clean:
-	rm -f BENCH_*.new.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
+	rm -f BENCH_*.new.json trace-demo*.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
 	rm -f cov-matrix.json cov-diff.txt ledger-diff.txt
 	rm -f sched-demo.json sched-summary.txt
 	rm -rf ledger-ci

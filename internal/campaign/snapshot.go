@@ -23,10 +23,13 @@ import (
 // first write (mm COW chunks, P2M maps, page-table maps, clip-shared
 // logs); and observably, because the sealed machine's boot journal is
 // replayed into each cell's telemetry recorder, fault injector and span
-// tree, reproducing the exact event sequence a fresh boot would emit.
+// tree, reproducing the exact event stream a fresh boot would emit.
 // The journal is folded once per snapshot, so a fork adds its counter,
-// coverage and fault-plane totals in bulk and walks only its events and
-// span ops.
+// coverage and fault-plane totals in bulk, shares the boot's events as
+// its recorder's read-only prefix instead of copying them, and walks
+// only the boot's span ops. A sink-write fault armed inside the boot
+// window, or a ring bound that cannot hold the boot plus one event,
+// restores the boot's events one by one instead (mm.Snapshot.Replay).
 //
 // A cell whose armed fault plane would fire inside the boot (SiteAlloc
 // within the boot's consult budget) cannot fork — the fault belongs
@@ -105,8 +108,9 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 
 // forkEnvironment stamps out one cell's environment from the sealed
 // state: fork the machine, attach the cell's sinks, replay the boot
-// journal into them, fork the hypervisor onto the machine, and rebind
-// network and kernels. The returned recycle func returns the machine
+// journal into them (the recorder shares the boot's events as its
+// prefix, so its own ring holds only the cell's events), fork the
+// hypervisor onto the machine, and rebind network and kernels. The returned recycle func returns the machine
 // fork to the snapshot's pool; call it only when the cell completed
 // cleanly — a poisoned fork must be abandoned to the collector.
 func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, func(), error) {

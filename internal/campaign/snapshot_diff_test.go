@@ -94,7 +94,7 @@ func TestForkVsFreshCanonicalTracesIdentical(t *testing.T) {
 				sb.WriteString(fmtUint(cv.Value))
 				sb.WriteByte('\n')
 			}
-			for _, e := range c.Events(p.Events) {
+			for _, e := range c.Events(stream(p)) {
 				sb.WriteString(e.String())
 				sb.WriteByte('\n')
 			}
@@ -140,6 +140,12 @@ func TestForkVsFreshSpanForestIdentical(t *testing.T) {
 			t.Errorf("workers=%d: span forest diverges\n%s", w, firstDiffLines(fresh, fork))
 		}
 	}
+}
+
+// stream returns a profile's whole retained event stream: the shared
+// boot prefix a forked cell adopts, then the cell's own events.
+func stream(p *telemetry.CellProfile) []telemetry.Event {
+	return append(append([]telemetry.Event(nil), p.Boot...), p.Events...)
 }
 
 // fmtUint renders a counter value without pulling in strconv at every
@@ -199,7 +205,7 @@ func TestForkVsFreshBootWindowSinkFault(t *testing.T) {
 		}
 		out := make(map[string]cellRun)
 		for _, p := range reg.CellProfiles() {
-			out[p.Cell] = cellRun{events: p.Events, counters: p.Counters}
+			out[p.Cell] = cellRun{events: stream(p), counters: p.Counters}
 		}
 		for _, c := range cov.Report().Cells {
 			cr := out[c.Cell]
@@ -210,7 +216,7 @@ func TestForkVsFreshBootWindowSinkFault(t *testing.T) {
 	}
 
 	// Every boot event is a page-type event, so the run of them that
-	// opens an unfaulted cell's ring bounds the boot window from below.
+	// opens an unfaulted cell's stream bounds the boot window from below.
 	clean, _ := run(true, nil)
 	const probe = "4.6/XSA-148-priv/injection"
 	boot := uint64(0)

@@ -152,8 +152,9 @@ func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, pr
 	ev := Event{Type: TypeCellFinished, Cell: cell, Worker: worker, QueueNS: queueNS, WallNS: runNS}
 	if profile != nil {
 		// Emitted ≈ retained + overwritten: the ring keeps the newest
-		// events and counts what it evicted.
-		ev.Events = uint64(len(profile.Events)) + profile.DroppedEvents
+		// events and counts what it evicted. The retained stream is the
+		// shared boot prefix and the cell's own events.
+		ev.Events = uint64(len(profile.Boot)+len(profile.Events)) + profile.DroppedEvents
 		ev.Dropped = profile.DroppedEvents
 	}
 	if cerr != nil {

@@ -107,22 +107,23 @@ type Snapshot struct {
 }
 
 // bootFold is the boot journal folded once per snapshot: what every
-// fork's replay adds up to in bulk, and the short ordered remainder it
-// must walk one by one.
+// fork's replay adds up to in bulk, the events its recorder shares,
+// and the short ordered run of span ops it walks one by one.
 type bootFold struct {
 	allocConsults uint64
 	// counters and cov are the totals the journal's counter increments,
 	// page-type references and their coverage edges sum to.
 	counters []telemetry.CounterValue
 	cov      *coverage.Map
-	// events are the journal's page-type events in boot order, and spans
-	// its mm-op span opens and closes in the same order.
+	// events are the journal's page-type events in boot order, the
+	// read-only prefix every fork's recorder shares, and spans its mm-op
+	// span opens and closes in the same order.
 	events []telemetry.Event
 	spans  []spanOp
 }
 
 // spanOp is one replayable mm-op span open or close, which the boot
-// performed once at of its events had been emitted.
+// performed once `at` of its events had been emitted.
 type spanOp struct {
 	at   int
 	name string
@@ -198,7 +199,7 @@ func (s *Snapshot) PoolSize() int {
 // Fork stamps out a copy-on-write instance of the sealed machine,
 // reusing a pooled instance when one is available. The fork has no
 // telemetry, fault or span sinks attached; callers attach per-cell
-// sinks and then Replay the boot journal into them. Safe for
+// sinks and then Replay the folded boot journal into them. Safe for
 // concurrent use.
 func (s *Snapshot) Fork() *Memory {
 	s.mu.Lock()
@@ -257,14 +258,19 @@ func (s *Snapshot) Recycle(m *Memory) {
 }
 
 // Replay reproduces in the given per-cell sinks exactly the event
-// sequence, counter readings, coverage edges, span structure and
+// stream, counter readings, coverage edges, span structure and
 // fault-plane consults a fresh boot would have produced. The folded
 // totals go in bulk: the injector's SiteAlloc hits, the counters and
-// the coverage map. The events then pass one by one through the
-// recorder's emit path — so sink-write faults drop them, and Seq and
-// the span tree's virtual clock advance, exactly as on a fresh boot —
-// with the mm-op spans opened and closed between them. A SiteAlloc
-// rule armed inside the boot window must boot fresh instead (see
+// the coverage map. The boot's events are shared, not copied: the
+// recorder adopts them as its read-only prefix (Recorder.ShareBoot),
+// which advances Seq, the span tree's virtual clock and the
+// sink-write consults past them, and the mm-op spans open and close at
+// their recorded clock. Where sharing would not be exact — a
+// sink-write fault armed inside the boot window, or a ring bound that
+// cannot hold the boot plus one event — the events instead pass one by
+// one through the recorder's emit path (Recorder.Restore), so the
+// fault drops its event exactly as on a fresh boot. A SiteAlloc rule
+// armed inside the boot window must boot fresh instead (see
 // BootAllocConsults). All three sinks are nil-safe; with none attached
 // the replay is skipped entirely.
 func (s *Snapshot) Replay(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) {
@@ -278,15 +284,26 @@ func (s *Snapshot) Replay(tel *telemetry.Recorder, flt *faults.Injector, tree *s
 	}
 	tel.Coverage().Merge(b.cov)
 	var stack []int
+	replaySpan := func(op *spanOp) {
+		if op.open {
+			stack = append(stack, tree.MMOp(op.name))
+		} else if n := len(stack); n > 0 {
+			tree.End(stack[n-1])
+			stack = stack[:n-1]
+		}
+	}
+	if tel.CanShareBoot(len(b.events)) {
+		for k := range b.spans {
+			tel.ShareBoot(b.events[:b.spans[k].at])
+			replaySpan(&b.spans[k])
+		}
+		tel.ShareBoot(b.events)
+		return
+	}
 	k := 0
 	for i := 0; i <= len(b.events); i++ {
 		for ; k < len(b.spans) && b.spans[k].at == i; k++ {
-			if op := &b.spans[k]; op.open {
-				stack = append(stack, tree.MMOp(op.name))
-			} else if n := len(stack); n > 0 {
-				tree.End(stack[n-1])
-				stack = stack[:n-1]
-			}
+			replaySpan(&b.spans[k])
 		}
 		if i < len(b.events) {
 			tel.Restore(b.events[i])

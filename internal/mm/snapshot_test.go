@@ -268,8 +268,8 @@ func TestJournalReplayMatchesFreshBoot(t *testing.T) {
 	if got, want := rec.Emitted(), refRec.Emitted(); got != want {
 		t.Errorf("replay emitted %d events, fresh boot %d", got, want)
 	}
-	if !reflect.DeepEqual(rec.Events(), refRec.Events()) {
-		t.Errorf("replayed events differ from fresh boot\nreplay: %v\nfresh:  %v", rec.Events(), refRec.Events())
+	if got := append(append([]telemetry.Event(nil), rec.Boot()...), rec.Events()...); !reflect.DeepEqual(got, refRec.Events()) {
+		t.Errorf("replayed events differ from fresh boot\nreplay: %v\nfresh:  %v", got, refRec.Events())
 	}
 	if !reflect.DeepEqual(rec.Counters(), refRec.Counters()) {
 		t.Errorf("replayed counters differ from fresh boot\nreplay: %v\nfresh:  %v", rec.Counters(), refRec.Counters())

@@ -4,11 +4,14 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
@@ -176,6 +179,105 @@ func TestFlightRecorderConcurrentDumps(t *testing.T) {
 	} {
 		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
 			t.Errorf("missing dump %s: %v", want, err)
+		}
+	}
+}
+
+// TestForkedStreamConsumersMatchFreshBoot runs one seeded chaos matrix
+// twice, forking every cell from its snapshot and booting every cell
+// fresh, and holds the consumers of a profile's whole stream — a forked
+// cell's shared boot prefix followed by its own events — to the fresh
+// boot: every flight dump must equal its fresh-boot twin but for
+// wall_ns, and the timeline's per-cell event counts (what /cells
+// serves) must agree. Two cells are pinned on top of the seeded plan:
+// one panics in its own tail, the other also loses a boot-window event
+// to a sink-write fault, so its fork restores the boot event by event.
+func TestForkedStreamConsumersMatchFreshBoot(t *testing.T) {
+	const tail, bootWindow = "4.6/XSA-148-priv/injection", "4.8/XSA-212-priv/exploit"
+	prev := campaign.SnapshotsEnabled()
+	t.Cleanup(func() { campaign.EnableSnapshots(prev) })
+	wallNS := regexp.MustCompile(`"wall_ns":[0-9]+,?`)
+	run := func(snapshots bool) (map[string]string, map[string]events.CellState) {
+		t.Helper()
+		campaign.EnableSnapshots(snapshots)
+		fr := &FlightRecorder{Dir: t.TempDir()}
+		tl := events.NewTimeline(events.NewBus(0, 0))
+		plan := faults.NewPlan(7, faults.DefaultDensity).
+			ArmCell(tail, faults.SiteHypercallPanic, 2).
+			ArmCell(bootWindow, faults.SiteSinkWrite, 3).
+			ArmCell(bootWindow, faults.SiteHypercallPanic, 1)
+		r := &campaign.Runner{
+			Workers:         4,
+			ContinueOnError: true,
+			SalvageProfiles: true,
+			Telemetry:       telemetry.NewRegistry(),
+			Faults:          plan,
+			Progress:        fr,
+			Sched:           tl,
+		}
+		_, err := r.RunMatrixContext(context.Background())
+		plan.ReleaseAll()
+		if err != nil {
+			t.Fatalf("snapshots=%v: %v", snapshots, err)
+		}
+		for _, err := range fr.Errors() {
+			t.Errorf("snapshots=%v: flight recorder error: %v", snapshots, err)
+		}
+		dumps := make(map[string]string)
+		for _, path := range fr.Dumps() {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dumps[filepath.Base(path)] = wallNS.ReplaceAllString(string(b), "")
+		}
+		cells := make(map[string]events.CellState)
+		for _, c := range tl.Cells() {
+			cells[c.Cell] = c
+		}
+		return dumps, cells
+	}
+	freshDumps, freshCells := run(false)
+	forkDumps, forkCells := run(true)
+
+	for _, cell := range []string{tail, bootWindow} {
+		name := "flight-" + strings.ReplaceAll(cell, "/", "-") + ".jsonl"
+		if _, ok := forkDumps[name]; !ok {
+			t.Errorf("no flight dump for the pinned cell %s (dumps: %d)", cell, len(forkDumps))
+		}
+	}
+	if len(forkDumps) != len(freshDumps) {
+		t.Errorf("fork run wrote %d flight dumps, fresh boot %d", len(forkDumps), len(freshDumps))
+	}
+	for name, want := range freshDumps {
+		got, ok := forkDumps[name]
+		if !ok {
+			t.Errorf("%s: dumped on fresh boot only", name)
+			continue
+		}
+		if got != want {
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			i := 0
+			for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+				i++
+			}
+			t.Errorf("%s: fork dump differs from fresh boot at line %d (of %d, fresh %d)", name, i+1, len(gl), len(wl))
+		}
+	}
+	if len(forkCells) != len(freshCells) || len(freshCells) == 0 {
+		t.Fatalf("timeline tracked %d cells forked, %d fresh", len(forkCells), len(freshCells))
+	}
+	for cell, want := range freshCells {
+		got := forkCells[cell]
+		if got.Events != want.Events || got.Dropped != want.Dropped {
+			t.Errorf("%s: timeline counts %d events (%d dropped) forked, %d (%d) fresh", cell, got.Events, got.Dropped, want.Events, want.Dropped)
+		}
+	}
+	// Hung cells carry no profile and count nothing; the pinned cells
+	// were salvaged, boot and all.
+	for _, cell := range []string{tail, bootWindow} {
+		if n := forkCells[cell].Events; n < 100 {
+			t.Errorf("%s: timeline counts %d events, want its boot's hundreds and more", cell, n)
 		}
 	}
 }

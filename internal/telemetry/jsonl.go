@@ -40,8 +40,9 @@ type TraceRecord struct {
 // CellEndKind tags the per-cell summary record closing a cell's events.
 const CellEndKind = "cell_end"
 
-// WriteTrace writes the profiles as a JSONL trace: each cell's events
-// in order, closed by the cell's cell_end record. Profiles are written
+// WriteTrace writes the profiles as a JSONL trace: each cell's whole
+// retained stream in order (its shared boot prefix, then its own
+// events), closed by the cell's cell_end record. Profiles are written
 // in the order given (the runner hands them over in cell order, so the
 // trace is deterministic up to wall times at any worker count).
 func WriteTrace(w io.Writer, profiles []*CellProfile) error {
@@ -51,21 +52,23 @@ func WriteTrace(w io.Writer, profiles []*CellProfile) error {
 		if p == nil {
 			continue
 		}
-		for i := range p.Events {
-			e := &p.Events[i]
-			rec := TraceRecord{
-				Cell:   p.Cell,
-				Kind:   e.Kind.String(),
-				Seq:    e.Seq,
-				Dom:    e.Dom,
-				Nr:     e.Nr,
-				Addr:   e.Addr,
-				Val:    e.Val,
-				Label:  e.Label,
-				Detail: e.Detail,
-			}
-			if err := enc.Encode(rec); err != nil {
-				return fmt.Errorf("telemetry: writing trace for %s: %w", p.Cell, err)
+		for _, evs := range [2][]Event{p.Boot, p.Events} {
+			for i := range evs {
+				e := &evs[i]
+				rec := TraceRecord{
+					Cell:   p.Cell,
+					Kind:   e.Kind.String(),
+					Seq:    e.Seq,
+					Dom:    e.Dom,
+					Nr:     e.Nr,
+					Addr:   e.Addr,
+					Val:    e.Val,
+					Label:  e.Label,
+					Detail: e.Detail,
+				}
+				if err := enc.Encode(rec); err != nil {
+					return fmt.Errorf("telemetry: writing trace for %s: %w", p.Cell, err)
+				}
 			}
 		}
 		end := TraceRecord{

@@ -126,3 +126,46 @@ func TestRecorderAllocatesForEmittedEvents(t *testing.T) {
 		t.Errorf("NewRecorder(0) plus %d emits allocated %d bytes, want under 64 KiB", emits, per)
 	}
 }
+
+// TestSharedBootRecorderAllocatesForItsTail pins the point of the
+// shared boot prefix: a recorder that adopts a forked cell's 259 boot
+// events and then emits 16 of its own allocates a ring for those 16
+// alone, not the 32 KiB a whole-stream ring would start at.
+func TestSharedBootRecorderAllocatesForItsTail(t *testing.T) {
+	const runs, bootLen, emits = 20, 259, 16
+	boot := make([]Event, bootLen)
+	for i := range boot {
+		boot[i] = Event{Seq: uint64(i), Kind: KindPageTypeGet, Label: "l1"}
+	}
+	recs := make([]*Recorder, runs)
+	for i := range recs {
+		r := NewRecorder(0)
+		// The counter's map slot is not the ring's; take it up front.
+		r.Inc("scenario.steps")
+		r.ShareBoot(boot)
+		recs[i] = r
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range recs {
+		for j := 0; j < emits; j++ {
+			r.ScenarioStep("uc", "line")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2<<10 {
+		t.Errorf("%d emits after a %d-event shared boot allocated %d bytes, want at most 2 KiB", emits, bootLen, per)
+	}
+	for _, r := range recs {
+		if got := len(r.Boot()); got != bootLen {
+			t.Fatalf("Boot holds %d events, want the shared %d", got, bootLen)
+		}
+		events := r.Events()
+		if len(events) != emits || r.Emitted() != bootLen+emits || r.Dropped() != 0 {
+			t.Fatalf("tail of %d events (emitted %d, dropped %d), want %d (emitted %d, dropped 0)", len(events), r.Emitted(), r.Dropped(), emits, bootLen+emits)
+		}
+		if events[0].Seq != bootLen {
+			t.Fatalf("tail starts at Seq %d, want %d (right after the boot)", events[0].Seq, bootLen)
+		}
+	}
+}

@@ -127,26 +127,38 @@ type Event struct {
 }
 
 // DefaultRingCapacity bounds a per-environment event ring. A campaign
-// cell emits a few hundred events (its replayed boot-time frame
-// validations plus the scenario's hypercall activity); 16 Ki keeps
-// entire cells with ample headroom while bounding a runaway workload's
-// memory. The bound is not
-// an up-front allocation: the ring grows on demand towards it.
+// cell emits a few hundred events (its boot-time frame validations
+// plus the scenario's hypercall activity); 16 Ki keeps entire cells
+// with ample headroom while bounding a runaway workload's memory. The
+// bound is not an up-front allocation: the ring grows on demand
+// towards it.
 const DefaultRingCapacity = 16384
 
-// initialRingCapacity is the ring's starting allocation (or the bound,
-// if smaller): enough for a typical campaign cell's whole trace, so
-// most cells never grow the ring at all.
+// initialRingCapacity is the first allocation (or the bound, if
+// smaller) of a ring that holds a whole cell's trace, boot included:
+// enough for a typical campaign cell, so most cells never grow it.
 const initialRingCapacity = 512
 
-// Recorder is the per-environment sink: a bounded event ring plus a
-// counter map. It is intentionally not safe for concurrent use — one
-// environment is one goroutine, and the campaign engine gives every
-// cell its own Recorder. The nil Recorder is the disabled sink: every
-// method no-ops.
+// initialTailCapacity is the first allocation of a ring behind a
+// shared boot prefix (see ShareBoot), which holds only the cell's own
+// events: a median campaign cell emits about a dozen.
+const initialTailCapacity = 16
+
+// Recorder is the per-environment sink: a bounded event ring, behind
+// an optional shared boot prefix, plus a counter map. It is
+// intentionally not safe for concurrent use — one environment is one
+// goroutine, and the campaign engine gives every cell its own
+// Recorder. The nil Recorder is the disabled sink: every method
+// no-ops.
 type Recorder struct {
-	// ring holds the retained events. It grows by doubling up to bound
-	// events, then wraps, overwriting the oldest event in place.
+	// boot is the shared, read-only boot prefix adopted from a sealed
+	// snapshot (see ShareBoot): the stream's oldest events, retained
+	// ahead of the ring without being copied into it.
+	boot []Event
+	// ring holds the retained events after boot. It is allocated on the
+	// first emit and grows by doubling until boot and ring together
+	// hold bound events; the ring then takes boot into itself once and
+	// wraps, overwriting the oldest event in place.
 	ring     []Event
 	bound    int
 	emitted  uint64
@@ -192,21 +204,18 @@ func (r *Recorder) AttachFaults(f *faults.Injector) {
 	r.flt = f
 }
 
-// NewRecorder creates an enabled recorder whose ring retains at most n
-// events (DefaultRingCapacity if n <= 0). The ring's memory grows with
-// the events actually emitted, up to that bound.
+// NewRecorder creates an enabled recorder whose stream retains at most
+// n events (DefaultRingCapacity if n <= 0). The ring's memory is
+// allocated on the first emit and grows with the events actually
+// emitted, up to that bound.
 func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultRingCapacity
 	}
-	return &Recorder{
-		ring:     make([]Event, 0, min(n, initialRingCapacity)),
-		bound:    n,
-		counters: make(map[string]uint64),
-	}
+	return &Recorder{bound: n, counters: make(map[string]uint64)}
 }
 
-// emit appends an event, overwriting the oldest once the ring holds
+// emit appends an event, overwriting the oldest once the stream holds
 // bound events. An injected sink-write fault drops the event before it
 // is sequenced, so Seq stays gapless across the events that do land.
 func (r *Recorder) emit(e Event) {
@@ -217,12 +226,23 @@ func (r *Recorder) emit(e Event) {
 	}
 	e.Seq = r.emitted
 	switch {
-	case len(r.ring) == r.bound:
+	case len(r.boot)+len(r.ring) == r.bound:
+		if r.boot != nil {
+			// The stream is full: take the shared prefix into a private
+			// ring of the whole bound, once, so the wrap can overwrite it.
+			full := make([]Event, 0, r.bound)
+			r.ring = append(append(full, r.boot...), r.ring...)
+			r.boot = nil
+		}
 		r.ring[r.emitted%uint64(r.bound)] = e
 	case len(r.ring) == cap(r.ring):
 		// Grow by doubling, never past the bound. The fresh array also
 		// detaches the ring from any snapshot Events shared.
-		grown := make([]Event, len(r.ring), min(max(2*cap(r.ring), initialRingCapacity), r.bound))
+		start := initialRingCapacity
+		if r.boot != nil {
+			start = initialTailCapacity
+		}
+		grown := make([]Event, len(r.ring), min(max(2*cap(r.ring), start), r.bound-len(r.boot)))
 		copy(grown, r.ring)
 		r.ring = append(grown, e)
 	default:
@@ -231,11 +251,39 @@ func (r *Recorder) emit(e Event) {
 	r.emitted++
 }
 
+// CanShareBoot reports whether a sealed boot of n events can be shared
+// (ShareBoot) instead of restored event by event, with the same
+// observable result: the recorder has emitted nothing yet, no
+// sink-write fault is armed within the next n consults, and the bound
+// retains the whole boot plus at least one event. The nil recorder
+// records nothing, so it shares trivially.
+func (r *Recorder) CanShareBoot(n int) bool {
+	return r == nil || r.emitted == 0 && n < r.bound && !r.flt.WouldFire(faults.SiteSinkWrite, uint64(n))
+}
+
+// ShareBoot adopts boot — a sealed snapshot's boot events, Seq 0 to
+// len(boot)-1 — as the recorder's shared, read-only prefix instead of
+// emitting it: Emitted, and with it Seq and a span tree's virtual
+// clock, advances to len(boot), and the sink-write site is consulted
+// once per newly adopted event, as emitting it would. A later call may
+// extend the prefix to a longer view of the same events, so a replay
+// can open its boot spans at their recorded clock. Callers check
+// CanShareBoot against the whole boot first.
+func (r *Recorder) ShareBoot(boot []Event) {
+	if r == nil {
+		return
+	}
+	r.flt.HitN(faults.SiteSinkWrite, uint64(len(boot)-len(r.boot)))
+	// Clipped, so an append to Boot() can never write into the snapshot.
+	r.boot = boot[:len(boot):len(boot)]
+	r.emitted = uint64(len(boot))
+}
+
 // Restore emits an event some other recorder already counted and
 // covered: it passes the sink path — sink-write faults, Seq numbering,
-// the ring — and nothing else. A snapshot fork restores its boot
-// journal's events this way, after adding the journal's counters and
-// coverage in bulk.
+// the ring — and nothing else. A snapshot fork that cannot share its
+// boot (CanShareBoot) restores the boot's events this way, after
+// adding the boot's counters and coverage in bulk.
 func (r *Recorder) Restore(e Event) {
 	if r == nil {
 		return
@@ -442,10 +490,23 @@ func (r *Recorder) Dropped() uint64 {
 	return r.sinkDropped
 }
 
-// Events returns the retained events, oldest first. The caller must
-// treat the slice as read-only; it never changes after the call.
+// Boot returns the retained shared boot prefix (see ShareBoot), the
+// stream's oldest events, ahead of those Events returns. It is the
+// snapshot's own read-only slice; nil when the recorder shares none or
+// a full stream has taken it into the ring.
+func (r *Recorder) Boot() []Event {
+	if r == nil {
+		return nil
+	}
+	return r.boot
+}
+
+// Events returns the retained events after the shared boot prefix,
+// oldest first: the whole retained stream when the recorder shares
+// none. The caller must treat the slice as read-only; it never changes
+// after the call.
 //
-// Until the ring first fills, the retained events are an append-only
+// Until the stream first fills, the ring's events are an append-only
 // prefix, so Events shares it instead of copying: it clips the ring's
 // capacity to that prefix, which makes the next emit move the ring to
 // a fresh array and leaves the snapshot's array to the caller alone.
@@ -497,6 +558,14 @@ func (r *Recorder) Counter(name string) uint64 {
 // records: identity, wall time, final counters and the retained events.
 // Counters are deterministic for a given cell at any worker count; wall
 // time is the only nondeterministic field.
+//
+// The retained stream is Boot followed by Events. A cell forked from a
+// snapshot shares its boot's page-type events as Boot and holds only
+// its own events in Events; a freshly booted cell, or a fork whose
+// boot could not be shared, has no Boot and the whole stream in
+// Events. Consumers of the whole stream (JSONL traces, flight dumps,
+// event counts) walk both; boot events are never effect events, so
+// effect readers need only Events.
 type CellProfile struct {
 	// Cell identifies the run as "version/use-case/mode".
 	Cell string `json:"cell"`
@@ -504,10 +573,16 @@ type CellProfile struct {
 	WallNS int64 `json:"wall_ns"`
 	// Counters are the cell's final counter readings, sorted by name.
 	Counters []CounterValue `json:"counters"`
-	// DroppedEvents counts ring overwrites (0 = the trace is complete).
+	// DroppedEvents counts the events of the whole stream that were
+	// lost to ring overwrites or sink faults (0 = the trace is
+	// complete).
 	DroppedEvents uint64 `json:"dropped_events,omitempty"`
-	// Events is the retained trace, oldest first. It is exported to
-	// JSONL trace files, not to the campaign JSON artifact.
+	// Boot is the retained shared boot prefix, oldest first: the
+	// snapshot's read-only slice, shared by every fork of it.
+	Boot []Event `json:"-"`
+	// Events is the retained rest of the trace, oldest first. Boot and
+	// Events are exported to JSONL trace files, not to the campaign
+	// JSON artifact.
 	Events []Event `json:"-"`
 }
 
@@ -521,6 +596,7 @@ func (r *Recorder) Profile(cell string, wallNS int64) *CellProfile {
 		WallNS:        wallNS,
 		Counters:      r.Counters(),
 		DroppedEvents: r.Dropped(),
+		Boot:          r.boot,
 		Events:        r.Events(),
 	}
 }
