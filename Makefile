@@ -13,7 +13,12 @@
 # `chaos` runs the fault-injection suite under the race detector (the
 # chaos tests exercise panic recovery, watchdog abandonment and
 # cancellation across worker pools — exactly where races would hide)
-# and then drives a seeded full-matrix chaos run through the CLI.
+# and then drives a seeded full-matrix chaos run through the CLI. It
+# then runs `-json -chaos 7 -continue-on-error` twice, forked in
+# chaos-fork/ and booted fresh (-no-snapshot) in chaos-fresh/, and
+# fails unless the two JSON outputs cmp equal and the two sets of
+# flight dumps match name for name and byte for byte once wall_ns is
+# stripped: seeded faults land identically on either boot path.
 # `equivalence` runs the RQ2 trace-equivalence engine over the full
 # matrix; any cell whose injection trace diverges from its
 # exploit-induced basis fails the build. The MatrixTelemetry rows
@@ -144,6 +149,13 @@ chaos:
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race -run 'Chaos|Panic|Watchdog|Cancel' ./internal/campaign/
 	$(GO) run ./cmd/repro -matrix -chaos 7 -continue-on-error -workers 4 > /dev/null
+	rm -rf chaos-fork chaos-fresh
+	mkdir chaos-fork chaos-fresh
+	cd chaos-fork && $(GO) run ../cmd/repro -json -chaos 7 -continue-on-error > out.json
+	cd chaos-fresh && $(GO) run ../cmd/repro -json -chaos 7 -continue-on-error -no-snapshot > out.json
+	cmp chaos-fork/out.json chaos-fresh/out.json
+	sed -i -E 's/"wall_ns":[0-9]+,?//' chaos-fork/flight-*.jsonl chaos-fresh/flight-*.jsonl
+	diff -r chaos-fork chaos-fresh
 
 equivalence:
 	$(GO) run ./cmd/repro -equivalence -workers 4
@@ -208,5 +220,5 @@ clean:
 	rm -f BENCH_*.new.json trace-demo*.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
 	rm -f cov-matrix.json cov-diff.txt ledger-diff.txt
 	rm -f sched-demo.json sched-summary.txt
-	rm -rf ledger-ci
+	rm -rf ledger-ci chaos-fork chaos-fresh
 	$(GO) clean ./...

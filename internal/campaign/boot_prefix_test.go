@@ -2,11 +2,10 @@ package campaign
 
 // The shared-boot-prefix oracle: a forked cell's recorder adopts its
 // snapshot's boot events as a read-only prefix instead of copying them
-// into its ring, and falls back to restoring them one by one where
-// sharing would not be exact. At every ring bound around the prefix and
-// tail lengths, and with sink-write faults armed before, at and past the
-// end of the boot window, a forked cell must record exactly what a fresh
-// boot records.
+// into its ring, retaining the newest bound of them. At every ring
+// bound around the prefix and tail lengths, and with sink-write faults
+// armed at, inside and past the cell's own events, a forked cell must
+// record exactly what a fresh boot records.
 
 import (
 	"fmt"
@@ -30,7 +29,8 @@ type cellCapture struct {
 
 // captureCell runs one cell through runScenario, forked or freshly
 // booted, into a recorder of the given bound (0 = default) whose
-// sink-write site is armed at arm (0 = unarmed).
+// sink-write site is armed at arm (0 = unarmed), counted from the
+// cell's own events.
 func captureCell(t *testing.T, c cell, fork bool, bound int, arm uint64) cellCapture {
 	t.Helper()
 	prev := SnapshotsEnabled()
@@ -42,7 +42,6 @@ func captureCell(t *testing.T, c cell, fork bool, bound int, arm uint64) cellCap
 		inj = faults.NewInjector().Arm(faults.SiteSinkWrite, arm)
 	}
 	rec := telemetry.NewRecorder(bound)
-	rec.AttachFaults(inj)
 	rec.AttachCoverage(coverage.NewMap())
 	tree := span.NewTree(c.String(), rec.Emitted)
 	_, recycle, err := runScenario(c, rec, inj, tree)
@@ -92,7 +91,7 @@ func TestSharedBootPrefixMatchesFreshBoot(t *testing.T) {
 			t.Fatalf("%s: forked cell shares %d boot events and emits %d of its own; expected the boot's hundreds and a tail", id, P, T)
 		}
 		for _, bound := range []int{1, P - 1, P, P + 1, P + T - 1, P + T + 1, 0} {
-			for _, arm := range []uint64{0, 1, uint64(P), uint64(P) + 1} {
+			for _, arm := range []uint64{0, 1, uint64(T), uint64(T) + 1} {
 				t.Run(fmt.Sprintf("%s/bound=%d/arm=%d", id, bound, arm), func(t *testing.T) {
 					fresh := captureCell(t, c, false, bound, arm)
 					fork := captureCell(t, c, true, bound, arm)
@@ -111,20 +110,21 @@ func TestSharedBootPrefixMatchesFreshBoot(t *testing.T) {
 					if !reflect.DeepEqual(fork.spans, fresh.spans) {
 						t.Errorf("span tree differs\nfork:  %+v\nfresh: %+v", fork.spans, fresh.spans)
 					}
-					// Pin which path ran: the fork shares its boot unless a
-					// sink fault lands inside it or the bound cannot hold it
-					// plus one event, and keeps it shared until the stream
+					// Pin which path ran: the fresh boot shares nothing, and
+					// the fork shares its whole boot until the stream
 					// outgrows the bound.
 					effective := uint64(bound)
 					if bound == 0 {
 						effective = telemetry.DefaultRingCapacity
 					}
-					shared := effective > uint64(P) && (arm == 0 || arm > uint64(P))
 					landed := uint64(P + T)
-					if arm > 0 && arm <= landed {
+					if arm > 0 && arm <= uint64(T) {
 						landed--
 					}
-					if want := shared && landed <= effective; (len(fork.boot) == P) != want {
+					if len(fresh.boot) != 0 {
+						t.Errorf("fresh boot shares %d boot events, want none", len(fresh.boot))
+					}
+					if want := landed <= effective; (len(fork.boot) == P) != want {
 						t.Errorf("fork kept %d shared boot events; want the whole boot shared: %v", len(fork.boot), want)
 					}
 				})

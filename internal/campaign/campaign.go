@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/exploits"
-	"repro/internal/faults"
 	"repro/internal/guest"
 	"repro/internal/hv"
 	"repro/internal/inject"
@@ -68,34 +67,30 @@ type Environment struct {
 // mode compiles the injector hypercall into the build, as the prototype
 // does per version.
 func NewEnvironment(v hv.Version, mode Mode) (*Environment, error) {
-	return newEnvironment(campaignPlan(), v, mode, nil, nil, nil)
+	return newEnvironment(campaignPlan(), v, mode, nil, nil)
 }
 
 // newEnvironment boots an environment from the precomputed campaign
 // plan, so the version-independent pieces (IP plan, domain names) are
 // laid out once per process instead of once per run. tel, when non-nil,
-// is installed as the build's telemetry sink before boot; flt, when
-// non-nil, arms the build's substrate fault-injection plane the same
-// way; tree, when non-nil, is installed as the build's span tree so
-// hypercall and mm-op spans nest under the cell's phases.
-func newEnvironment(p *plan, v hv.Version, mode Mode, tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, error) {
+// is installed as the build's telemetry sink before boot; tree, when
+// non-nil, is installed as the build's span tree so hypercall and mm-op
+// spans nest under the cell's phases.
+func newEnvironment(p *plan, v hv.Version, mode Mode, tel *telemetry.Recorder, tree *span.Tree) (*Environment, error) {
 	mem, err := mm.NewMemory(MachineFrames)
 	if err != nil {
 		return nil, err
 	}
-	return buildEnvironment(p, mem, v, mode, tel, flt, tree)
+	return buildEnvironment(p, mem, v, mode, tel, tree)
 }
 
 // buildEnvironment boots the standard environment on a caller-provided
 // machine, so the snapshot cache can journal the boot on a fresh machine
 // and seal the result.
-func buildEnvironment(p *plan, mem *mm.Memory, v hv.Version, mode Mode, tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, error) {
+func buildEnvironment(p *plan, mem *mm.Memory, v hv.Version, mode Mode, tel *telemetry.Recorder, tree *span.Tree) (*Environment, error) {
 	var opts []hv.Option
 	if tel != nil {
 		opts = append(opts, hv.WithTelemetry(tel))
-	}
-	if flt != nil {
-		opts = append(opts, hv.WithFaults(flt))
 	}
 	if tree != nil {
 		opts = append(opts, hv.WithSpans(tree))

@@ -15,10 +15,12 @@ import (
 	"regexp"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/exploits"
 	"repro/internal/faults"
 	"repro/internal/hv"
@@ -82,6 +84,106 @@ func TestChaosMatrixEveryCellClassified(t *testing.T) {
 	if faulted == 0 {
 		t.Error("no cell failed across three seeded chaos runs; the fault plane is not biting")
 	}
+}
+
+// chaosCells is a CellObserver that keeps every settled cell's result,
+// failure record and profile (a failed cell's salvage profile) by cell.
+type chaosCells struct {
+	mu    sync.Mutex
+	cells map[string]chaosCell
+}
+
+type chaosCell struct {
+	res     *campaign.RunResult
+	cerr    *campaign.CellError
+	profile *telemetry.CellProfile
+}
+
+func (o *chaosCells) CellSettled(ref campaign.CellRef, res *campaign.RunResult, cerr *campaign.CellError, profile *telemetry.CellProfile, _ *coverage.Map, _ uint64, _ time.Duration) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.cells[ref.Version+"/"+ref.UseCase+"/"+string(ref.Mode)] = chaosCell{res, cerr, profile}
+}
+
+func observeMatrix(t *testing.T, plan *faults.Plan) map[string]chaosCell {
+	t.Helper()
+	o := &chaosCells{cells: make(map[string]chaosCell)}
+	r := &campaign.Runner{Workers: 4, ContinueOnError: true, Faults: plan, Observer: o}
+	_, err := r.RunMatrixContext(context.Background())
+	plan.ReleaseAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.cells
+}
+
+// sameEvent compares two events on everything but Seq.
+func sameEvent(a, b telemetry.Event) bool {
+	a.Seq, b.Seq = 0, 0
+	return a == b
+}
+
+// TestSeededChaosFaultsTheScenario: seeded rules count their triggers
+// from the fork point, so over four seeds of the full matrix no cell
+// fails in its boot, every seeded site fires in some cell's scenario,
+// and some seeded sink-write fault drops one of a cell's own events
+// rather than a boot page-type event. The dropped event is read off
+// the first place the faulted stream skips one event of the cell's
+// unfaulted stream.
+func TestSeededChaosFaultsTheScenario(t *testing.T) {
+	clean := observeMatrix(t, nil)
+	fired := make(map[faults.Site]int)
+	sinkDrops, ownDrops := 0, 0
+	for _, seed := range []int64{1, 7, 11, 99} {
+		for id, c := range observeMatrix(t, faults.NewPlan(seed, faults.DefaultDensity)) {
+			if c.cerr != nil {
+				// The hypervisor's boot and the domain builds after it.
+				if strings.HasPrefix(c.cerr.Message, "hv: boot failed") || strings.HasPrefix(c.cerr.Message, "campaign: creating ") {
+					t.Errorf("seed %d: %s failed in its boot: %s", seed, id, c.cerr.Message)
+				}
+				if c.cerr.Class == campaign.FailPanic && strings.Contains(c.cerr.Message, "faults: injected panic") {
+					fired[faults.SiteHypercallPanic]++
+				}
+			}
+			if c.res != nil {
+				if c.res.Outcome.Err != nil && strings.Contains(c.res.Outcome.Err.Error(), "forced allocation failure") ||
+					strings.Contains(strings.Join(c.res.Outcome.Log, "\n"), "forced allocation failure") {
+					fired[faults.SiteAlloc]++
+				}
+				if strings.Contains(strings.Join(c.res.Console, "\n"), "faults: injected hang state") {
+					fired[faults.SiteHang]++
+				}
+			}
+			if c.profile == nil {
+				continue
+			}
+			for _, v := range c.profile.Counters {
+				if v.Name == "telemetry.sink_errors" && v.Value > 0 {
+					fired[faults.SiteSinkWrite]++
+				}
+			}
+			got, want := stream(c.profile), stream(clean[id].profile)
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			if i+1 < len(want) && i < len(got) && sameEvent(got[i], want[i+1]) && got[i].Seq == want[i].Seq {
+				sinkDrops++
+				if k := want[i].Kind; k != telemetry.KindPageTypeGet && k != telemetry.KindPageTypePut {
+					ownDrops++
+				}
+			}
+		}
+	}
+	for _, site := range []faults.Site{faults.SiteAlloc, faults.SiteHypercallPanic, faults.SiteHang, faults.SiteSinkWrite} {
+		if fired[site] == 0 {
+			t.Errorf("no seeded %s rule fired in any cell across seeds 1/7/11/99", site)
+		}
+	}
+	if ownDrops == 0 {
+		t.Errorf("none of %d seeded sink-write drops hit a non-page-type event; the faults land in the boot", sinkDrops)
+	}
+	t.Logf("fired per site: %v; sink drops %d, of non-page-type events %d", fired, sinkDrops, ownDrops)
 }
 
 func TestChaosArtifactDeterministicAcrossWorkerCounts(t *testing.T) {

@@ -28,10 +28,11 @@ func matrixDropStats(t *testing.T, workers int) map[string][2]uint64 {
 	t.Helper()
 	plan := faults.NewPlan(0, 0)
 	for i, cell := range sinkFaultedCells {
-		// Spread the faulted write across the cell's lifetime: early,
-		// mid-scenario, and deeper into the event stream (forked cells
-		// emit a few hundred events, so stay well inside that).
-		plan.ArmCell(cell, faults.SiteSinkWrite, uint64(5+75*i))
+		// Spread the faulted write across the cell's own events, which
+		// the fault plane counts from the fork point: early, mid-scenario
+		// and late (the three cells emit 21, 11 and 14 events of their
+		// own, so stay inside that).
+		plan.ArmCell(cell, faults.SiteSinkWrite, uint64(2+4*i))
 	}
 	defer plan.ReleaseAll()
 	r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry(), Faults: plan}

@@ -517,7 +517,6 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 		var start time.Time
 		if in.recorder {
 			rec = telemetry.NewRecorder(0)
-			rec.AttachFaults(inj)
 			start = time.Now()
 		}
 		if in.coverage {

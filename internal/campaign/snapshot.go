@@ -22,20 +22,19 @@ import (
 // ways: structurally, because every mutable structure clones before its
 // first write (mm COW chunks, P2M maps, page-table maps, clip-shared
 // logs); and observably, because the sealed machine's boot journal is
-// replayed into each cell's telemetry recorder, fault injector and span
-// tree, reproducing the exact event stream a fresh boot would emit.
-// The journal is folded once per snapshot, so a fork adds its counter,
-// coverage and fault-plane totals in bulk, shares the boot's events as
-// its recorder's read-only prefix instead of copying them, and walks
-// only the boot's span ops. A sink-write fault armed inside the boot
-// window, or a ring bound that cannot hold the boot plus one event,
-// restores the boot's events one by one instead (mm.Snapshot.Replay).
+// replayed into each cell's telemetry recorder and span tree,
+// reproducing the exact event stream a fresh boot would emit. The
+// journal is folded once per snapshot, so a fork adds its counter and
+// coverage totals in bulk, shares the boot's events as its recorder's
+// read-only prefix instead of copying them, and walks only the boot's
+// span ops.
 //
-// A cell whose armed fault plane would fire inside the boot (SiteAlloc
-// within the boot's consult budget) cannot fork — the fault belongs
-// inside its boot — so it falls back to a fresh boot with its injector
-// untouched. All other boot-reachable sites fire at hypercall dispatch
-// or sink writes, which the fork path reproduces exactly.
+// The fault plane starts at the fork point: a cell's injector is
+// attached once its environment exists, on the fork path and the
+// fresh-boot path alike, so no trigger ever counts a boot consult and
+// the two paths fault the cell identically. The boot is the sealed,
+// fault-free environment every cell starts from; chaos faults the
+// cell's own scenario.
 
 // snapshotsOff gates the cache process-wide; the CLI's -no-snapshot
 // flag sets it to force every cell onto the fresh-boot path.
@@ -95,7 +94,7 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 		return
 	}
 	mem.StartBootJournal()
-	e, err := buildEnvironment(p, mem, v, mode, nil, nil, nil)
+	e, err := buildEnvironment(p, mem, v, mode, nil, nil)
 	if err != nil {
 		s.err = err
 		return
@@ -110,16 +109,14 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 // state: fork the machine, attach the cell's sinks, replay the boot
 // journal into them (the recorder shares the boot's events as its
 // prefix, so its own ring holds only the cell's events), fork the
-// hypervisor onto the machine, and rebind network and kernels. The returned recycle func returns the machine
-// fork to the snapshot's pool; call it only when the cell completed
-// cleanly — a poisoned fork must be abandoned to the collector.
-func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, func(), error) {
+// hypervisor onto the machine, and rebind network and kernels. The
+// returned recycle func returns the machine fork to the snapshot's
+// pool; call it only when the cell completed cleanly — a poisoned fork
+// must be abandoned to the collector.
+func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, tree *span.Tree) (*Environment, func(), error) {
 	fm := s.ms.Fork()
 	if tel != nil {
 		fm.AttachTelemetry(tel)
-	}
-	if flt != nil {
-		fm.AttachFaults(flt)
 	}
 	if tree != nil {
 		fm.AttachSpans(tree)
@@ -129,9 +126,9 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injec
 	if cov := tel.Coverage(); cov != nil {
 		cov.SetFrameClassifier(s.hs.FrameClassifier())
 	}
-	s.ms.Replay(tel, flt, tree)
+	s.ms.Replay(tel, tree)
 
-	fh := s.hs.Fork(fm, tel, flt, tree)
+	fh := s.hs.Fork(fm, tel, tree)
 	if s.mode == ModeInjection {
 		if err := inject.Attach(fh); err != nil {
 			return nil, nil, err
@@ -167,24 +164,32 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injec
 }
 
 // cellEnvironment builds one cell's environment, from the snapshot
-// cache when possible and by fresh boot otherwise. The recycle func is
-// non-nil only on the fork path; callers invoke it after the cell
-// completes cleanly.
+// cache when possible and by fresh boot under -no-snapshot or when the
+// snapshot build or the fork fails, and only then attaches the cell's
+// fault plane to the hypervisor, the machine and the recorder. The
+// recycle func is non-nil only on the fork path; callers invoke it
+// after the cell completes cleanly.
 func cellEnvironment(p *plan, c cell, tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, func(), error) {
+	var (
+		e       *Environment
+		recycle func()
+	)
 	if SnapshotsEnabled() {
-		s := snapshotFor(p, c.version, c.mode)
 		// A build error falls back to fresh boot so the cell reports the
-		// boot failure itself; a boot-window allocation fault must boot
-		// fresh with the injector untouched so it fires inside the boot.
-		if s.err == nil && !flt.WouldFire(faults.SiteAlloc, s.ms.BootAllocConsults()) {
-			e, recycle, err := s.forkEnvironment(tel, flt, tree)
-			if err == nil {
-				return e, recycle, nil
-			}
+		// boot failure itself.
+		if s := snapshotFor(p, c.version, c.mode); s.err == nil {
+			e, recycle, _ = s.forkEnvironment(tel, tree)
 		}
 	}
-	e, err := newEnvironment(p, c.version, c.mode, tel, flt, tree)
-	return e, nil, err
+	if e == nil {
+		var err error
+		if e, err = newEnvironment(p, c.version, c.mode, tel, tree); err != nil {
+			return nil, nil, err
+		}
+	}
+	e.HV.AttachFaults(flt)
+	tel.AttachFaults(flt)
+	return e, recycle, nil
 }
 
 // NewForkedEnvironment boots (once) and forks the standard environment
@@ -196,7 +201,7 @@ func NewForkedEnvironment(v hv.Version, mode Mode) (*Environment, func(), error)
 	if s.err != nil {
 		return nil, nil, s.err
 	}
-	return s.forkEnvironment(nil, nil, nil)
+	return s.forkEnvironment(nil, nil)
 }
 
 // BuildSnapshot boots and seals one environment outside the cache, so

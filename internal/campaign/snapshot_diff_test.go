@@ -181,16 +181,17 @@ func firstDiffLines(a, b string) string {
 	return "(no line-level difference found)"
 }
 
-// TestForkVsFreshBootWindowSinkFault arms sink-write faults at hits
-// inside the boot's replayed events (the first, a middle and the last
-// boot event) and one past the boot, and compares each armed cell
-// between fresh boot and fork: the ring (Seq, kinds, operands), the
-// counters including telemetry.sink_errors, the coverage edges and
-// the span forest must all be identical.
-func TestForkVsFreshBootWindowSinkFault(t *testing.T) {
+// TestForkVsFreshSinkFault arms sink-write faults at positions counted
+// from each cell's own events — its first, a middle, its third and its
+// last — since the fault plane starts at the fork point, and compares
+// each armed cell between fresh boot and fork: the ring (Seq, kinds,
+// operands), the counters including telemetry.sink_errors, the
+// coverage edges and the span forest must all be identical.
+func TestForkVsFreshSinkFault(t *testing.T) {
 	set := withSnapshots(t)
 	type cellRun struct {
 		events   []telemetry.Event
+		own      uint64 // events after the shared boot prefix
 		counters []telemetry.CounterValue
 		cov      []coverage.Edge
 	}
@@ -205,7 +206,7 @@ func TestForkVsFreshBootWindowSinkFault(t *testing.T) {
 		}
 		out := make(map[string]cellRun)
 		for _, p := range reg.CellProfiles() {
-			out[p.Cell] = cellRun{events: stream(p), counters: p.Counters}
+			out[p.Cell] = cellRun{events: stream(p), own: uint64(len(p.Events)), counters: p.Counters}
 		}
 		for _, c := range cov.Report().Cells {
 			cr := out[c.Cell]
@@ -215,25 +216,21 @@ func TestForkVsFreshBootWindowSinkFault(t *testing.T) {
 		return out, spans.Forest().Canonical()
 	}
 
-	// Every boot event is a page-type event, so the run of them that
-	// opens an unfaulted cell's stream bounds the boot window from below.
+	// A forked cell's profile holds the shared boot apart from its own
+	// events, so an unfaulted fork run counts each cell's own events.
 	clean, _ := run(true, nil)
-	const probe = "4.6/XSA-148-priv/injection"
-	boot := uint64(0)
-	for _, e := range clean[probe].events {
-		if e.Kind != telemetry.KindPageTypeGet && e.Kind != telemetry.KindPageTypePut {
-			break
+	own := func(cell string) uint64 {
+		n := clean[cell].own
+		if n < 4 || len(clean[cell].events) < int(n)+100 {
+			t.Fatalf("%s: %d own events behind %d in all; expected a tail behind the shared boot's hundreds", cell, n, len(clean[cell].events))
 		}
-		boot++
-	}
-	if boot < 100 {
-		t.Fatalf("%s opens with %d page-type events; expected the replayed boot's hundreds", probe, boot)
+		return n
 	}
 	arms := map[string]uint64{
-		probe:                         1,
-		"4.6/XSA-212-priv/exploit":    boot / 2,
-		"4.13/XSA-182-test/injection": boot,
-		"4.8/XSA-148-priv/exploit":    boot + 3,
+		"4.6/XSA-148-priv/injection":  1,
+		"4.6/XSA-212-priv/exploit":    own("4.6/XSA-212-priv/exploit") / 2,
+		"4.13/XSA-182-test/injection": own("4.13/XSA-182-test/injection"),
+		"4.8/XSA-148-priv/exploit":    3,
 	}
 	plan := faults.NewPlan(0, 0)
 	for cell, nth := range arms {

@@ -38,41 +38,6 @@ func TestArmFiresOnNthHitExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestHitNIsNHits: passing a site n times at once leaves the injector
-// exactly as n single hits do, whether the rule fires before, inside or
-// after the batch.
-func TestHitNIsNHits(t *testing.T) {
-	for _, nth := range []uint64{1, 4, 5, 7, 8, 20} {
-		for _, n := range []uint64{0, 1, 3, 7} {
-			one, bulk := NewInjector().Arm(SiteAlloc, nth), NewInjector().Arm(SiteAlloc, nth)
-			one.Hit(SiteAlloc)
-			bulk.Hit(SiteAlloc)
-			fired := false
-			for k := uint64(0); k < n; k++ {
-				fired = one.Hit(SiteAlloc) || fired
-			}
-			if got := bulk.HitN(SiteAlloc, n); got != fired {
-				t.Errorf("nth=%d n=%d: HitN fired = %v, %d hits fired = %v", nth, n, got, n, fired)
-			}
-			for k := 0; k < 10; k++ {
-				if a, b := one.Hit(SiteAlloc), bulk.Hit(SiteAlloc); a != b {
-					t.Errorf("nth=%d n=%d: later hit %d fired %v after single hits, %v after HitN", nth, n, k, a, b)
-				}
-			}
-			if a, b := one.Hits(SiteAlloc), bulk.Hits(SiteAlloc); a != b {
-				t.Errorf("nth=%d n=%d: %d hits after single hits, %d after HitN", nth, n, a, b)
-			}
-			if a, b := one.Fired(), bulk.Fired(); len(a) != len(b) || len(a) > 0 && a[0] != b[0] {
-				t.Errorf("nth=%d n=%d: fired %v after single hits, %v after HitN", nth, n, a, b)
-			}
-		}
-	}
-	var nilInj *Injector
-	if nilInj.HitN(SiteAlloc, 3) {
-		t.Error("nil injector fired")
-	}
-}
-
 func TestArmClampsAndRearms(t *testing.T) {
 	i := NewInjector().Arm(SiteHang, 0) // n < 1 arms the first hit
 	if !i.Hit(SiteHang) {

@@ -97,13 +97,6 @@ func WithTLBCapacity(n int) Option { return func(c *config) { c.tlbCapacity = n 
 // keeps telemetry disabled at near-zero cost.
 func WithTelemetry(r *telemetry.Recorder) Option { return func(c *config) { c.tel = r } }
 
-// WithFaults arms the substrate fault-injection plane on the build: the
-// hypercall dispatcher consults it for injected handler panics, forced
-// hang states and wedges, and the machine consults it for forced
-// allocation failures. A nil injector (the default) keeps the plane
-// disabled at the cost of one predicted branch per instrumented site.
-func WithFaults(f *faults.Injector) Option { return func(c *config) { c.flt = f } }
-
 // WithSpans installs the cell's causal span tree on the build: every
 // hypercall dispatch and machine range allocation opens a span in it,
 // and the monitor nests its audit pass under the assess phase. A nil
@@ -166,16 +159,22 @@ func New(mem *mm.Memory, version Version, opts ...Option) (*Hypervisor, error) {
 	return h, nil
 }
 
+// AttachFaults arms the substrate fault-injection plane on a booted
+// build, so the boot itself is never faulted: the hypercall dispatcher
+// consults it for injected handler panics, forced hang states and
+// wedges, and the machine consults it for forced allocation failures.
+// A nil injector (the default) keeps the plane disabled at the cost of
+// one predicted branch per instrumented site.
+func (h *Hypervisor) AttachFaults(f *faults.Injector) {
+	h.cfg.flt = f
+	h.mem.AttachFaults(f)
+}
+
 func (h *Hypervisor) boot() error {
 	// Wire the telemetry sink before the first reservation so boot-time
 	// allocator and frame-type activity is part of the trace.
 	if h.cfg.tel != nil {
 		h.mem.AttachTelemetry(h.cfg.tel)
-	}
-	// Wire the fault plane equally early: forced allocation failures
-	// during boot model a machine that was sick before the first domain.
-	if h.cfg.flt != nil {
-		h.mem.AttachFaults(h.cfg.flt)
 	}
 	// And the span tree, so boot-time range allocations appear as mm_op
 	// spans under the boot phase.

@@ -3,7 +3,6 @@ package hv
 import (
 	"repro/internal/coverage"
 	"repro/internal/cpu"
-	"repro/internal/faults"
 	"repro/internal/mm"
 	"repro/internal/pagetable"
 	"repro/internal/span"
@@ -37,8 +36,9 @@ func (s *Snapshot) FrameClassifier() coverage.FrameClassifier {
 // geometry) is shared with the prototype; everything mutable is either
 // freshly built (handler closures, walker, builder, TLBs, vCPUs) or
 // cloned copy-on-write (per-domain P2M and page-table maps). The given
-// per-cell sinks replace the prototype's.
-func (s *Snapshot) Fork(mem *mm.Memory, tel *telemetry.Recorder, flt *faults.Injector, spans *span.Tree) *Hypervisor {
+// per-cell sinks replace the prototype's; the fork starts with no fault
+// plane (see AttachFaults).
+func (s *Snapshot) Fork(mem *mm.Memory, tel *telemetry.Recorder, spans *span.Tree) *Hypervisor {
 	p := s.proto
 	h := &Hypervisor{
 		mem:     mem,
@@ -76,7 +76,6 @@ func (s *Snapshot) Fork(mem *mm.Memory, tel *telemetry.Recorder, flt *faults.Inj
 	// FrameClassifier) before replaying the boot journal, so fork-path
 	// classification matches fresh boot.
 	h.cfg.tel = tel
-	h.cfg.flt = flt
 	h.cfg.spans = spans
 
 	// Handlers close over their hypervisor, so each fork installs its

@@ -249,6 +249,66 @@ func TestStoreRunsNewestFirst(t *testing.T) {
 	}
 }
 
+// TestCloseWriteFailureKeepsRunListed: run.json and record.json are
+// replaced through a temporary file renamed over them, so a Close whose
+// writes fail leaves both files as they were. The run stays listed and
+// Load still rebuilds its record from the journal, which already holds
+// the cells the failed Close was settling.
+func TestCloseWriteFailureKeepsRunListed(t *testing.T) {
+	store, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	first, err := store.NewWriter(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Import([]*ledger.Entry{entry("4.6", "XSA-212-crash", "exploit", 1)})
+	if _, err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := store.NewWriter(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.Import([]*ledger.Entry{entry("4.6", "XSA-212-crash", "injection", 2)})
+
+	dir := store.RunDir(cfg.RunID())
+	before := make(map[string][]byte)
+	for _, name := range []string{"run.json", "record.json"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = b
+		// A directory on the temporary name makes the write fail.
+		if err := os.Mkdir(filepath.Join(dir, name+".tmp"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := resumed.Close(); err == nil {
+		t.Fatal("Close succeeded with both temporary names occupied")
+	}
+	for name, want := range before {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("%s changed by a failed Close (err %v):\n%s\nwas:\n%s", name, err, got, want)
+		}
+	}
+	runs, err := store.Runs()
+	if err != nil || len(runs) != 1 || runs[0].RunID != cfg.RunID() {
+		t.Fatalf("Runs() = %v, %v; want the one run listed", runs, err)
+	}
+	rec, err := store.Load(cfg.RunID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Completed != 2 {
+		t.Errorf("Load rebuilt %d cells, want the journal's 2", rec.Completed)
+	}
+}
+
 // liveEntries builds an entry for every cell of the live registry in
 // dispatch order — the shape PlanDelta walks.
 func liveEntries(t *testing.T, cfg ledger.Config) []*ledger.Entry {

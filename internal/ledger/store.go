@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -228,22 +229,42 @@ func readJournal(path string) ([]*Entry, journalStamp, error) {
 // the bytes of json.MarshalIndent(rec, "", "  ") and a newline, the
 // canonical interchange form byte-identity is asserted over.
 func WriteRecordFile(path string, rec *Record) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: write record: %w", err)
+	write := func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 32<<10)
+		if err := writeRecord(bw, rec); err != nil {
+			return err
+		}
+		return bw.Flush()
 	}
-	bw := bufio.NewWriterSize(f, 32<<10)
-	err = writeRecord(bw, rec)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeFileAtomic(path, write); err != nil {
 		return fmt.Errorf("ledger: write record: %w", err)
 	}
 	return nil
+}
+
+// writeFileAtomic writes a file through a temporary sibling, path plus
+// ".tmp", renamed over it once complete, so a reader — and a resume
+// after the writer died — finds the old file or the new one, never a
+// torn one. Nothing calls Sync, so this covers process death, not
+// power loss. A store has one writer per run directory, so the fixed
+// temporary name cannot collide.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // LoadRecordFile reads and verifies a settled record file (a run

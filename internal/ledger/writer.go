@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -254,14 +255,19 @@ func (w *Writer) Close() (*Record, error) {
 	return rec, nil
 }
 
-// writeRunFile writes run.json atomically enough for a single-writer
-// store: full rewrite, short file.
+// writeRunFile replaces run.json atomically (writeFileAtomic): Runs
+// skips a run whose run.json does not parse, so a torn rewrite would
+// hide a complete journal from a resume.
 func writeRunFile(dir string, r *Run) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return fmt.Errorf("ledger: marshal run metadata: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, runFile), append(data, '\n'), 0o644); err != nil {
+	write := func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}
+	if err := writeFileAtomic(filepath.Join(dir, runFile), write); err != nil {
 		return fmt.Errorf("ledger: write run metadata: %w", err)
 	}
 	return nil

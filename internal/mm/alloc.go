@@ -12,9 +12,6 @@ import (
 // if the machine were exhausted, wrapped in faults.ErrInjected so
 // callers can tell a forced failure from a real one.
 func (m *Memory) allocFault() error {
-	if m.jrn != nil {
-		m.jrn.allocConsults++
-	}
 	if m.flt.Hit(faults.SiteAlloc) {
 		return fmt.Errorf("%w: %w (forced allocation failure)", ErrOutOfMemory, faults.ErrInjected)
 	}

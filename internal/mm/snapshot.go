@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/coverage"
-	"repro/internal/faults"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 )
@@ -70,14 +69,13 @@ type journalOp struct {
 }
 
 // bootJournal records the machine's boot-time telemetry and span
-// activity in order, and counts its fault-plane consults, so Seal can
-// fold it for forks to replay into per-cell sinks. All
-// boot-time sink traffic originates in this package (the hypervisor
-// and guest layers log to their consoles only), so the journal is a
-// complete transcript of what a fresh boot would have emitted.
+// activity in order, so Seal can fold it for forks to replay into
+// per-cell sinks. All boot-time sink traffic originates in this package
+// (the hypervisor and guest layers log to their consoles only), so the
+// journal is a complete transcript of what a fresh boot would have
+// emitted.
 type bootJournal struct {
-	ops           []journalOp
-	allocConsults uint64
+	ops []journalOp
 }
 
 // StartBootJournal begins recording the machine's observability
@@ -110,7 +108,6 @@ type Snapshot struct {
 // fork's replay adds up to in bulk, the events its recorder shares,
 // and the short ordered run of span ops it walks one by one.
 type bootFold struct {
-	allocConsults uint64
 	// counters and cov are the totals the journal's counter increments,
 	// page-type references and their coverage edges sum to.
 	counters []telemetry.CounterValue
@@ -160,7 +157,7 @@ func (j *bootJournal) fold(fc coverage.FrameClassifier) bootFold {
 	rec := telemetry.NewRecorder(len(j.ops) + 1)
 	rec.AttachCoverage(coverage.NewMap())
 	rec.Coverage().SetFrameClassifier(fc)
-	f := bootFold{allocConsults: j.allocConsults}
+	var f bootFold
 	for _, op := range j.ops {
 		switch op.kind {
 		case jCounter:
@@ -179,12 +176,6 @@ func (j *bootJournal) fold(fc coverage.FrameClassifier) bootFold {
 	return f
 }
 
-// BootAllocConsults returns how many times the boot consulted the
-// fault plane's allocation site. A cell whose injector would fire
-// within that many consults must boot fresh (the fault belongs inside
-// its boot), which Injector.WouldFire decides.
-func (s *Snapshot) BootAllocConsults() uint64 { return s.boot.allocConsults }
-
 // NumFrames returns the sealed machine's size in frames.
 func (s *Snapshot) NumFrames() int { return len(s.frames) }
 
@@ -199,8 +190,8 @@ func (s *Snapshot) PoolSize() int {
 // Fork stamps out a copy-on-write instance of the sealed machine,
 // reusing a pooled instance when one is available. The fork has no
 // telemetry, fault or span sinks attached; callers attach per-cell
-// sinks and then Replay the folded boot journal into them. Safe for
-// concurrent use.
+// sinks, Replay the folded boot journal into them, and only then attach
+// the cell's fault plane. Safe for concurrent use.
 func (s *Snapshot) Fork() *Memory {
 	s.mu.Lock()
 	var m *Memory
@@ -258,33 +249,28 @@ func (s *Snapshot) Recycle(m *Memory) {
 }
 
 // Replay reproduces in the given per-cell sinks exactly the event
-// stream, counter readings, coverage edges, span structure and
-// fault-plane consults a fresh boot would have produced. The folded
-// totals go in bulk: the injector's SiteAlloc hits, the counters and
-// the coverage map. The boot's events are shared, not copied: the
+// stream, counter readings, coverage edges and span structure a fresh
+// boot would have produced. The folded totals go in bulk: the counters
+// and the coverage map. The boot's events are shared, not copied: the
 // recorder adopts them as its read-only prefix (Recorder.ShareBoot),
-// which advances Seq, the span tree's virtual clock and the
-// sink-write consults past them, and the mm-op spans open and close at
-// their recorded clock. Where sharing would not be exact — a
-// sink-write fault armed inside the boot window, or a ring bound that
-// cannot hold the boot plus one event — the events instead pass one by
-// one through the recorder's emit path (Recorder.Restore), so the
-// fault drops its event exactly as on a fresh boot. A SiteAlloc rule
-// armed inside the boot window must boot fresh instead (see
-// BootAllocConsults). All three sinks are nil-safe; with none attached
-// the replay is skipped entirely.
-func (s *Snapshot) Replay(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) {
-	if tel == nil && flt == nil && tree == nil {
+// which advances Seq and the span tree's virtual clock past them, and
+// the mm-op spans open and close at their recorded clock. Replay
+// consults no fault plane: a cell's faults are attached after it, so
+// its triggers count only the cell's own consults, on the fork path
+// and the fresh-boot path alike. Both sinks are nil-safe; with neither
+// attached the replay is skipped entirely.
+func (s *Snapshot) Replay(tel *telemetry.Recorder, tree *span.Tree) {
+	if tel == nil && tree == nil {
 		return
 	}
 	b := &s.boot
-	flt.HitN(faults.SiteAlloc, b.allocConsults)
 	for _, c := range b.counters {
 		tel.Add(c.Name, c.Value)
 	}
 	tel.Coverage().Merge(b.cov)
 	var stack []int
-	replaySpan := func(op *spanOp) {
+	for _, op := range b.spans {
+		tel.ShareBoot(b.events[:op.at])
 		if op.open {
 			stack = append(stack, tree.MMOp(op.name))
 		} else if n := len(stack); n > 0 {
@@ -292,23 +278,7 @@ func (s *Snapshot) Replay(tel *telemetry.Recorder, flt *faults.Injector, tree *s
 			stack = stack[:n-1]
 		}
 	}
-	if tel.CanShareBoot(len(b.events)) {
-		for k := range b.spans {
-			tel.ShareBoot(b.events[:b.spans[k].at])
-			replaySpan(&b.spans[k])
-		}
-		tel.ShareBoot(b.events)
-		return
-	}
-	k := 0
-	for i := 0; i <= len(b.events); i++ {
-		for ; k < len(b.spans) && b.spans[k].at == i; k++ {
-			replaySpan(&b.spans[k])
-		}
-		if i < len(b.events) {
-			tel.Restore(b.events[i])
-		}
-	}
+	tel.ShareBoot(b.events)
 }
 
 // Copy-on-write plumbing. A Memory with snap != nil reads unowned

@@ -190,10 +190,10 @@ func TestFlightRecorderConcurrentDumps(t *testing.T) {
 // boot: every flight dump must equal its fresh-boot twin but for
 // wall_ns, and the timeline's per-cell event counts (what /cells
 // serves) must agree. Two cells are pinned on top of the seeded plan:
-// one panics in its own tail, the other also loses a boot-window event
-// to a sink-write fault, so its fork restores the boot event by event.
+// one panics in its own tail, the other first loses its third own event
+// to a sink-write fault.
 func TestForkedStreamConsumersMatchFreshBoot(t *testing.T) {
-	const tail, bootWindow = "4.6/XSA-148-priv/injection", "4.8/XSA-212-priv/exploit"
+	const tail, sinkFault = "4.6/XSA-148-priv/injection", "4.8/XSA-212-priv/exploit"
 	prev := campaign.SnapshotsEnabled()
 	t.Cleanup(func() { campaign.EnableSnapshots(prev) })
 	wallNS := regexp.MustCompile(`"wall_ns":[0-9]+,?`)
@@ -204,8 +204,8 @@ func TestForkedStreamConsumersMatchFreshBoot(t *testing.T) {
 		tl := events.NewTimeline(events.NewBus(0, 0))
 		plan := faults.NewPlan(7, faults.DefaultDensity).
 			ArmCell(tail, faults.SiteHypercallPanic, 2).
-			ArmCell(bootWindow, faults.SiteSinkWrite, 3).
-			ArmCell(bootWindow, faults.SiteHypercallPanic, 1)
+			ArmCell(sinkFault, faults.SiteSinkWrite, 3).
+			ArmCell(sinkFault, faults.SiteHypercallPanic, 1)
 		r := &campaign.Runner{
 			Workers:         4,
 			ContinueOnError: true,
@@ -240,7 +240,7 @@ func TestForkedStreamConsumersMatchFreshBoot(t *testing.T) {
 	freshDumps, freshCells := run(false)
 	forkDumps, forkCells := run(true)
 
-	for _, cell := range []string{tail, bootWindow} {
+	for _, cell := range []string{tail, sinkFault} {
 		name := "flight-" + strings.ReplaceAll(cell, "/", "-") + ".jsonl"
 		if _, ok := forkDumps[name]; !ok {
 			t.Errorf("no flight dump for the pinned cell %s (dumps: %d)", cell, len(forkDumps))
@@ -275,7 +275,7 @@ func TestForkedStreamConsumersMatchFreshBoot(t *testing.T) {
 	}
 	// Hung cells carry no profile and count nothing; the pinned cells
 	// were salvaged, boot and all.
-	for _, cell := range []string{tail, bootWindow} {
+	for _, cell := range []string{tail, sinkFault} {
 		if n := forkCells[cell].Events; n < 100 {
 			t.Errorf("%s: timeline counts %d events, want its boot's hundreds and more", cell, n)
 		}

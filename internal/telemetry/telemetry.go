@@ -229,10 +229,15 @@ func (r *Recorder) emit(e Event) {
 	case len(r.boot)+len(r.ring) == r.bound:
 		if r.boot != nil {
 			// The stream is full: take the shared prefix into a private
-			// ring of the whole bound, once, so the wrap can overwrite it.
-			full := make([]Event, 0, r.bound)
-			r.ring = append(append(full, r.boot...), r.ring...)
-			r.boot = nil
+			// ring of the whole bound, once, each event in the slot its
+			// Seq wraps to, so the wrap can overwrite the oldest in place.
+			full := make([]Event, r.bound)
+			for _, part := range [2][]Event{r.boot, r.ring} {
+				for _, old := range part {
+					full[old.Seq%uint64(r.bound)] = old
+				}
+			}
+			r.ring, r.boot = full, nil
 		}
 		r.ring[r.emitted%uint64(r.bound)] = e
 	case len(r.ring) == cap(r.ring):
@@ -251,44 +256,24 @@ func (r *Recorder) emit(e Event) {
 	r.emitted++
 }
 
-// CanShareBoot reports whether a sealed boot of n events can be shared
-// (ShareBoot) instead of restored event by event, with the same
-// observable result: the recorder has emitted nothing yet, no
-// sink-write fault is armed within the next n consults, and the bound
-// retains the whole boot plus at least one event. The nil recorder
-// records nothing, so it shares trivially.
-func (r *Recorder) CanShareBoot(n int) bool {
-	return r == nil || r.emitted == 0 && n < r.bound && !r.flt.WouldFire(faults.SiteSinkWrite, uint64(n))
-}
-
 // ShareBoot adopts boot — a sealed snapshot's boot events, Seq 0 to
 // len(boot)-1 — as the recorder's shared, read-only prefix instead of
 // emitting it: Emitted, and with it Seq and a span tree's virtual
-// clock, advances to len(boot), and the sink-write site is consulted
-// once per newly adopted event, as emitting it would. A later call may
-// extend the prefix to a longer view of the same events, so a replay
-// can open its boot spans at their recorded clock. Callers check
-// CanShareBoot against the whole boot first.
+// clock, advances to len(boot), and the prefix retains the newest
+// bound of them, as a ring that had emitted them would. A later call
+// may extend the prefix to a longer view of the same events, so a
+// replay can open its boot spans at their recorded clock. Call it
+// before the recorder emits anything, and before a fault plane is
+// attached: the boot's events are the stream's first, and no fault
+// counts them.
 func (r *Recorder) ShareBoot(boot []Event) {
 	if r == nil {
 		return
 	}
-	r.flt.HitN(faults.SiteSinkWrite, uint64(len(boot)-len(r.boot)))
+	n := len(boot)
 	// Clipped, so an append to Boot() can never write into the snapshot.
-	r.boot = boot[:len(boot):len(boot)]
-	r.emitted = uint64(len(boot))
-}
-
-// Restore emits an event some other recorder already counted and
-// covered: it passes the sink path — sink-write faults, Seq numbering,
-// the ring — and nothing else. A snapshot fork that cannot share its
-// boot (CanShareBoot) restores the boot's events this way, after
-// adding the boot's counters and coverage in bulk.
-func (r *Recorder) Restore(e Event) {
-	if r == nil {
-		return
-	}
-	r.emit(e)
+	r.boot = boot[max(0, n-r.bound):n:n]
+	r.emitted = uint64(n)
 }
 
 // Add increments a named counter by n.
@@ -561,11 +546,11 @@ func (r *Recorder) Counter(name string) uint64 {
 //
 // The retained stream is Boot followed by Events. A cell forked from a
 // snapshot shares its boot's page-type events as Boot and holds only
-// its own events in Events; a freshly booted cell, or a fork whose
-// boot could not be shared, has no Boot and the whole stream in
-// Events. Consumers of the whole stream (JSONL traces, flight dumps,
-// event counts) walk both; boot events are never effect events, so
-// effect readers need only Events.
+// its own events in Events, until its stream outgrows the ring's bound;
+// a freshly booted cell has no Boot and the whole stream in Events.
+// Consumers of the whole stream (JSONL traces, flight dumps, event
+// counts) walk both; boot events are never effect events, so effect
+// readers need only Events.
 type CellProfile struct {
 	// Cell identifies the run as "version/use-case/mode".
 	Cell string `json:"cell"`

@@ -28,7 +28,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Evidence("XSA-148-priv", "evidence")
 	r.GrantOp(2, NewOp("grant", "map"), 7)
 	r.DomctlOp(0, NewOp("domctl", "pause"), 2)
-	r.Restore(Event{Kind: KindPageTypeGet})
 	if r.Enabled() {
 		t.Error("nil recorder reports Enabled")
 	}
