@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/faults"
 	"repro/internal/layout"
 	"repro/internal/mm"
 	"repro/internal/pagetable"
@@ -574,6 +575,43 @@ func TestPopulateAndDecrease(t *testing.T) {
 	}
 	if err := d.Hypercall(HypercallMemoryOp, &DecreaseReservationArgs{PFN: 500}); !errors.Is(err, ErrInval) {
 		t.Errorf("double decrease: err = %v", err)
+	}
+}
+
+// TestAttachFaultsAfterBoot: a fault plane attached to a booted build
+// counts nothing of the boot or of the domain builds before it. Its
+// first hypercall consults the dispatch sites once each, and a
+// SiteAlloc rule armed at the first hit fails that hypercall's
+// allocation without populating the pfn; the next populate succeeds.
+func TestAttachFaultsAfterBoot(t *testing.T) {
+	h := bootVersion(t, Version46())
+	d := mustDomain(t, h, "guest01", 64, false)
+	inj := faults.NewInjector().Arm(faults.SiteAlloc, 1)
+	h.AttachFaults(inj)
+	for _, site := range []faults.Site{faults.SiteAlloc, faults.SiteHypercallPanic, faults.SiteHang} {
+		if n := inj.Hits(site); n != 0 {
+			t.Fatalf("%s counted %d hits at attach, want 0", site, n)
+		}
+	}
+	if err := d.Hypercall(HypercallMemoryOp, &PopulatePhysmapArgs{PFN: 500}); err == nil {
+		t.Fatal("populate succeeded with the first allocation armed to fail")
+	}
+	if d.P2M().Contains(500) {
+		t.Error("pfn populated by a failed allocation")
+	}
+	if got := inj.Fired(); len(got) != 1 || got[0] != "mm.alloc@1" {
+		t.Errorf("fired %v, want [mm.alloc@1]", got)
+	}
+	for _, site := range []faults.Site{faults.SiteHypercallPanic, faults.SiteHang} {
+		if n := inj.Hits(site); n != 1 {
+			t.Errorf("%s counted %d hits after one hypercall, want 1", site, n)
+		}
+	}
+	if err := d.Hypercall(HypercallMemoryOp, &PopulatePhysmapArgs{PFN: 500}); err != nil {
+		t.Fatalf("populate after the fired rule: %v", err)
+	}
+	if h.Hung() {
+		t.Error("an alloc rule left the build hung")
 	}
 }
 
