@@ -18,7 +18,11 @@
 # chaos-fork/ and booted fresh (-no-snapshot) in chaos-fresh/, and
 # fails unless the two JSON outputs cmp equal and the two sets of
 # flight dumps match name for name and byte for byte once wall_ns is
-# stripped: seeded faults land identically on either boot path.
+# stripped: seeded faults land identically on either boot path. Last it
+# runs `-fuzz 100 -availability` forked and fresh and cmps the two:
+# the randomized trials and the availability rows take their
+# environments the way campaign cells do, so -no-snapshot must not
+# change a byte of them either.
 # `equivalence` runs the RQ2 trace-equivalence engine over the full
 # matrix; any cell whose injection trace diverges from its
 # exploit-induced basis fails the build. The MatrixTelemetry rows
@@ -156,6 +160,9 @@ chaos:
 	cmp chaos-fork/out.json chaos-fresh/out.json
 	sed -i -E 's/"wall_ns":[0-9]+,?//' chaos-fork/flight-*.jsonl chaos-fresh/flight-*.jsonl
 	diff -r chaos-fork chaos-fresh
+	$(GO) run ./cmd/repro -fuzz 100 -availability > chaos-fork/trials.txt
+	$(GO) run ./cmd/repro -fuzz 100 -availability -no-snapshot > chaos-fresh/trials.txt
+	cmp chaos-fork/trials.txt chaos-fresh/trials.txt
 
 equivalence:
 	$(GO) run ./cmd/repro -equivalence -workers 4

@@ -33,10 +33,11 @@
 // in memory otherwise; the RQ1/RQ2 artifacts all render from it.
 //
 // By default each (version, mode) environment boots once per process
-// and every cell runs on a copy-on-write fork of the sealed machine;
-// the output is byte-identical either way. -no-snapshot forces every
-// cell through a full fresh boot — the escape hatch for bisecting a
-// suspected snapshot-path divergence.
+// and every cell, -fuzz injection trial and -availability row runs on a
+// copy-on-write fork of the sealed machine; the output is
+// byte-identical either way. -no-snapshot forces each of them through a
+// full fresh boot — the escape hatch for bisecting a suspected
+// snapshot-path divergence.
 //
 // Observability:
 //
@@ -265,7 +266,7 @@ func run(out io.Writer) (err error) {
 	logOut := flag.String("log", "", "write structured JSON run logs to this file (\"-\" = stderr; silent by default)")
 	logLevel := flag.String("log-level", "info", "minimum structured log level with -log: debug, info, warn or error")
 	spansOut := flag.String("spans", "", "capture per-cell causal span trees, write them as Chrome trace-event JSON to this file, and print the span summary")
-	noSnapshot := flag.Bool("no-snapshot", false, "boot every campaign cell fresh instead of forking the sealed (version, mode) snapshot")
+	noSnapshot := flag.Bool("no-snapshot", false, "boot every campaign cell, -fuzz trial and -availability row fresh instead of forking the sealed (version, mode) snapshot")
 	covOut := flag.String("coverage", "", "accumulate per-cell coverage maps and write the campaign coverage report (JSON) to this file")
 	ledgerDir := flag.String("ledger", "", "journal the campaign into a content-addressed run-record store at this directory (implies the full matrix)")
 	resume := flag.Bool("resume", false, "with -ledger: load the latest compatible run record and re-execute only absent or changed cells")

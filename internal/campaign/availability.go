@@ -29,17 +29,20 @@ type AvailabilityRow struct {
 
 // AvailabilityUnderInjection runs the injection campaign on one version
 // and, after each injection, drives the standard workload on a victim
-// guest (not the attacker). Crash-class states zero out availability;
-// handled states leave it intact — the dependability-benchmark view of
-// Table III.
+// guest (not the attacker). Each use case gets its environment the way
+// a campaign cell does (forked from the sealed snapshot, or booted
+// fresh under -no-snapshot) and leaves it corrupted, so no fork returns
+// to the pool. Crash-class states zero out availability; handled states
+// leave it intact — the dependability-benchmark view of Table III.
 func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]AvailabilityRow, error) {
 	specs := exploits.Specs()
 	rows := make([]AvailabilityRow, 0, len(specs))
+	c := cell{version: v, mode: ModeInjection}
 	for _, spec := range specs {
 		if !spec.AppliesTo(v.Name) {
 			continue
 		}
-		e, err := NewEnvironment(v, ModeInjection)
+		e, _, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -70,24 +70,19 @@ func NewEnvironment(v hv.Version, mode Mode) (*Environment, error) {
 	return newEnvironment(campaignPlan(), v, mode, nil, nil)
 }
 
-// newEnvironment boots an environment from the precomputed campaign
-// plan, so the version-independent pieces (IP plan, domain names) are
-// laid out once per process instead of once per run. tel, when non-nil,
-// is installed as the build's telemetry sink before boot; tree, when
-// non-nil, is installed as the build's span tree so hypercall and mm-op
-// spans nest under the cell's phases.
+// newEnvironment boots an environment on a fresh machine from the
+// precomputed campaign plan, so the version-independent pieces (IP
+// plan, domain names) are laid out once per process instead of once per
+// run. tel, when non-nil, is installed as the build's telemetry sink
+// before boot; tree, when non-nil, is installed as the build's span tree
+// so hypercall and mm-op spans nest under the cell's phases. A fresh
+// cell boots this way under -no-snapshot, and each snapshot boots this
+// way into the sinks whose contents its forks restore.
 func newEnvironment(p *plan, v hv.Version, mode Mode, tel *telemetry.Recorder, tree *span.Tree) (*Environment, error) {
 	mem, err := mm.NewMemory(MachineFrames)
 	if err != nil {
 		return nil, err
 	}
-	return buildEnvironment(p, mem, v, mode, tel, tree)
-}
-
-// buildEnvironment boots the standard environment on a caller-provided
-// machine, so the snapshot cache can journal the boot on a fresh machine
-// and seal the result.
-func buildEnvironment(p *plan, mem *mm.Memory, v hv.Version, mode Mode, tel *telemetry.Recorder, tree *span.Tree) (*Environment, error) {
 	var opts []hv.Option
 	if tel != nil {
 		opts = append(opts, hv.WithTelemetry(tel))

@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/hv"
@@ -80,19 +81,22 @@ func (d Distribution) ErroneousStates() int {
 // of Section IV-C ("one possibility is to randomize inputs to an
 // injector, creating an approach that resembles fuzzing testing but in
 // another level of interaction, in a post-attack phase"): each trial
-// boots a fresh environment, injects one randomized memory-corruption
-// erroneous state through the injector — confined to targets the
-// use-case intrusion models declare security-relevant (IDT descriptors
-// and page-table entries) — then exercises the system and classifies the
-// observed behaviour.
+// gets a fresh environment the way a campaign cell does (forked from
+// the sealed snapshot, or booted under -no-snapshot), injects one
+// randomized memory-corruption erroneous state through the injector —
+// confined to targets the use-case intrusion models declare
+// security-relevant (IDT descriptors and page-table entries) — then
+// exercises the system and classifies the observed behaviour. A trial
+// leaves its fork corrupted by design, so no fork returns to the pool.
 func RandomInjectionCampaign(v hv.Version, trials int, seed int64) (Distribution, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("campaign: trials must be positive, got %d", trials)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	dist := make(Distribution)
+	c := cell{version: v, mode: ModeInjection}
 	for i := 0; i < trials; i++ {
-		e, err := NewEnvironment(v, ModeInjection)
+		e, _, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -135,6 +139,8 @@ func randomInjectionTrial(e *Environment, rng *rand.Rand) (OutcomeClass, error) 
 		for mfn := range d.PageTableFrames() {
 			frames = append(frames, mfn)
 		}
+		// Map order varies run to run; the seeded pick needs a fixed one.
+		slices.Sort(frames)
 		if len(frames) == 0 {
 			return ClassAccepted, nil
 		}

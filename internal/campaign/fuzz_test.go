@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,22 +13,34 @@ import (
 
 const fuzzTrials = 40
 
+// TestRandomInjectionCampaignIsDeterministic: one seed gives one
+// distribution on every run and on both boot paths. It runs 500 trials
+// per version, as `repro -fuzz 500` does: the page-table trials pick a
+// frame by seed, so an unordered candidate list shows up as a few
+// trials moving between classes from run to run.
 func TestRandomInjectionCampaignIsDeterministic(t *testing.T) {
-	a, err := RandomInjectionCampaign(hv.Version48(), fuzzTrials, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomInjectionCampaign(hv.Version48(), fuzzTrials, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != fuzzTrials || b.Total() != fuzzTrials {
-		t.Fatalf("totals = %d, %d", a.Total(), b.Total())
-	}
-	for class, n := range a {
-		if b[class] != n {
-			t.Errorf("class %v: %d vs %d across identical seeds", class, n, b[class])
-		}
+	const trials = 500
+	for _, v := range hv.Versions() {
+		t.Run(v.Name, func(t *testing.T) {
+			want, err := RandomInjectionCampaign(v, trials, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Total() != trials {
+				t.Fatalf("total = %d, want %d", want.Total(), trials)
+			}
+			for _, snapshots := range []bool{true, true, false} {
+				EnableSnapshots(snapshots)
+				got, err := RandomInjectionCampaign(v, trials, 7)
+				EnableSnapshots(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("snapshots=%v: %v, first run %v", snapshots, got, want)
+				}
+			}
+		})
 	}
 }
 

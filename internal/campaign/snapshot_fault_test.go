@@ -16,6 +16,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/hv"
+	"repro/internal/telemetry"
+	"repro/internal/vnet"
 )
 
 // poolVersion returns a version profile with a private name, so each
@@ -217,4 +219,39 @@ func TestForkHangFiresInForkOnly(t *testing.T) {
 		t.Error("fork 1's console output leaked into fork 2")
 	}
 	recycle()
+}
+
+// TestFailedForkFailsTheCell: a fork that fails after the boot prefix
+// went into the cell's sinks is the cell's error, and the cell does not
+// boot a second time into the same sinks. This snapshot's network has no
+// listener, so its forks fail on the listener lookup, after the replay.
+func TestFailedForkFailsTheCell(t *testing.T) {
+	v := poolVersion(t)
+	s := snapshotFor(campaignPlan(), v, ModeExploit)
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	s.net = vnet.New()
+
+	rec := telemetry.NewRecorder(0)
+	e, recycle, err := cellEnvironment(campaignPlan(), cell{version: v, mode: ModeExploit}, rec, nil, nil)
+	if !errors.Is(err, vnet.ErrRefused) || e != nil || recycle != nil {
+		t.Fatalf("cellEnvironment = %v, recycle set %v, err %v; want only vnet.ErrRefused", e, recycle != nil, err)
+	}
+	if got, want := rec.Emitted(), uint64(len(s.boot.events)); got != want {
+		t.Errorf("recorder emitted %d events, want the boot's %d once", got, want)
+	}
+	for _, c := range s.boot.counters {
+		if got := rec.Counter(c.Name); got != c.Value {
+			t.Errorf("counter %s = %d, want the boot's %d once", c.Name, got, c.Value)
+		}
+	}
+
+	// A FailError cell surfaces its bare cause; the other classes
+	// surface as their *CellError records.
+	_, err = runPoolCell(nil, v, "XSA-182-test")
+	var ce *CellError
+	if !errors.Is(err, vnet.ErrRefused) || errors.As(err, &ce) {
+		t.Errorf("cell error = %v, want the %s failure vnet.ErrRefused", err, FailError)
+	}
 }

@@ -252,7 +252,8 @@ func (m *Map) DomctlOp(op string) {
 
 // Merge adds every edge of o into m, exactly as if m had observed o's
 // events itself: edges share identity hashes, so counts add per edge.
-// A snapshot fork merges its boot journal's folded coverage this way.
+// A snapshot fork merges the coverage its snapshot's boot recorded
+// this way.
 func (m *Map) Merge(o *Map) {
 	if m == nil || o == nil {
 		return

@@ -24,9 +24,9 @@ func (h *Hypervisor) Seal() *Snapshot { return &Snapshot{proto: h} }
 
 // FrameClassifier returns the prototype's coverage region classifier.
 // Forks share the prototype's reservation bases, so the classifier is
-// valid for every cell stamped from this snapshot; the campaign folds
-// the boot journal's coverage with it and installs it on each cell's
-// coverage map.
+// valid for every cell stamped from this snapshot; the campaign
+// installs it on each cell's coverage map, as the prototype's boot
+// installed it on the map it booted into.
 func (s *Snapshot) FrameClassifier() coverage.FrameClassifier {
 	return s.proto.FrameClassifier()
 }
@@ -73,7 +73,7 @@ func (s *Snapshot) Fork(mem *mm.Memory, tel *telemetry.Recorder, spans *span.Tre
 		clockTicks: p.clockTicks,
 	}
 	// Coverage rides on tel; the campaign installed its classifier (via
-	// FrameClassifier) before replaying the boot journal, so fork-path
+	// FrameClassifier) before restoring the boot prefix, so fork-path
 	// classification matches fresh boot.
 	h.cfg.tel = tel
 	h.cfg.spans = spans

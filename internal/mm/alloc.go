@@ -96,17 +96,8 @@ func (m *Memory) AllocRange(n int, owner DomID) (MFN, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mm: AllocRange needs a positive count, got %d", n)
 	}
-	name := fmt.Sprintf("alloc_range[%d]", n)
-	sp := m.spans.MMOp(name)
-	if m.jrn != nil {
-		m.jrn.record(jSpanStart, 0, name)
-	}
-	defer func() {
-		if m.jrn != nil {
-			m.jrn.record(jSpanEnd, 0, "")
-		}
-		m.spans.End(sp)
-	}()
+	sp := m.spans.MMOp(fmt.Sprintf("alloc_range[%d]", n))
+	defer m.spans.End(sp)
 	if err := m.allocFault(); err != nil {
 		return 0, err
 	}
@@ -167,9 +158,6 @@ func (m *Memory) claim(mfn MFN, owner DomID) {
 	*m.m2pRef(mfn) = m2pEntry{}
 	m.allocated++
 	m.tel.Inc("frames.alloc")
-	if m.jrn != nil {
-		m.jrn.record(jCounter, 0, "frames.alloc")
-	}
 }
 
 // Free returns a frame to the allocator. The frame must have no
@@ -193,9 +181,6 @@ func (m *Memory) Free(mfn MFN) error {
 	m.setFree(mfn)
 	m.allocated--
 	m.tel.Inc("frames.free")
-	if m.jrn != nil {
-		m.jrn.record(jCounter, 0, "frames.free")
-	}
 	return nil
 }
 
@@ -251,9 +236,6 @@ func (m *Memory) GetType(mfn MFN, t FrameType) error {
 		pi.TypeCount++
 	}
 	m.tel.PageTypeGet(uint64(mfn), t.String())
-	if m.jrn != nil {
-		m.jrn.record(jTypeGet, uint64(mfn), t.String())
-	}
 	return nil
 }
 
@@ -269,9 +251,6 @@ func (m *Memory) PutType(mfn MFN) error {
 	}
 	pi.TypeCount--
 	m.tel.PageTypePut(uint64(mfn), pi.Type.String())
-	if m.jrn != nil {
-		m.jrn.record(jTypePut, uint64(mfn), pi.Type.String())
-	}
 	if pi.TypeCount == 0 && !pi.Pinned {
 		pi.Type = TypeNone
 	}

@@ -237,10 +237,6 @@ type Memory struct {
 	ownInfo     []uint64
 	ownM2P      []uint64
 	dirtyFrames []MFN
-
-	// jrn, when non-nil, records boot-time observability activity for
-	// snapshot replay (see StartBootJournal).
-	jrn *bootJournal
 }
 
 // AttachTelemetry installs the machine's telemetry sink. A nil recorder

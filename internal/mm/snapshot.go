@@ -1,12 +1,6 @@
 package mm
 
-import (
-	"sync"
-
-	"repro/internal/coverage"
-	"repro/internal/span"
-	"repro/internal/telemetry"
-)
+import "sync"
 
 // Snapshot/COW machinery: a booted Memory can be sealed into an
 // immutable Snapshot, and cheap copy-on-write forks stamped out from
@@ -30,6 +24,11 @@ import (
 // allocator mutates them on almost every operation, so COW would only
 // add branches.
 //
+// A Snapshot is machine state only. What the boot put into telemetry,
+// coverage and span sinks belongs to whoever attached them; the
+// campaign keeps it beside the snapshot and restores it into each
+// cell's sinks.
+//
 // Forks from the same Snapshot may run on concurrent goroutines: the
 // sealed state is never written again (every write path materializes
 // private storage first), so shared reads are race-free.
@@ -45,50 +44,8 @@ const (
 // materializes private storage first.
 var zeroFrame = make([]byte, PageSize)
 
-// journalKind tags one recorded boot-time observability operation.
-type journalKind uint8
-
-const (
-	// jCounter is one telemetry counter increment (name = counter).
-	jCounter journalKind = iota + 1
-	// jTypeGet is one page-type validation reference (mfn, type name).
-	jTypeGet
-	// jTypePut is one page-type reference drop.
-	jTypePut
-	// jSpanStart opens one mm-op span (name = operation).
-	jSpanStart
-	// jSpanEnd closes the innermost replayed mm-op span.
-	jSpanEnd
-)
-
-// journalOp is one replayable boot-time operation.
-type journalOp struct {
-	kind journalKind
-	mfn  uint64
-	name string
-}
-
-// bootJournal records the machine's boot-time telemetry and span
-// activity in order, so Seal can fold it for forks to replay into
-// per-cell sinks. All boot-time sink traffic originates in this package
-// (the hypervisor and guest layers log to their consoles only), so the
-// journal is a complete transcript of what a fresh boot would have
-// emitted.
-type bootJournal struct {
-	ops []journalOp
-}
-
-// StartBootJournal begins recording the machine's observability
-// activity for later replay. Call it on a fresh machine before booting
-// the environment that will be sealed.
-func (m *Memory) StartBootJournal() { m.jrn = &bootJournal{} }
-
-func (j *bootJournal) record(kind journalKind, mfn uint64, name string) {
-	j.ops = append(j.ops, journalOp{kind: kind, mfn: mfn, name: name})
-}
-
-// Snapshot is a sealed, immutable image of a booted machine plus the
-// folded boot journal and a pool of reusable fork instances.
+// Snapshot is a sealed, immutable image of a booted machine plus a
+// pool of reusable fork instances.
 type Snapshot struct {
 	frames      [][]byte
 	pageInfo    []PageInfo
@@ -98,42 +55,15 @@ type Snapshot struct {
 	freeCount   int
 	allocated   int
 
-	boot bootFold
-
 	mu   sync.Mutex
 	pool []*Memory
 }
 
-// bootFold is the boot journal folded once per snapshot: what every
-// fork's replay adds up to in bulk, the events its recorder shares,
-// and the short ordered run of span ops it walks one by one.
-type bootFold struct {
-	// counters and cov are the totals the journal's counter increments,
-	// page-type references and their coverage edges sum to.
-	counters []telemetry.CounterValue
-	cov      *coverage.Map
-	// events are the journal's page-type events in boot order, the
-	// read-only prefix every fork's recorder shares, and spans its mm-op
-	// span opens and closes in the same order.
-	events []telemetry.Event
-	spans  []spanOp
-}
-
-// spanOp is one replayable mm-op span open or close, which the boot
-// performed once `at` of its events had been emitted.
-type spanOp struct {
-	at   int
-	name string
-	open bool
-}
-
-// Seal captures the machine as an immutable snapshot, folding the boot
-// journal (if one was recording) with fc classifying page-type frames
-// for coverage, the classifier the booted hypervisor installs. The
-// Memory must not be used afterward: its backing arrays become the
-// snapshot's shared state, read concurrently by every fork.
-func (m *Memory) Seal(fc coverage.FrameClassifier) *Snapshot {
-	s := &Snapshot{
+// Seal captures the machine as an immutable snapshot. The Memory must
+// not be used afterward: its backing arrays become the snapshot's
+// shared state, read concurrently by every fork.
+func (m *Memory) Seal() *Snapshot {
+	return &Snapshot{
 		frames:      m.frames,
 		pageInfo:    m.pageInfo,
 		m2p:         m.m2p,
@@ -142,38 +72,6 @@ func (m *Memory) Seal(fc coverage.FrameClassifier) *Snapshot {
 		freeCount:   m.freeCount,
 		allocated:   m.allocated,
 	}
-	if m.jrn != nil {
-		s.boot = m.jrn.fold(fc)
-		m.jrn = nil
-	}
-	return s
-}
-
-// fold drives the journal once through a temporary recorder, exactly as
-// a fresh boot drives a cell's, and keeps what it observed: its counter
-// readings, its coverage map and its events, with the span ops placed
-// between them.
-func (j *bootJournal) fold(fc coverage.FrameClassifier) bootFold {
-	rec := telemetry.NewRecorder(len(j.ops) + 1)
-	rec.AttachCoverage(coverage.NewMap())
-	rec.Coverage().SetFrameClassifier(fc)
-	var f bootFold
-	for _, op := range j.ops {
-		switch op.kind {
-		case jCounter:
-			rec.Inc(op.name)
-		case jTypeGet:
-			rec.PageTypeGet(op.mfn, op.name)
-		case jTypePut:
-			rec.PageTypePut(op.mfn, op.name)
-		case jSpanStart:
-			f.spans = append(f.spans, spanOp{at: int(rec.Emitted()), name: op.name, open: true})
-		case jSpanEnd:
-			f.spans = append(f.spans, spanOp{at: int(rec.Emitted())})
-		}
-	}
-	f.counters, f.cov, f.events = rec.Counters(), rec.Coverage(), rec.Events()
-	return f
 }
 
 // NumFrames returns the sealed machine's size in frames.
@@ -189,9 +87,8 @@ func (s *Snapshot) PoolSize() int {
 
 // Fork stamps out a copy-on-write instance of the sealed machine,
 // reusing a pooled instance when one is available. The fork has no
-// telemetry, fault or span sinks attached; callers attach per-cell
-// sinks, Replay the folded boot journal into them, and only then attach
-// the cell's fault plane. Safe for concurrent use.
+// telemetry, fault or span sinks attached; callers attach the cell's
+// own. Safe for concurrent use.
 func (s *Snapshot) Fork() *Memory {
 	s.mu.Lock()
 	var m *Memory
@@ -246,39 +143,6 @@ func (s *Snapshot) Recycle(m *Memory) {
 	s.mu.Lock()
 	s.pool = append(s.pool, m)
 	s.mu.Unlock()
-}
-
-// Replay reproduces in the given per-cell sinks exactly the event
-// stream, counter readings, coverage edges and span structure a fresh
-// boot would have produced. The folded totals go in bulk: the counters
-// and the coverage map. The boot's events are shared, not copied: the
-// recorder adopts them as its read-only prefix (Recorder.ShareBoot),
-// which advances Seq and the span tree's virtual clock past them, and
-// the mm-op spans open and close at their recorded clock. Replay
-// consults no fault plane: a cell's faults are attached after it, so
-// its triggers count only the cell's own consults, on the fork path
-// and the fresh-boot path alike. Both sinks are nil-safe; with neither
-// attached the replay is skipped entirely.
-func (s *Snapshot) Replay(tel *telemetry.Recorder, tree *span.Tree) {
-	if tel == nil && tree == nil {
-		return
-	}
-	b := &s.boot
-	for _, c := range b.counters {
-		tel.Add(c.Name, c.Value)
-	}
-	tel.Coverage().Merge(b.cov)
-	var stack []int
-	for _, op := range b.spans {
-		tel.ShareBoot(b.events[:op.at])
-		if op.open {
-			stack = append(stack, tree.MMOp(op.name))
-		} else if n := len(stack); n > 0 {
-			tree.End(stack[n-1])
-			stack = stack[:n-1]
-		}
-	}
-	tel.ShareBoot(b.events)
 }
 
 // Copy-on-write plumbing. A Memory with snap != nil reads unowned

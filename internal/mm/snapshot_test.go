@@ -5,10 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/coverage"
 	"repro/internal/faults"
-	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 func testMemory(t *testing.T, frames int) *Memory {
@@ -32,7 +29,7 @@ func TestSnapshotForkContentIsolation(t *testing.T) {
 	if err := m.WritePhys(mfn.Addr(), []byte("sealed")); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal(nil)
+	s := m.Seal()
 
 	a, b := s.Fork(), s.Fork()
 	read := func(fm *Memory) string {
@@ -67,7 +64,7 @@ func TestSnapshotForkAllocatorIsolation(t *testing.T) {
 	if _, err := m.AllocRange(8, DomXen); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal(nil)
+	s := m.Seal()
 
 	a, b := s.Fork(), s.Fork()
 	fa, err := a.Alloc(Dom0)
@@ -112,7 +109,7 @@ func TestSnapshotForkM2PAndTypeIsolation(t *testing.T) {
 	if err := p2m.Set(7, mfn); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal(nil)
+	s := m.Seal()
 
 	a := s.Fork()
 	fp := p2m.ForkOnto(a)
@@ -157,7 +154,7 @@ func TestRecycleReturnsPristineFork(t *testing.T) {
 	if err := m.WritePhys(mfn.Addr(), []byte("sealed")); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Seal(nil)
+	s := m.Seal()
 
 	f := s.Fork()
 	if err := f.WritePhys(mfn.Addr(), []byte("dirty!")); err != nil {
@@ -200,104 +197,18 @@ func TestRecycleReturnsPristineFork(t *testing.T) {
 // TestRecycleRejectsForeignMemory: only forks of this snapshot enter
 // the pool; fresh machines and other snapshots' forks are ignored.
 func TestRecycleRejectsForeignMemory(t *testing.T) {
-	s := testMemory(t, 64).Seal(nil)
-	s.Recycle(testMemory(t, 64))                  // fresh machine
-	s.Recycle(testMemory(t, 64).Seal(nil).Fork()) // another snapshot's fork
+	s := testMemory(t, 64).Seal()
+	s.Recycle(testMemory(t, 64))               // fresh machine
+	s.Recycle(testMemory(t, 64).Seal().Fork()) // another snapshot's fork
 	s.Recycle(nil)
 	if got := s.PoolSize(); got != 0 {
 		t.Errorf("pool size %d after foreign recycles, want 0", got)
 	}
 }
 
-// TestJournalReplayMatchesFreshBoot: replaying the boot journal into
-// fresh sinks reproduces exactly the events, counters, coverage edges
-// and span structure the same operations emit when the sinks are
-// attached live.
-func TestJournalReplayMatchesFreshBoot(t *testing.T) {
-	fc := func(mfn uint64) string {
-		if mfn < 4 {
-			return "hv-text"
-		}
-		return "general"
-	}
-	ops := func(m *Memory) {
-		if _, err := m.AllocRange(4, DomXen); err != nil {
-			t.Fatal(err)
-		}
-		f, err := m.Alloc(Dom0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.GetType(f, TypeL1); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.PutType(f); err != nil {
-			t.Fatal(err)
-		}
-		g, err := m.Alloc(Dom0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Free(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Reference: the same operations with live sinks.
-	ref := testMemory(t, 64)
-	refRec := telemetry.NewRecorder(0)
-	refRec.AttachCoverage(coverage.NewMap())
-	refRec.Coverage().SetFrameClassifier(fc)
-	refTree := span.NewTree("cell", refRec.Emitted)
-	ref.AttachTelemetry(refRec)
-	ref.AttachSpans(refTree)
-	ops(ref)
-
-	// Snapshot path: journal with no sinks, seal, fork, replay.
-	proto := testMemory(t, 64)
-	proto.StartBootJournal()
-	ops(proto)
-	s := proto.Seal(fc)
-	fm := s.Fork()
-	rec := telemetry.NewRecorder(0)
-	rec.AttachCoverage(coverage.NewMap())
-	tree := span.NewTree("cell", rec.Emitted)
-	fm.AttachTelemetry(rec)
-	fm.AttachSpans(tree)
-	s.Replay(rec, tree)
-
-	if got, want := rec.Emitted(), refRec.Emitted(); got != want {
-		t.Errorf("replay emitted %d events, fresh boot %d", got, want)
-	}
-	if got := append(append([]telemetry.Event(nil), rec.Boot()...), rec.Events()...); !reflect.DeepEqual(got, refRec.Events()) {
-		t.Errorf("replayed events differ from fresh boot\nreplay: %v\nfresh:  %v", got, refRec.Events())
-	}
-	if !reflect.DeepEqual(rec.Counters(), refRec.Counters()) {
-		t.Errorf("replayed counters differ from fresh boot\nreplay: %v\nfresh:  %v", rec.Counters(), refRec.Counters())
-	}
-	got, want := coverage.Canonical(rec.Coverage().Edges()), coverage.Canonical(refRec.Coverage().Edges())
-	if got != want || want == "" {
-		t.Errorf("replayed coverage differs from fresh boot\nreplay:\n%s\nfresh:\n%s", got, want)
-	}
-	// Compare the spans' canonical structure; StartNS/EndNS are wall
-	// clock and excluded from every canonical surface.
-	gs, ws := tree.Spans(), refTree.Spans()
-	if len(gs) != len(ws) {
-		t.Fatalf("replayed %d spans, fresh boot %d", len(gs), len(ws))
-	}
-	for i := range gs {
-		g, w := gs[i], ws[i]
-		g.StartNS, g.EndNS = 0, 0
-		w.StartNS, w.EndNS = 0, 0
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("span %d differs\nreplay: %+v\nfresh:  %+v", i, g, w)
-		}
-	}
-}
-
-// TestForkFaultPlaneCountsFromForkPoint: replay consults no fault
-// plane, so an injector attached to a fork after the replay counts only
-// the fork's own allocations. A rule armed at the first hit fails the
+// TestForkFaultPlaneCountsFromForkPoint: the sealed boot consulted no
+// fault plane, so an injector attached to a fork counts only the fork's
+// own allocations. A rule armed at the first hit fails the
 // fork's next allocation exactly as it fails the next allocation of a
 // machine that booted the same way and had the plane attached after
 // its boot, and the sealed image is untouched for a clean sibling.
@@ -332,14 +243,9 @@ func TestForkFaultPlaneCountsFromForkPoint(t *testing.T) {
 	freshMFN, freshInj := nextTwo(fresh)
 
 	proto := testMemory(t, 64)
-	proto.StartBootJournal()
 	boot(proto)
-	s := proto.Seal(nil)
-	fm := s.Fork()
-	rec := telemetry.NewRecorder(0)
-	fm.AttachTelemetry(rec)
-	s.Replay(rec, nil)
-	forkMFN, forkInj := nextTwo(fm)
+	s := proto.Seal()
+	forkMFN, forkInj := nextTwo(s.Fork())
 
 	if forkMFN != freshMFN {
 		t.Errorf("fork allocated %#x after the fault, fresh boot %#x", uint64(forkMFN), uint64(freshMFN))
