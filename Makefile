@@ -68,6 +68,11 @@
 # (sched-demo.json, Perfetto-loadable) and its occupancy summary, which
 # `tracecheck sched` re-validates lane by lane. Both artifacts are left
 # behind for CI to attach on failure.
+# `pool-hygiene` runs the packages that keep pooled state (the machine
+# fork's kept frame buffers, the kernels' shared file maps, the
+# campaign's pool of reset environments) twice in one process with
+# -count=2, so a test that leaks pool or snapshot-cache state into a
+# second run of itself fails CI.
 # `fuzz` runs every Fuzz* target in the module for 10 s each (today
 # FuzzNormalizeText, which holds the trace canonicalizer's hex-masking
 # scanners to the regexp passes they replace; FuzzLedgerJSON, which
@@ -91,7 +96,7 @@ MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkM
 SNAPSHOT_BENCHES = ^BenchmarkBootEnvironment$$|^BenchmarkSnapshotBuild$$|^BenchmarkCellFork$$
 LEDGER_BENCHES   = ^BenchmarkLedgerIO$$
 
-.PHONY: all build test race vet fuzz bench benchdiff bench-check check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
+.PHONY: all build test race vet pool-hygiene fuzz bench benchdiff bench-check check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
 
 all: check
 
@@ -106,6 +111,9 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+pool-hygiene:
+	$(GO) test -count=2 ./internal/mm ./internal/guest ./internal/campaign
 
 fuzz:
 	@for file in $$(grep -rl --include='*_test.go' '^func Fuzz' cmd internal); do \
@@ -218,7 +226,7 @@ bench-check:
 # check runs every gate CI runs except benchdiff: that 2x gate compares
 # wall time and bytes against baselines pinned on another host, so CI
 # runs it as its own step.
-check: build vet lint-scenarios test race fuzz trace-demo chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
+check: build vet lint-scenarios test race pool-hygiene fuzz trace-demo chaos equivalence spans stream-demo cover-matrix ledger-diff bench-check
 
 # BENCH_matrix.json, BENCH_snapshot.json and BENCH_ledger.json are
 # committed baselines (benchdiff reads them), so clean removes only what

@@ -435,10 +435,10 @@ type cellOutcome struct {
 // place every exit of the cell body — clean return, error, recovered
 // panic — passes through. It closes the span tree (Finish on success,
 // Abort marking the failing phase otherwise), snapshots the telemetry
-// profile, attaches a successful one to the result and the registry
-// when the runner has a registry, and returns a cleanly completed fork
-// to the snapshot pool. A failed cell carries its salvage profile for
-// the flight recorder.
+// profile, returns a cleanly completed cell's environment to the
+// snapshot pool, and attaches a successful profile to the result and
+// the registry when the runner has a registry. A failed cell carries
+// its salvage profile for the flight recorder.
 func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func(), abandoned *atomic.Bool) cellOutcome {
 	out := cellOutcome{res: res, err: cerr, tree: tree, cov: rec.Coverage()}
 	if cerr != nil {
@@ -447,20 +447,22 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 	} else {
 		if in.profile {
 			out.profile = rec.Profile(id, time.Since(start).Nanoseconds())
-			if r.Telemetry != nil {
-				res.Profile = out.profile
-				r.Telemetry.Record(out.profile)
-			}
 		}
-		tree.Finish()
 		// Only a cleanly completed cell that the runner is still waiting
-		// for returns its machine fork to the snapshot pool; a failed cell
+		// for returns its environment to the snapshot pool; a failed cell
 		// — and a cell the watchdog or a cancellation already wrote off,
 		// even if it later unwedges and finishes — abandons a possibly
-		// poisoned fork to the collector instead.
+		// poisoned environment to the collector instead. The reset runs
+		// before the profile reaches the registry, so a cell whose
+		// profile is visible there has only its tree left to close.
 		if recycle != nil && !abandoned.Load() {
 			recycle()
 		}
+		if out.profile != nil && r.Telemetry != nil {
+			res.Profile = out.profile
+			r.Telemetry.Record(out.profile)
+		}
+		tree.Finish()
 	}
 	return out
 }

@@ -30,6 +30,19 @@ import (
 // coverage totals in bulk, shares its events as the recorder's
 // read-only prefix instead of copying them, and walks only its spans.
 //
+// A cleanly completed cell returns its whole environment — machine
+// fork, hypervisor with its domains, vCPUs, TLBs, P2Ms and handler
+// tables, guest kernels and network — to one pool on its snapshot.
+// Returning it resets every layer to the sealed state in place (the
+// layers' Reset methods) and detaches every per-cell sink and fault
+// plane, so the pool holds no cell's recorder, span tree or injector.
+// A reset keeps what the environment allocated: frame buffers, P2M and
+// TLB maps, grant tables, event channels and the handler tables, which
+// close over their own hypervisor. A fork takes a pooled environment,
+// or builds a new one whose layers go through the same Reset, and
+// attaches the cell's sinks. A cell that errs, panics, hangs, wedges
+// or is cancelled abandons its environment to the collector instead.
+//
 // The fault plane starts at the fork point: a cell's injector is
 // attached once its environment exists, on the fork path and the
 // fresh-boot path alike, so no trigger ever counts a boot consult and
@@ -55,7 +68,8 @@ type snapKey struct {
 	mode    Mode
 }
 
-// envSnapshot is one sealed (version, mode) environment.
+// envSnapshot is one sealed (version, mode) environment and the pool
+// of reset environments forked from it.
 type envSnapshot struct {
 	once   sync.Once
 	mode   Mode
@@ -65,6 +79,9 @@ type envSnapshot struct {
 	guests []*guest.Kernel
 	boot   bootPrefix
 	err    error
+
+	mu   sync.Mutex
+	pool []*Environment
 }
 
 // bootPrefix is what the snapshot's boot put into its sinks, kept once
@@ -189,44 +206,67 @@ func (b *bootPrefix) replay(tel *telemetry.Recorder, tree *span.Tree) {
 }
 
 // forkEnvironment stamps out one cell's environment from the sealed
-// state: fork the machine, attach the cell's sinks, replay the boot
-// prefix into them (the recorder shares the boot's events instead of
-// copying them, so its own ring holds only the cell's events), fork the
-// hypervisor onto the machine, and rebind network and kernels. The
-// returned recycle func returns the machine fork to the snapshot's
-// pool; call it only when the cell completed cleanly — a poisoned fork
-// must be abandoned to the collector.
+// state: replay the boot prefix into the cell's sinks (the recorder
+// shares the boot's events instead of copying them, so its own ring
+// holds only the cell's events), take a pooled environment (or build a
+// new one), and attach the sinks to it. The returned recycle func
+// resets the environment and returns it to the pool; call it only when
+// the cell completed cleanly — a poisoned environment must be abandoned
+// to the collector.
 func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, tree *span.Tree) (*Environment, func(), error) {
-	fm := s.ms.Fork()
-	if tel != nil {
-		fm.AttachTelemetry(tel)
-	}
-	if tree != nil {
-		fm.AttachSpans(tree)
-	}
 	// The cell's own page-type events need the region classifier the
 	// boot's coverage was recorded with.
 	if cov := tel.Coverage(); cov != nil {
 		cov.SetFrameClassifier(s.hs.FrameClassifier())
 	}
 	s.boot.replay(tel, tree)
+	e, err := s.take()
+	if err != nil {
+		return nil, nil, err
+	}
+	e.HV.AttachSinks(tel, tree)
+	e.Tel = tel
+	return e, func() { s.recycle(e) }, nil
+}
 
-	fh := s.hs.Fork(fm, tel, tree)
+// take pops a pooled environment, or builds a new one when the pool is
+// empty. Either way the environment is in the sealed state with no
+// sinks attached.
+func (s *envSnapshot) take() (*Environment, error) {
+	s.mu.Lock()
+	var e *Environment
+	if n := len(s.pool); n > 0 {
+		e = s.pool[n-1]
+		s.pool[n-1] = nil
+		s.pool = s.pool[:n-1]
+	}
+	s.mu.Unlock()
+	if e != nil {
+		return e, nil
+	}
+	return s.fork()
+}
+
+// fork builds a new environment from the sealed state: fork the
+// machine, fork the hypervisor onto it, register the injector
+// hypercalls on an injection build (once per environment: a reset keeps
+// them), and fork network and kernels.
+func (s *envSnapshot) fork() (*Environment, error) {
+	fh := s.hs.Fork(s.ms.Fork())
 	if s.mode == ModeInjection {
 		if err := inject.Attach(fh); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := inject.AttachStateOps(fh); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	net := s.net.Fork()
-
-	e := &Environment{HV: fh, Net: net, Tel: tel}
+	e := &Environment{HV: fh, Net: net}
 	for _, pk := range s.guests {
 		d, err := fh.Domain(pk.Domain().ID())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		e.Guests = append(e.Guests, pk.ForkOnto(d, net))
 	}
@@ -236,14 +276,39 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, tree *span.Tree) 
 	if !ok {
 		// The sealed environment always bound the listener; a miss means
 		// the snapshot is unusable.
-		return nil, nil, vnet.ErrRefused
+		return nil, vnet.ErrRefused
 	}
 	e.Listener = l
 	if s.mode == ModeInjection {
 		e.Injector = inject.NewClient(e.Attacker.Domain())
 		e.State = inject.NewStateClient(e.Attacker.Domain())
 	}
-	return e, func() { s.ms.Recycle(fm) }, nil
+	return e, nil
+}
+
+// recycle resets a cleanly completed cell's environment to the sealed
+// state in place — machine, hypervisor, network, kernels — detaching
+// every sink and fault plane, and returns it to the pool.
+func (s *envSnapshot) recycle(e *Environment) {
+	s.ms.Reset(e.HV.Memory())
+	s.hs.Reset(e.HV)
+	e.Net.Reset()
+	for _, k := range e.Guests {
+		k.Reset()
+	}
+	// A cell may have closed the listener; the reset bound a new one.
+	e.Listener, _ = e.Net.Listener(ListenerAddr)
+	e.Tel = nil
+	s.mu.Lock()
+	s.pool = append(s.pool, e)
+	s.mu.Unlock()
+}
+
+// poolSize reports how many reset environments await reuse.
+func (s *envSnapshot) poolSize() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pool)
 }
 
 // cellEnvironment builds one cell's environment, by fork from the
@@ -280,7 +345,8 @@ func cellEnvironment(p *plan, c cell, tel *telemetry.Recorder, flt *faults.Injec
 // NewForkedEnvironment boots (once) and forks the standard environment
 // for the given cell coordinates, regardless of the process-wide
 // snapshot toggle. The benchmarks use it to measure the fork path in
-// isolation; the recycle func returns the fork to the pool.
+// isolation; the recycle func resets the environment and returns it to
+// the pool.
 func NewForkedEnvironment(v hv.Version, mode Mode) (*Environment, func(), error) {
 	s := snapshotFor(campaignPlan(), v, mode)
 	if s.err != nil {

@@ -9,22 +9,30 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/hv"
+	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/vnet"
 )
 
+// poolRuns numbers poolVersion's profiles, so a test run again in the
+// same process (go test -count=2) gets a new cache entry too.
+var poolRuns atomic.Int64
+
 // poolVersion returns a version profile with a private name, so each
-// test gets its own snapshot-cache entry and pool.
+// test run gets its own snapshot-cache entry and pool.
 func poolVersion(t *testing.T) hv.Version {
 	v := hv.Version46()
-	v.Name = "4.6#" + t.Name()
+	v.Name = fmt.Sprintf("4.6#%s#%d", t.Name(), poolRuns.Add(1))
 	return v
 }
 
@@ -40,13 +48,13 @@ func TestCleanForkReturnsToPool(t *testing.T) {
 	if s.err != nil {
 		t.Fatal(s.err)
 	}
-	if got := s.ms.PoolSize(); got != 0 {
+	if got := s.poolSize(); got != 0 {
 		t.Fatalf("fresh snapshot pool size %d, want 0", got)
 	}
 	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ms.PoolSize(); got != 1 {
+	if got := s.poolSize(); got != 1 {
 		t.Errorf("pool size %d after a clean cell, want 1 (fork recycled)", got)
 	}
 }
@@ -63,7 +71,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ms.PoolSize(); got != 1 {
+	if got := s.poolSize(); got != 1 {
 		t.Fatalf("pool size %d after priming, want 1", got)
 	}
 	plan := faults.NewPlan(0, 0).ArmCell(id, faults.SiteHypercallPanic, 1)
@@ -73,7 +81,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Class != FailPanic {
 		t.Fatalf("err = %v, want a FailPanic record", err)
 	}
-	if got := s.ms.PoolSize(); got != 0 {
+	if got := s.poolSize(); got != 0 {
 		t.Errorf("pool size %d after a panicked cell, want 0 (poisoned fork abandoned)", got)
 	}
 	// The snapshot itself is uncorrupted: the next clean run succeeds
@@ -81,7 +89,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
 		t.Fatalf("clean run after panicked fork: %v", err)
 	}
-	if got := s.ms.PoolSize(); got != 1 {
+	if got := s.poolSize(); got != 1 {
 		t.Errorf("pool size %d after recovery run, want 1", got)
 	}
 }
@@ -105,7 +113,7 @@ func TestWedgedForkIsAbandonedNotPooled(t *testing.T) {
 	// recycle its fork even after release (its runScenario unwound
 	// through the wedged hypercall's error path).
 	time.Sleep(50 * time.Millisecond)
-	if got := s.ms.PoolSize(); got != 0 {
+	if got := s.poolSize(); got != 0 {
 		t.Errorf("pool size %d after a wedged cell, want 0", got)
 	}
 	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
@@ -253,5 +261,74 @@ func TestFailedForkFailsTheCell(t *testing.T) {
 	var ce *CellError
 	if !errors.Is(err, vnet.ErrRefused) || errors.As(err, &ce) {
 		t.Errorf("cell error = %v, want the %s failure vnet.ErrRefused", err, FailError)
+	}
+}
+
+// TestReusedEnvironmentCarriesNoSinks: a cell that reuses an environment
+// after a cell that had a recorder with coverage, a span tree and a
+// fault plane attached sees none of them. The second cell runs the same
+// scenario with no sinks: the first cell's recorder, tree and injector
+// must not count a single event, span or consult of it.
+func TestReusedEnvironmentCarriesNoSinks(t *testing.T) {
+	v := poolVersion(t)
+	s := snapshotFor(campaignPlan(), v, ModeInjection)
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	spec, err := campaignPlan().spec("XSA-387-leak")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cell{version: v, mode: ModeInjection}
+	run := func(e *Environment) {
+		t.Helper()
+		env, err := e.ScenarioEnv(ModeInjection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := spec.Run(env); out.Err != nil {
+			t.Fatalf("scenario: %v", out.Err)
+		}
+	}
+
+	rec := telemetry.NewRecorder(0)
+	rec.AttachCoverage(coverage.NewMap())
+	tree := span.NewTree("first", rec.Emitted)
+	inj := faults.NewInjector()
+	e1, recycle, err := cellEnvironment(campaignPlan(), c, rec, inj, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(e1)
+	recycle()
+	emitted, spans := rec.Emitted(), len(tree.Spans())
+	edges := rec.Coverage().Edges()
+	allocs, calls := inj.Hits(faults.SiteAlloc), inj.Hits(faults.SiteHypercallPanic)
+	if allocs == 0 || calls == 0 {
+		t.Fatalf("first cell consulted its fault plane %d/%d times; the check below would prove nothing", allocs, calls)
+	}
+
+	e2, recycle, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2 != e1 {
+		t.Fatal("second cell did not reuse the pooled environment")
+	}
+	if e2.Tel != nil || e2.HV.Telemetry() != nil || e2.HV.Spans() != nil {
+		t.Error("reused environment still carries the first cell's recorder or span tree")
+	}
+	run(e2)
+	recycle()
+	if rec.Emitted() != emitted || len(tree.Spans()) != spans {
+		t.Errorf("first cell's sinks grew during the second cell: events %d→%d, spans %d→%d",
+			emitted, rec.Emitted(), spans, len(tree.Spans()))
+	}
+	if got := rec.Coverage().Edges(); !reflect.DeepEqual(got, edges) {
+		t.Error("first cell's coverage map counted edges of the second cell")
+	}
+	if inj.Hits(faults.SiteAlloc) != allocs || inj.Hits(faults.SiteHypercallPanic) != calls {
+		t.Errorf("first cell's fault plane was consulted during the second cell: alloc %d→%d, dispatch %d→%d",
+			allocs, inj.Hits(faults.SiteAlloc), calls, inj.Hits(faults.SiteHypercallPanic))
 	}
 }

@@ -57,6 +57,12 @@ type Kernel struct {
 
 	// hung is set when a payload halts the kernel.
 	hung bool
+
+	// sealed is, on a fork, the sealed kernel the fork resets to.
+	// filesShared marks files as the sealed kernel's map, which the
+	// first WriteFile clones.
+	sealed      *Kernel
+	filesShared bool
 }
 
 // New boots a guest kernel in the domain, attaches it as the domain's OS
@@ -76,25 +82,25 @@ func New(dom *hv.Domain, net *vnet.Network, addr string) *Kernel {
 }
 
 // ForkOnto clones the kernel onto a forked domain and network, and
-// attaches the clone as the domain's OS. The kernel log is clip-shared
-// with the sealed original — appends reallocate — and the filesystem
-// map is copied (it is small and mutated by most experiments). No boot
-// Printk: the sealed log already carries it.
+// attaches the clone as the domain's OS. The fork shares what it has
+// not written: the kernel log is clip-shared with the sealed original —
+// appends reallocate — and the filesystem map is cloned on the first
+// WriteFile. No boot Printk: the sealed log already carries it.
 func (k *Kernel) ForkOnto(dom *hv.Domain, net *vnet.Network) *Kernel {
-	nk := &Kernel{
-		dom:   dom,
-		net:   net,
-		addr:  k.addr,
-		files: make(map[string]File, len(k.files)),
-		klog:  k.klog[:len(k.klog):len(k.klog)],
-		ticks: k.ticks,
-		hung:  k.hung,
-	}
-	for p, f := range k.files {
-		nk.files[p] = f
-	}
-	dom.AttachOS(nk)
+	nk := &Kernel{dom: dom, net: net, addr: k.addr, sealed: k}
+	nk.Reset()
 	return nk
+}
+
+// Reset returns a fork to its sealed kernel in place — log, files,
+// clock and hang state — and re-attaches it as its domain's OS. Call it
+// only on a kernel ForkOnto made.
+func (k *Kernel) Reset() {
+	s := k.sealed
+	k.files, k.filesShared = s.files, true
+	k.klog = s.klog[:len(s.klog):len(s.klog)]
+	k.ticks, k.hung = s.ticks, s.hung
+	k.dom.AttachOS(k)
 }
 
 // Domain returns the hosting domain.
@@ -145,6 +151,13 @@ func (k *Kernel) WriteFile(path, content string, uid int) error {
 	}
 	if strings.HasPrefix(path, "/root/") && uid != UIDRoot {
 		return fmt.Errorf("%w: %s", ErrDenied, path)
+	}
+	if k.filesShared {
+		files := make(map[string]File, len(k.files)+1)
+		for p, f := range k.files {
+			files[p] = f
+		}
+		k.files, k.filesShared = files, false
 	}
 	k.files[path] = File{Content: content, UID: uid}
 	return nil

@@ -314,3 +314,32 @@ func TestQuickShellTotal(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestForkedFileWritesStayInTheFork: a fork shares the sealed kernel's
+// file map until it writes; a file written in one fork is visible
+// neither in the sealed kernel nor in a sibling fork, and a reset fork
+// no longer sees it either.
+func TestForkedFileWritesStayInTheFork(t *testing.T) {
+	e := newEnv(t, hv.Version46())
+	sealed := e.k
+	a := sealed.ForkOnto(sealed.Domain(), e.net)
+	b := sealed.ForkOnto(sealed.Domain(), e.net)
+	if err := a.WriteFile("/tmp/planted", "x", UIDUser); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.Stat("/tmp/planted"); !ok {
+		t.Fatal("fork does not see its own write")
+	}
+	for name, k := range map[string]*Kernel{"sealed kernel": sealed, "sibling fork": b} {
+		if _, ok := k.Stat("/tmp/planted"); ok {
+			t.Errorf("%s sees a file written in another fork", name)
+		}
+	}
+	if got, err := a.ReadFile("/etc/hostname", UIDRoot); err != nil || got != "guest01" {
+		t.Errorf("fork lost a sealed file after its first write: %q, %v", got, err)
+	}
+	a.Reset()
+	if _, ok := a.Stat("/tmp/planted"); ok {
+		t.Error("reset fork still sees the file its last cell wrote")
+	}
+}

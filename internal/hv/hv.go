@@ -136,6 +136,12 @@ type Hypervisor struct {
 	hung       bool
 	pfCount    int
 	clockTicks int
+
+	// snap and shell are set on a snapshot fork: the snapshot it resets
+	// to, and its own domain objects, index-aligned with the
+	// snapshot's, which a reset re-lists whatever the cell destroyed.
+	snap  *Snapshot
+	shell []*Domain
 }
 
 // New boots a hypervisor of the given version on the machine. The

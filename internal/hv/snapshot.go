@@ -15,12 +15,15 @@ import (
 // mm.Seal, and every fork shares its structural state.
 type Snapshot struct {
 	proto *Hypervisor
+	// doms are the prototype's domains in ID order; a fork's shell
+	// domains are index-aligned with them.
+	doms []*Domain
 }
 
 // Seal captures the hypervisor as the prototype for forks. Call it
 // after the full environment (domains, guests, listeners) is built and
 // the machine has been sealed.
-func (h *Hypervisor) Seal() *Snapshot { return &Snapshot{proto: h} }
+func (h *Hypervisor) Seal() *Snapshot { return &Snapshot{proto: h, doms: h.DomainList()} }
 
 // FrameClassifier returns the prototype's coverage region classifier.
 // Forks share the prototype's reservation bases, so the classifier is
@@ -31,93 +34,115 @@ func (s *Snapshot) FrameClassifier() coverage.FrameClassifier {
 	return s.proto.FrameClassifier()
 }
 
-// Fork stamps out a per-cell hypervisor instance on a forked machine.
-// Immutable structure (layout, policy, shared-table addresses, IDT
-// geometry) is shared with the prototype; everything mutable is either
-// freshly built (handler closures, walker, builder, TLBs, vCPUs) or
-// cloned copy-on-write (per-domain P2M and page-table maps). The given
-// per-cell sinks replace the prototype's; the fork starts with no fault
-// plane (see AttachFaults).
-func (s *Snapshot) Fork(mem *mm.Memory, tel *telemetry.Recorder, spans *span.Tree) *Hypervisor {
+// Fork stamps out a per-cell hypervisor instance on a forked machine
+// (a fork of the machine the prototype was sealed on). It builds the
+// fork's shell — the handler tables, walker, builder, and per domain
+// the P2M view, TLB and vCPU — and then resets it to the prototype's
+// state (see Reset). The fork starts with no telemetry, span or fault
+// sinks; attach the cell's own with AttachSinks and AttachFaults.
+func (s *Snapshot) Fork(mem *mm.Memory) *Hypervisor {
 	p := s.proto
 	h := &Hypervisor{
-		mem:     mem,
-		version: p.version,
-		cfg:     p.cfg,
-
-		layout: p.layout,
-		policy: p.policy,
-
-		hvTextBase: p.hvTextBase,
-		heapBase:   p.heapBase,
-		xenL4:      p.xenL4,
-		xenL3:      p.xenL3,
-		aliasL2:    p.aliasL2,
-
-		idtr:     p.idtr,
-		builtins: make(map[uint64]cpu.BuiltinHandler),
-
-		domains:   make(map[mm.DomID]*Domain),
-		nextDomID: p.nextDomID,
-		nextCPUID: p.nextCPUID,
-
-		hypercalls: make(map[int]Hypercall),
-
-		// Clip the shared boot console so a fork's appends reallocate
-		// instead of scribbling over the prototype's backing array.
-		console:    p.console[:len(p.console):len(p.console)],
-		crashed:    p.crashed,
-		crashMsg:   p.crashMsg,
-		hung:       p.hung,
-		pfCount:    p.pfCount,
-		clockTicks: p.clockTicks,
+		mem:        mem,
+		snap:       s,
+		builtins:   make(map[uint64]cpu.BuiltinHandler, len(p.builtins)),
+		domains:    make(map[mm.DomID]*Domain, len(s.doms)),
+		hypercalls: make(map[int]Hypercall, len(p.hypercalls)),
 	}
-	// Coverage rides on tel; the campaign installed its classifier (via
-	// FrameClassifier) before restoring the boot prefix, so fork-path
-	// classification matches fresh boot.
-	h.cfg.tel = tel
-	h.cfg.spans = spans
-
 	// Handlers close over their hypervisor, so each fork installs its
-	// own set; sharing the prototype's closures would route a fork's
-	// traps and hypercalls into the prototype.
+	// own set once; sharing the prototype's closures would route a
+	// fork's traps and hypercalls into the prototype. A reset keeps
+	// them, since they close over the same shell.
 	h.installBuiltins()
 	h.registerCoreHypercalls()
-
-	// Walker and builder are cheap stateless shells over the machine;
-	// rebuild them on the fork's machine with the fork's sinks.
-	h.walker = pagetable.NewWalker(mem, h.policy)
-	if tel != nil {
-		h.walker.AttachTelemetry(tel)
-	}
+	h.walker = pagetable.NewWalker(mem, p.policy)
 	h.builder = pagetable.NewBuilder(mem, func() (mm.MFN, error) { return mem.Alloc(mm.DomXen) })
-
-	for _, pd := range p.DomainList() {
-		d := &Domain{
-			id:         pd.id,
-			name:       pd.name,
-			privileged: pd.privileged,
-			hv:         h,
-			p2m:        pd.p2m.ForkOnto(mem),
-			base:       pd.base,
-			frames:     pd.frames,
-			cr3:        pd.cr3,
-			ptFrames:   pd.ptFrames,
-			ptShared:   true,
-
-			nextFreePFN: pd.nextFreePFN,
-			ptLowestPFN: pd.ptLowestPFN,
-
-			tlb: pagetable.NewTLB(h.cfg.tlbCapacity),
-
-			destroyed: pd.destroyed,
-			paused:    pd.paused,
-		}
-		// Grant tables and event channels are built lazily on first use
-		// and are nil at seal time, so forks start from nil too.
+	h.shell = make([]*Domain, len(s.doms))
+	for i, pd := range s.doms {
+		d := &Domain{hv: h, p2m: pd.p2m.ForkOnto(mem), tlb: pagetable.NewTLB(p.cfg.tlbCapacity)}
 		d.vcpu = cpu.New(pd.vcpu.ID(), mem, &domainSpace{h: h, d: d}, h)
-		d.vcpu.LIDT(h.idtr)
+		h.shell[i] = d
+	}
+	s.Reset(h)
+	return h
+}
+
+// Reset returns a fork of this snapshot to the prototype's state in
+// place, so its shell can serve another cell. Immutable structure
+// (layout, policy, shared-table addresses, IDT geometry) is shared with
+// the prototype again; the console is clip-shared with the prototype's;
+// each domain's P2M and page-table map read the prototype's again; the
+// domain table lists exactly the prototype's domains, whatever the cell
+// created or destroyed. Reset keeps what the shell allocated: the
+// handler tables (minus any handler a cell registered), the walker and
+// builder, the vCPUs, and the grant tables, event channels, P2M clones
+// and TLB storage the last cell built, which are cleared instead of
+// reallocated. The telemetry, span and fault sinks are detached. Reset
+// the fork's machine with mm.Snapshot.Reset as well; Reset panics on a
+// hypervisor that is not a fork of s.
+func (s *Snapshot) Reset(h *Hypervisor) {
+	if h == nil || h.snap != s {
+		panic("hv: Reset of a hypervisor that is not a fork of this snapshot")
+	}
+	p := s.proto
+	h.version = p.version
+	h.cfg = p.cfg
+	h.cfg.tel, h.cfg.spans, h.cfg.flt = nil, nil, nil
+	h.layout, h.policy = p.layout, p.policy
+	h.hvTextBase, h.heapBase = p.hvTextBase, p.heapBase
+	h.xenL4, h.xenL3, h.aliasL2 = p.xenL4, p.xenL3, p.aliasL2
+	h.idtr = p.idtr
+	h.nextDomID, h.nextCPUID = p.nextDomID, p.nextCPUID
+	// Clip the shared boot console so a fork's appends reallocate
+	// instead of scribbling over the prototype's backing array.
+	h.console = p.console[:len(p.console):len(p.console)]
+	h.crashed, h.crashMsg, h.hung = p.crashed, p.crashMsg, p.hung
+	h.pfCount, h.clockTicks = p.pfCount, p.clockTicks
+	h.walker.AttachTelemetry(nil)
+	if len(h.hypercalls) != len(p.hypercalls) {
+		for nr := range h.hypercalls {
+			if _, ok := p.hypercalls[nr]; !ok {
+				delete(h.hypercalls, nr)
+			}
+		}
+	}
+	clear(h.domains)
+	for i, pd := range s.doms {
+		d := h.shell[i]
+		d.resetTo(pd)
 		h.domains[d.id] = d
 	}
-	return h
+}
+
+// resetTo returns a fork's shell domain to the prototype domain pd.
+func (d *Domain) resetTo(pd *Domain) {
+	d.id, d.name, d.privileged = pd.id, pd.name, pd.privileged
+	d.p2m.Reset()
+	d.base, d.frames, d.cr3 = pd.base, pd.frames, pd.cr3
+	d.ptFrames, d.ptShared = pd.ptFrames, true
+	d.nextFreePFN, d.ptLowestPFN = pd.nextFreePFN, pd.ptLowestPFN
+	// Grant tables and event channels are built lazily on first use and
+	// are nil at seal time; a kept one is cleared to the state its
+	// lazy build starts from.
+	if gt := d.grantTable; gt != nil {
+		*gt = grantTable{version: 1, statusFrames: gt.statusFrames[:0]}
+	}
+	for i := range d.eventChannels {
+		d.eventChannels[i] = eventChannel{remoteDom: -1}
+	}
+	d.tlb.Reset()
+	d.vcpu.LIDT(d.hv.idtr)
+	d.destroyed, d.paused = pd.destroyed, pd.paused
+}
+
+// AttachSinks installs a cell's telemetry recorder and span tree on a
+// fork and its machine, as WithTelemetry and WithSpans install them on
+// a fresh build; nil detaches either. Coverage rides on the recorder:
+// install the snapshot's FrameClassifier on its map first, so fork-path
+// classification matches a fresh boot.
+func (h *Hypervisor) AttachSinks(tel *telemetry.Recorder, spans *span.Tree) {
+	h.cfg.tel, h.cfg.spans = tel, spans
+	h.walker.AttachTelemetry(tel)
+	h.mem.AttachTelemetry(tel)
+	h.mem.AttachSpans(spans)
 }

@@ -146,14 +146,13 @@ func (m *Memory) claim(mfn MFN, owner DomID) {
 		m.ownInfoChunk(mfn)
 	}
 	m.pageInfo[mfn] = PageInfo{Owner: owner, Type: TypeNone}
-	if m.frames[mfn] != nil {
-		clear(m.frames[mfn])
+	if f := m.frames[mfn]; f != nil {
+		clear(f[:])
 	} else if m.snap != nil && m.snap.frames[mfn] != nil {
 		// The sealed image has content here; a freshly claimed frame
 		// must read as zeros, so materialize a private zero page that
 		// shadows it.
-		m.frames[mfn] = make([]byte, PageSize)
-		m.dirtyFrames = append(m.dirtyFrames, mfn)
+		m.materialize(mfn, nil)
 	}
 	*m.m2pRef(mfn) = m2pEntry{}
 	m.allocated++

@@ -207,7 +207,9 @@ var (
 // Alloc, AllocAt and Free are O(1) and AllocRange is O(range) plus a
 // word-granular skip over allocated regions.
 type Memory struct {
-	frames      [][]byte
+	// frames holds one pointer per frame (8 bytes, where a slice header
+	// would take 24), nil until the frame is first written.
+	frames      []*[PageSize]byte
 	pageInfo    []PageInfo
 	m2p         []m2pEntry
 	freeWords   []uint64
@@ -231,12 +233,14 @@ type Memory struct {
 	// a sealed Snapshot: unowned frame-table and M2P chunks read
 	// through the snapshot and clone on first write, tracked in the
 	// ownership bitmaps below; frame contents materialize per frame on
-	// first write, tracked in dirtyFrames for arena-style reuse. See
-	// snapshot.go.
+	// first write, tracked in dirtyFrames so Snapshot.Reset can drop
+	// them. kept holds the buffers a reset dropped, which the next
+	// materializations reuse. See snapshot.go.
 	snap        *Snapshot
 	ownInfo     []uint64
 	ownM2P      []uint64
 	dirtyFrames []MFN
+	kept        []*[PageSize]byte
 }
 
 // AttachTelemetry installs the machine's telemetry sink. A nil recorder
@@ -251,9 +255,11 @@ func (m *Memory) AttachFaults(f *faults.Injector) { m.flt = f }
 // never calling this) leaves span capture disabled.
 func (m *Memory) AttachSpans(t *span.Tree) { m.spans = t }
 
+// m2pEntry orders its fields widest first, so an entry packs into 16
+// bytes instead of 24.
 type m2pEntry struct {
-	dom   DomID
 	pfn   PFN
+	dom   DomID
 	valid bool
 }
 
@@ -264,7 +270,7 @@ func NewMemory(frames int) (*Memory, error) {
 		return nil, fmt.Errorf("mm: machine must have at least one frame, got %d", frames)
 	}
 	m := &Memory{
-		frames:      make([][]byte, frames),
+		frames:      make([]*[PageSize]byte, frames),
 		pageInfo:    make([]PageInfo, frames),
 		m2p:         make([]m2pEntry, frames),
 		freeWords:   make([]uint64, (frames+63)/64),

@@ -20,6 +20,11 @@ type P2M struct {
 	// shared marks the entries map as belonging to a sealed snapshot;
 	// the first mutation clones it (see own).
 	shared bool
+	// sealed is, on a fork, the snapshot's table the fork resets to;
+	// kept is the clone an earlier cell made, which Reset keeps for the
+	// next clone to reuse.
+	sealed *P2M
+	kept   map[PFN]MFN
 }
 
 // NewP2M creates an empty translation table for the domain.
@@ -31,20 +36,36 @@ func (m *Memory) NewP2M(dom DomID) *P2M {
 // machine. The entries map is shared with the sealed original until the
 // fork's first Set or Clear clones it.
 func (p *P2M) ForkOnto(mem *Memory) *P2M {
-	return &P2M{dom: p.dom, mem: mem, entries: p.entries, maxPFN: p.maxPFN, shared: true}
+	return &P2M{dom: p.dom, mem: mem, entries: p.entries, maxPFN: p.maxPFN, shared: true, sealed: p}
 }
 
-// own clones the shared entries map before the first mutation.
+// Reset returns a fork to its sealed table in place: the entries map is
+// shared again, and a clone the fork made is kept for its next first
+// mutation, which clears and refills it instead of allocating. Call it
+// only on a table ForkOnto made.
+func (p *P2M) Reset() {
+	if !p.shared {
+		p.kept = p.entries
+	}
+	p.entries, p.maxPFN, p.shared = p.sealed.entries, p.sealed.maxPFN, true
+}
+
+// own clones the shared entries map before the first mutation, into
+// the map a Reset kept when there is one.
 func (p *P2M) own() {
 	if !p.shared {
 		return
 	}
-	clone := make(map[PFN]MFN, len(p.entries))
+	clone := p.kept
+	if clone == nil {
+		clone = make(map[PFN]MFN, len(p.entries))
+	} else {
+		clear(clone)
+	}
 	for k, v := range p.entries {
 		clone[k] = v
 	}
-	p.entries = clone
-	p.shared = false
+	p.entries, p.kept, p.shared = clone, nil, false
 }
 
 // Domain returns the domain this table belongs to.

@@ -1,7 +1,5 @@
 package mm
 
-import "sync"
-
 // Snapshot/COW machinery: a booted Memory can be sealed into an
 // immutable Snapshot, and cheap copy-on-write forks stamped out from
 // it. The campaign engine boots each (version, mode) environment once,
@@ -24,6 +22,18 @@ import "sync"
 // allocator mutates them on almost every operation, so COW would only
 // add branches.
 //
+// Reset returns a fork to the sealed state in place, so one fork can
+// serve cell after cell. It keeps what the fork allocated: the
+// ownership bitmaps, the private frame-table and M2P arrays, and the
+// frame buffers the last cell materialized, which the next first
+// writes reuse before allocating. It resets what the cell changed:
+// every ownership bit (so all chunks read through the snapshot again),
+// every materialized frame (its buffer goes to the kept list and the
+// frame reads sealed content or zeros again), the free set and the
+// counts, and the telemetry, fault and span sinks. A kept buffer is
+// overwritten in full before it backs a frame again: the sealed
+// content is copied in, or the buffer is cleared.
+//
 // A Snapshot is machine state only. What the boot put into telemetry,
 // coverage and span sinks belongs to whoever attached them; the
 // campaign keeps it beside the snapshot and restores it into each
@@ -31,7 +41,8 @@ import "sync"
 //
 // Forks from the same Snapshot may run on concurrent goroutines: the
 // sealed state is never written again (every write path materializes
-// private storage first), so shared reads are race-free.
+// private storage first), so shared reads are race-free. A fork and
+// its kept buffers belong to one goroutine at a time.
 
 // Chunk geometry for the lazily cloned frame-table and M2P arrays.
 const (
@@ -42,21 +53,17 @@ const (
 // zeroFrame backs reads of never-written frames in forks and fresh
 // machines alike. It must never be written; every write path
 // materializes private storage first.
-var zeroFrame = make([]byte, PageSize)
+var zeroFrame = new([PageSize]byte)
 
-// Snapshot is a sealed, immutable image of a booted machine plus a
-// pool of reusable fork instances.
+// Snapshot is a sealed, immutable image of a booted machine.
 type Snapshot struct {
-	frames      [][]byte
+	frames      []*[PageSize]byte
 	pageInfo    []PageInfo
 	m2p         []m2pEntry
 	freeWords   []uint64
 	freeSummary []uint64
 	freeCount   int
 	allocated   int
-
-	mu   sync.Mutex
-	pool []*Memory
 }
 
 // Seal captures the machine as an immutable snapshot. The Memory must
@@ -77,72 +84,50 @@ func (m *Memory) Seal() *Snapshot {
 // NumFrames returns the sealed machine's size in frames.
 func (s *Snapshot) NumFrames() int { return len(s.frames) }
 
-// PoolSize reports how many recycled forks await reuse. Tests use it to
-// verify that only cleanly completed cells return their forks.
-func (s *Snapshot) PoolSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pool)
+// Fork stamps out a copy-on-write instance of the sealed machine. The
+// fork has no telemetry, fault or span sinks attached; callers attach
+// the cell's own. Safe for concurrent use.
+func (s *Snapshot) Fork() *Memory {
+	chunks := (len(s.frames) + chunkSize - 1) / chunkSize
+	words := (chunks + 63) / 64
+	m := &Memory{
+		frames:      make([]*[PageSize]byte, len(s.frames)),
+		pageInfo:    make([]PageInfo, len(s.pageInfo)),
+		m2p:         make([]m2pEntry, len(s.m2p)),
+		freeWords:   make([]uint64, len(s.freeWords)),
+		freeSummary: make([]uint64, len(s.freeSummary)),
+		ownInfo:     make([]uint64, words),
+		ownM2P:      make([]uint64, words),
+		snap:        s,
+	}
+	s.Reset(m)
+	return m
 }
 
-// Fork stamps out a copy-on-write instance of the sealed machine,
-// reusing a pooled instance when one is available. The fork has no
-// telemetry, fault or span sinks attached; callers attach the cell's
-// own. Safe for concurrent use.
-func (s *Snapshot) Fork() *Memory {
-	s.mu.Lock()
-	var m *Memory
-	if n := len(s.pool); n > 0 {
-		m = s.pool[n-1]
-		s.pool = s.pool[:n-1]
+// Reset returns a fork of this snapshot to the sealed state in place
+// and detaches its sinks, so the fork can serve another cell. Every
+// ownership bit is cleared, so the next access re-clones each chunk
+// from the snapshot; every materialized frame is dropped and its buffer
+// kept for the fork's next first writes. Only a fork whose cell
+// completed cleanly should be reset for reuse: a cell that crashed,
+// hung, wedged or was cancelled abandons its fork to the garbage
+// collector instead. Reset panics on a Memory that is not a fork of s.
+func (s *Snapshot) Reset(m *Memory) {
+	if m == nil || m.snap != s {
+		panic("mm: Reset of a machine that is not a fork of this snapshot")
 	}
-	s.mu.Unlock()
-	if m == nil {
-		chunks := (len(s.frames) + chunkSize - 1) / chunkSize
-		words := (chunks + 63) / 64
-		m = &Memory{
-			frames:      make([][]byte, len(s.frames)),
-			pageInfo:    make([]PageInfo, len(s.pageInfo)),
-			m2p:         make([]m2pEntry, len(s.m2p)),
-			freeWords:   make([]uint64, len(s.freeWords)),
-			freeSummary: make([]uint64, len(s.freeSummary)),
-			ownInfo:     make([]uint64, words),
-			ownM2P:      make([]uint64, words),
-			snap:        s,
-		}
+	clear(m.ownInfo)
+	clear(m.ownM2P)
+	for _, mfn := range m.dirtyFrames {
+		m.kept = append(m.kept, m.frames[mfn])
+		m.frames[mfn] = nil
 	}
+	m.dirtyFrames = m.dirtyFrames[:0]
 	copy(m.freeWords, s.freeWords)
 	copy(m.freeSummary, s.freeSummary)
 	m.freeCount = s.freeCount
 	m.allocated = s.allocated
-	return m
-}
-
-// Recycle resets a fork to the sealed state and returns it to the
-// snapshot's pool for reuse. Only fully healthy forks should come
-// back: a cell that crashed, hung, wedged or fired substrate faults
-// abandons its fork to the garbage collector instead. Resetting is
-// arena-style — ownership bits are cleared and materialized frames
-// dropped, so the next Fork call re-clones lazily. Safe for
-// concurrent use.
-func (s *Snapshot) Recycle(m *Memory) {
-	if m == nil || m.snap != s {
-		return
-	}
-	for i := range m.ownInfo {
-		m.ownInfo[i] = 0
-	}
-	for i := range m.ownM2P {
-		m.ownM2P[i] = 0
-	}
-	for _, mfn := range m.dirtyFrames {
-		m.frames[mfn] = nil
-	}
-	m.dirtyFrames = m.dirtyFrames[:0]
 	m.tel, m.flt, m.spans = nil, nil, nil
-	s.mu.Lock()
-	s.pool = append(s.pool, m)
-	s.mu.Unlock()
 }
 
 // Copy-on-write plumbing. A Memory with snap != nil reads unowned
@@ -208,14 +193,14 @@ func (m *Memory) m2pRef(mfn MFN) *m2pEntry {
 // returned slice must not be written.
 func (m *Memory) frameRead(mfn MFN) []byte {
 	if f := m.frames[mfn]; f != nil {
-		return f
+		return f[:]
 	}
 	if m.snap != nil {
 		if f := m.snap.frames[mfn]; f != nil {
-			return f
+			return f[:]
 		}
 	}
-	return zeroFrame
+	return zeroFrame[:]
 }
 
 // frameWrite returns private, writable backing store for the frame,
@@ -223,13 +208,34 @@ func (m *Memory) frameRead(mfn MFN) []byte {
 // first write.
 func (m *Memory) frameWrite(mfn MFN) []byte {
 	if f := m.frames[mfn]; f != nil {
-		return f
+		return f[:]
 	}
-	f := make([]byte, PageSize)
+	var sealed *[PageSize]byte
 	if m.snap != nil {
-		if sf := m.snap.frames[mfn]; sf != nil {
-			copy(f, sf)
+		sealed = m.snap.frames[mfn]
+	}
+	return m.materialize(mfn, sealed)[:]
+}
+
+// materialize gives the frame private backing store holding src, or
+// zeros when src is nil. It reuses a buffer a Reset kept before it
+// allocates one, and overwrites a kept buffer in full, so no byte of an
+// earlier cell survives. A fork records the frame as dirty.
+func (m *Memory) materialize(mfn MFN, src *[PageSize]byte) *[PageSize]byte {
+	var f *[PageSize]byte
+	if n := len(m.kept); n > 0 {
+		f = m.kept[n-1]
+		m.kept = m.kept[:n-1]
+		if src == nil {
+			clear(f[:])
 		}
+	} else {
+		f = new([PageSize]byte)
+	}
+	if src != nil {
+		*f = *src
+	}
+	if m.snap != nil {
 		m.dirtyFrames = append(m.dirtyFrames, mfn)
 	}
 	m.frames[mfn] = f

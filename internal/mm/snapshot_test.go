@@ -143,9 +143,9 @@ func TestSnapshotForkM2PAndTypeIsolation(t *testing.T) {
 	}
 }
 
-// TestRecycleReturnsPristineFork: a recycled fork comes back from the
-// pool with all COW state reset, indistinguishable from a fresh fork.
-func TestRecycleReturnsPristineFork(t *testing.T) {
+// TestResetReturnsPristineFork: a reset fork has all COW state reset,
+// indistinguishable from a fresh fork.
+func TestResetReturnsPristineFork(t *testing.T) {
 	m := testMemory(t, 128)
 	mfn, err := m.Alloc(Dom0)
 	if err != nil {
@@ -163,25 +163,22 @@ func TestRecycleReturnsPristineFork(t *testing.T) {
 	if _, err := f.Alloc(Dom0); err != nil {
 		t.Fatal(err)
 	}
-	s.Recycle(f)
-	if got := s.PoolSize(); got != 1 {
-		t.Fatalf("pool size %d after recycle, want 1", got)
+	f.AttachFaults(faults.NewInjector())
+	s.Reset(f)
+	if f.tel != nil || f.flt != nil || f.spans != nil {
+		t.Errorf("reset fork still holds a sink: tel %v flt %v spans %v", f.tel, f.flt, f.spans)
 	}
 
-	g := s.Fork()
-	if g != f {
-		t.Fatalf("fork after recycle is not the pooled instance")
-	}
 	buf := make([]byte, 6)
-	if err := g.ReadPhys(mfn.Addr(), buf); err != nil {
+	if err := f.ReadPhys(mfn.Addr(), buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "sealed" {
-		t.Errorf("recycled fork reads %q, want sealed content", buf)
+		t.Errorf("reset fork reads %q, want sealed content", buf)
 	}
-	// The allocator was reset: the recycled fork hands out the same
+	// The allocator was reset: the reset fork hands out the same
 	// lowest frame a brand-new fork would.
-	got, err := g.Alloc(Dom0)
+	got, err := f.Alloc(Dom0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,19 +187,158 @@ func TestRecycleReturnsPristineFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("recycled fork allocated %#x, fresh fork %#x", uint64(got), uint64(want))
+		t.Errorf("reset fork allocated %#x, fresh fork %#x", uint64(got), uint64(want))
 	}
 }
 
-// TestRecycleRejectsForeignMemory: only forks of this snapshot enter
-// the pool; fresh machines and other snapshots' forks are ignored.
-func TestRecycleRejectsForeignMemory(t *testing.T) {
+// TestResetKeptBuffersLeakNoBytes: a reset keeps the frame buffers the
+// fork materialized and reuses them, but every reused buffer reads the
+// sealed bytes or zeros, never what an earlier cell wrote. Three
+// frames are dirtied each round: one with sealed content written over,
+// one never written before the fork, and one claimed over sealed
+// content. Two resets in a row must both come back clean.
+func TestResetKeptBuffersLeakNoBytes(t *testing.T) {
+	m := testMemory(t, 128)
+	sealedMFN, err := m.Alloc(Dom0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealedPage := make([]byte, PageSize)
+	for i := range sealedPage {
+		sealedPage[i] = byte(i*7 + 1)
+	}
+	if err := m.WritePhys(sealedMFN.Addr(), sealedPage); err != nil {
+		t.Fatal(err)
+	}
+	// A frame with sealed content that is free at seal time, so a
+	// fork's allocation claims it over that content.
+	freedMFN, err := m.Alloc(Dom0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WritePhys(freedMFN.Addr(), sealedPage); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(freedMFN); err != nil {
+		t.Fatal(err)
+	}
+	zeroMFN := MFN(100)
+	s := m.Seal()
+
+	zeros := make([]byte, PageSize)
+	junk := make([]byte, PageSize)
+	for i := range junk {
+		junk[i] = 0xa5
+	}
+	page := func(f *Memory, mfn MFN) []byte {
+		t.Helper()
+		buf := make([]byte, PageSize)
+		if err := f.ReadPhys(mfn.Addr(), buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	f := s.Fork()
+	for round := 1; round <= 3; round++ {
+		if got := page(f, sealedMFN); !reflect.DeepEqual(got, sealedPage) {
+			t.Fatalf("round %d: sealed frame does not read the sealed bytes", round)
+		}
+		if got := page(f, zeroMFN); !reflect.DeepEqual(got, zeros) {
+			t.Fatalf("round %d: never-written frame does not read zeros", round)
+		}
+		if got := page(f, freedMFN); !reflect.DeepEqual(got, sealedPage) {
+			t.Fatalf("round %d: free sealed frame does not read the sealed bytes", round)
+		}
+		if round == 3 {
+			break
+		}
+		if err := f.WritePhys(sealedMFN.Addr(), junk[:PageSize/2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.WritePhys(zeroMFN.Addr()+8, junk[:64]); err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Alloc(Dom0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != freedMFN {
+			t.Fatalf("round %d: fork allocated %#x, want the freed sealed frame %#x", round, uint64(got), uint64(freedMFN))
+		}
+		if claimed := page(f, freedMFN); !reflect.DeepEqual(claimed, zeros) {
+			t.Fatalf("round %d: claimed frame does not read zeros", round)
+		}
+		if err := f.WritePhys(freedMFN.Addr(), junk[:128]); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.dirtyFrames) != 3 {
+			t.Fatalf("round %d: %d dirty frames, want 3", round, len(f.dirtyFrames))
+		}
+		// After the first reset the three frames materialize from the
+		// three kept buffers, allocating none.
+		if len(f.kept) != 0 {
+			t.Fatalf("round %d: %d kept buffers left unused", round, len(f.kept))
+		}
+		s.Reset(f)
+		if len(f.kept) != 3 {
+			t.Fatalf("round %d: reset kept %d buffers, want 3", round, len(f.kept))
+		}
+	}
+}
+
+// TestLiveForksNeverShareABuffer: two live forks of one snapshot, one
+// of them reset and reused, never back a frame with the same buffer.
+func TestLiveForksNeverShareABuffer(t *testing.T) {
+	m := testMemory(t, 64)
+	s := m.Seal()
+	a, b := s.Fork(), s.Fork()
+	for _, f := range []*Memory{a, b} {
+		for mfn := MFN(0); mfn < 4; mfn++ {
+			if err := f.WriteU64(mfn.Addr(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Reset(a)
+	for mfn := MFN(2); mfn < 6; mfn++ {
+		if err := a.WriteU64(mfn.Addr(), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[*[PageSize]byte]string)
+	for name, f := range map[string]*Memory{"a": a, "b": b} {
+		for mfn, buf := range f.frames {
+			if buf == nil {
+				continue
+			}
+			if other, ok := seen[buf]; ok {
+				t.Fatalf("fork %s frame %#x shares its buffer with %s", name, mfn, other)
+			}
+			seen[buf] = name
+		}
+	}
+	if got, err := b.ReadU64(MFN(2).Addr()); err != nil || got != 1 {
+		t.Errorf("fork b frame 2 reads %d (err %v) after a reused its buffers, want 1", got, err)
+	}
+}
+
+// TestResetRejectsForeignMemory: only forks of this snapshot can be
+// reset to it; fresh machines and other snapshots' forks panic.
+func TestResetRejectsForeignMemory(t *testing.T) {
 	s := testMemory(t, 64).Seal()
-	s.Recycle(testMemory(t, 64))               // fresh machine
-	s.Recycle(testMemory(t, 64).Seal().Fork()) // another snapshot's fork
-	s.Recycle(nil)
-	if got := s.PoolSize(); got != 0 {
-		t.Errorf("pool size %d after foreign recycles, want 0", got)
+	for name, m := range map[string]*Memory{
+		"fresh machine":         testMemory(t, 64),
+		"other snapshot's fork": testMemory(t, 64).Seal().Fork(),
+		"nil":                   nil,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset of a %s did not panic", name)
+				}
+			}()
+			s.Reset(m)
+		}()
 	}
 }
 

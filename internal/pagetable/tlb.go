@@ -35,9 +35,10 @@ type TLB struct {
 }
 
 // NewTLB creates a cache holding up to capacity page translations. The
-// backing storage is allocated lazily on the first Insert, so the many
-// short-lived vCPUs a snapshot-forking campaign stamps out pay nothing
-// until they actually translate.
+// backing storage is allocated lazily on the first Insert and grows
+// with the entries actually cached, so the many short-lived vCPUs a
+// snapshot-forking campaign stamps out pay only for what they
+// translate.
 func NewTLB(capacity int) *TLB {
 	return &TLB{capacity: capacity}
 }
@@ -74,8 +75,7 @@ func (t *TLB) Insert(va uint64, e TLBEntry) {
 		return
 	}
 	if t.entries == nil {
-		t.entries = make(map[uint64]TLBEntry, t.capacity)
-		t.order = make([]uint64, 0, t.capacity)
+		t.entries = make(map[uint64]TLBEntry)
 	}
 	page := pageOf(va)
 	if _, exists := t.entries[page]; !exists {
@@ -99,6 +99,14 @@ func (t *TLB) Flush() {
 	clear(t.entries)
 	t.order = t.order[:0]
 	t.stats.Flushes++
+}
+
+// Reset empties the cache and zeroes its counters, as a new TLB of the
+// same capacity starts, but keeps the storage it grew for reuse.
+func (t *TLB) Reset() {
+	clear(t.entries)
+	t.order = t.order[:0]
+	t.stats = TLBStats{}
 }
 
 // FlushVA drops the translation of one page (invlpg).

@@ -33,6 +33,8 @@ type Network struct {
 	mu        sync.Mutex
 	listeners map[string]*Listener
 	log       []string
+	// sealed is, on a fork, the network the fork resets to.
+	sealed *Network
 }
 
 // New creates an empty network.
@@ -46,16 +48,35 @@ func New() *Network {
 // Established connections are not cloned — at seal time none exist (the
 // experiments dial during the attack phase, never at boot).
 func (n *Network) Fork() *Network {
+	f := &Network{listeners: make(map[string]*Listener, len(n.listeners)), sealed: n}
+	f.Reset()
+	return f
+}
+
+// Reset returns a fork to its sealed network in place: exactly the
+// sealed addresses are bound, each with an empty pending queue, and the
+// log is clip-shared with the sealed one again. A listener object the
+// last cell left bound is kept and cleared. Call it only on a network
+// Fork made.
+func (n *Network) Reset() {
+	s := n.sealed
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	f := &Network{
-		listeners: make(map[string]*Listener, len(n.listeners)),
-		log:       n.log[:len(n.log):len(n.log)],
+	for addr, l := range n.listeners {
+		if _, ok := s.listeners[addr]; ok {
+			*l = Listener{net: n, addr: addr}
+		} else {
+			delete(n.listeners, addr)
+		}
 	}
-	for addr := range n.listeners {
-		f.listeners[addr] = &Listener{net: f, addr: addr}
+	for addr := range s.listeners {
+		if _, ok := n.listeners[addr]; !ok {
+			n.listeners[addr] = &Listener{net: n, addr: addr}
+		}
 	}
-	return f
+	n.log = s.log[:len(s.log):len(s.log)]
 }
 
 // Listener returns the listener bound to addr, if any. Snapshot forks
