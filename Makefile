@@ -68,11 +68,13 @@
 # (sched-demo.json, Perfetto-loadable) and its occupancy summary, which
 # `tracecheck sched` re-validates lane by lane. Both artifacts are left
 # behind for CI to attach on failure.
-# `pool-hygiene` runs the packages that keep pooled state (the machine
-# fork's kept frame buffers, the kernels' shared file maps, the
+# `pool-hygiene` runs the packages that keep pooled or shared state (the
+# machine fork's kept frame buffers, the kernels' shared file maps, the
+# hypervisor's package-level hypercall and trap tables every build and
+# fork dispatches through, the injector registered into them, the
 # campaign's pool of reset environments) twice in one process with
-# -count=2, so a test that leaks pool or snapshot-cache state into a
-# second run of itself fails CI.
+# -count=2, so a test that leaks pool, table or snapshot-cache state
+# into a second run of itself fails CI.
 # `fuzz` runs every Fuzz* target in the module for 10 s each (today
 # FuzzNormalizeText, which holds the trace canonicalizer's hex-masking
 # scanners to the regexp passes they replace; FuzzLedgerJSON, which
@@ -113,7 +115,7 @@ vet:
 	$(GO) vet ./...
 
 pool-hygiene:
-	$(GO) test -count=2 ./internal/mm ./internal/guest ./internal/campaign
+	$(GO) test -count=2 ./internal/mm ./internal/guest ./internal/hv ./internal/inject ./internal/campaign
 
 fuzz:
 	@for file in $$(grep -rl --include='*_test.go' '^func Fuzz' cmd internal); do \

@@ -31,9 +31,11 @@ type AvailabilityRow struct {
 // and, after each injection, drives the standard workload on a victim
 // guest (not the attacker). Each use case gets its environment the way
 // a campaign cell does (forked from the sealed snapshot, or booted
-// fresh under -no-snapshot) and leaves it corrupted, so no fork returns
-// to the pool. Crash-class states zero out availability; handled states
-// leave it intact — the dependability-benchmark view of Table III.
+// fresh under -no-snapshot) and leaves it corrupted; a row that
+// completes without error recycles the fork, whose reset restores the
+// sealed state for the next row. Crash-class states zero out
+// availability; handled states leave it intact — the
+// dependability-benchmark view of Table III.
 func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]AvailabilityRow, error) {
 	specs := exploits.Specs()
 	rows := make([]AvailabilityRow, 0, len(specs))
@@ -42,7 +44,7 @@ func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]Availabili
 		if !spec.AppliesTo(v.Name) {
 			continue
 		}
-		e, _, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
+		e, recycle, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -62,6 +64,9 @@ func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]Availabili
 			Stopped:          res.Stopped,
 			StopReason:       res.StopReason,
 		})
+		if recycle != nil {
+			recycle()
+		}
 	}
 	return rows, nil
 }

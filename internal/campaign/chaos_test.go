@@ -304,28 +304,41 @@ func TestCancellationMarksRemainingCellsAndLeaksNothing(t *testing.T) {
 	awaitGoroutineBaseline(t, base)
 }
 
+// cancelOnDispatch is a SchedObserver that cancels the run when a
+// worker picks up the named cell.
+type cancelOnDispatch struct {
+	cell   string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnDispatch) BatchQueued([]string) {}
+
+func (c cancelOnDispatch) CellDispatched(cell string, _ int, _ int64) {
+	if cell == c.cell {
+		c.cancel()
+	}
+}
+
+func (c cancelOnDispatch) CellSettled(string, int, int64, int64, *telemetry.CellProfile, *campaign.CellError) {
+}
+
 func TestCancellationMidRunSalvagesCompletedProfiles(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const wedged = "4.6/XSA-148-priv/exploit" // fifth cell in matrix order
 	plan := faults.NewPlan(0, 0).ArmCell(wedged, faults.SiteWedge, 1)
 	reg := telemetry.NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
 	r := &campaign.Runner{
 		Workers:         1, // serial: cells before the wedge complete deterministically
 		ContinueOnError: true,
 		CellTimeout:     -1, // watchdog off; cancellation is what unblocks the run
 		Faults:          plan,
 		Telemetry:       reg,
+		// Cancel as the wedged cell is dispatched: on the serial pool
+		// the four cells before it have settled by then, and the wedge
+		// holds the cell until the cancellation abandons it.
+		Sched: cancelOnDispatch{cell: wedged, cancel: cancel},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Cancel once the run is provably wedged: the four cells before
-		// the wedged one have recorded their profiles.
-		deadline := time.Now().Add(5 * time.Second)
-		for len(reg.CellProfiles()) < 4 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-	}()
 	entries, err := r.RunMatrixContext(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,9 @@ func (d Distribution) ErroneousStates() int {
 // confined to targets the use-case intrusion models declare
 // security-relevant (IDT descriptors and page-table entries) — then
 // exercises the system and classifies the observed behaviour. A trial
-// leaves its fork corrupted by design, so no fork returns to the pool.
+// leaves its fork corrupted by design; a trial that returns without
+// error recycles it, and the reset restores the sealed state for the
+// next trial.
 func RandomInjectionCampaign(v hv.Version, trials int, seed int64) (Distribution, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("campaign: trials must be positive, got %d", trials)
@@ -96,13 +98,16 @@ func RandomInjectionCampaign(v hv.Version, trials int, seed int64) (Distribution
 	dist := make(Distribution)
 	c := cell{version: v, mode: ModeInjection}
 	for i := 0; i < trials; i++ {
-		e, _, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
+		e, recycle, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		class, err := randomInjectionTrial(e, rng)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: trial %d: %w", i, err)
+		}
+		if recycle != nil {
+			recycle()
 		}
 		dist[class]++
 	}
@@ -202,8 +207,9 @@ func HypercallFuzzCampaign(v hv.Version, trials int, seed int64) (Distribution, 
 	dist := make(Distribution)
 	// A single environment: the baseline interacts only through
 	// legitimate interfaces, so state accumulates as it would in a real
-	// attack session.
-	e, err := NewEnvironment(v, ModeExploit)
+	// attack session. It comes the way a campaign cell's does, forked
+	// from the sealed snapshot or booted under -no-snapshot.
+	e, recycle, err := cellEnvironment(campaignPlan(), cell{version: v, mode: ModeExploit}, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -224,6 +230,9 @@ func HypercallFuzzCampaign(v hv.Version, trials int, seed int64) (Distribution, 
 	// produce only through a vulnerability.
 	if n := auditWritablePTMappings(e); n > 0 {
 		dist[ClassStateInduced] += n
+	}
+	if recycle != nil {
+		recycle()
 	}
 	return dist, nil
 }

@@ -31,15 +31,18 @@ import (
 // read-only prefix instead of copying them, and walks only its spans.
 //
 // A cleanly completed cell returns its whole environment — machine
-// fork, hypervisor with its domains, vCPUs, TLBs, P2Ms and handler
-// tables, guest kernels and network — to one pool on its snapshot.
-// Returning it resets every layer to the sealed state in place (the
-// layers' Reset methods) and detaches every per-cell sink and fault
-// plane, so the pool holds no cell's recorder, span tree or injector.
-// A reset keeps what the environment allocated: frame buffers, P2M and
-// TLB maps, grant tables, event channels and the handler tables, which
-// close over their own hypervisor. A fork takes a pooled environment,
-// or builds a new one whose layers go through the same Reset, and
+// fork, hypervisor with its domains, vCPUs, TLBs and P2Ms, guest
+// kernels and network — to one pool on its snapshot. Returning it
+// resets every layer to the sealed state in place (the layers' Reset
+// methods) and detaches every per-cell sink and fault plane, so the
+// pool holds no cell's recorder, span tree or injector. A reset keeps
+// what the environment allocated: frame buffers, P2M and TLB maps,
+// grant tables and event channels. The handler tables are not per
+// environment at all: every fork dispatches hypercalls through its
+// sealed build's table, injector included, whose handlers reach the
+// fork through the calling domain, and traps through one shared table
+// that the fork's Builtin binds. A fork takes a pooled environment, or
+// builds a new one whose layers go through the same Reset, and
 // attaches the cell's sinks. A cell that errs, panics, hangs, wedges
 // or is cancelled abandons its environment to the collector instead.
 //
@@ -248,19 +251,11 @@ func (s *envSnapshot) take() (*Environment, error) {
 }
 
 // fork builds a new environment from the sealed state: fork the
-// machine, fork the hypervisor onto it, register the injector
-// hypercalls on an injection build (once per environment: a reset keeps
-// them), and fork network and kernels.
+// machine, fork the hypervisor onto it, and fork network and kernels.
+// An injection build's fork dispatches the injector hypercalls through
+// the table the boot registered them in.
 func (s *envSnapshot) fork() (*Environment, error) {
 	fh := s.hs.Fork(s.ms.Fork())
-	if s.mode == ModeInjection {
-		if err := inject.Attach(fh); err != nil {
-			return nil, err
-		}
-		if err := inject.AttachStateOps(fh); err != nil {
-			return nil, err
-		}
-	}
 	net := s.net.Fork()
 	e := &Environment{HV: fh, Net: net}
 	for _, pk := range s.guests {

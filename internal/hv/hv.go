@@ -2,6 +2,7 @@ package hv
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/coverage"
@@ -72,7 +73,6 @@ type GuestOS interface {
 type Option func(*config)
 
 type config struct {
-	trace       bool
 	tlbCapacity int
 	tel         *telemetry.Recorder
 	flt         *faults.Injector
@@ -81,10 +81,6 @@ type config struct {
 
 // defaultTLBCapacity is the per-vCPU translation-cache size.
 const defaultTLBCapacity = 64
-
-// WithTrace makes the hypervisor log every hypercall to the console,
-// useful when debugging campaigns.
-func WithTrace() Option { return func(c *config) { c.trace = true } }
 
 // WithTLBCapacity sets the per-vCPU TLB size; zero disables translation
 // caching (used by the TLB ablation benchmark).
@@ -121,13 +117,15 @@ type Hypervisor struct {
 	xenL3      mm.MFN
 	aliasL2    mm.MFN
 
-	idtr     cpu.IDTR
-	builtins map[uint64]cpu.BuiltinHandler
+	idtr cpu.IDTR
 
 	domains   map[mm.DomID]*Domain
 	nextDomID mm.DomID
 	nextCPUID int
 
+	// hypercalls is the build's dispatch table: a copy of
+	// coreHypercalls plus what the build registered, shared read-only
+	// by every fork of its snapshot.
 	hypercalls map[int]Hypercall
 
 	console    []string
@@ -151,9 +149,8 @@ func New(mem *mm.Memory, version Version, opts ...Option) (*Hypervisor, error) {
 	h := &Hypervisor{
 		mem:        mem,
 		version:    version,
-		builtins:   make(map[uint64]cpu.BuiltinHandler),
 		domains:    make(map[mm.DomID]*Domain),
-		hypercalls: make(map[int]Hypercall),
+		hypercalls: maps.Clone(coreHypercalls),
 	}
 	h.cfg.tlbCapacity = defaultTLBCapacity
 	for _, opt := range opts {
@@ -229,7 +226,6 @@ func (h *Hypervisor) boot() error {
 	if err := h.initIDT(); err != nil {
 		return err
 	}
-	h.registerCoreHypercalls()
 
 	h.Logf("Xen version %s (simulated) booting", h.version.Name)
 	h.Logf("machine: %d frames (%d KiB)", h.mem.NumFrames(), h.mem.Bytes()>>10)
@@ -346,7 +342,6 @@ func (h *Hypervisor) initIDT() error {
 		Base:  layout.HypervisorVirtStart + idtFrameOffset*mm.PageSize,
 		Limit: cpu.NumVectors*cpu.DescriptorSize - 1,
 	}
-	h.installBuiltins()
 	gates := map[uint8]uint64{
 		cpu.VectorPageFault:   pfHandlerVA,
 		cpu.VectorDoubleFault: dfHandlerVA,
@@ -366,24 +361,24 @@ func (h *Hypervisor) initIDT() error {
 	return nil
 }
 
-// installBuiltins registers the native trap handlers. They close over
-// the hypervisor, so a forked instance must install its own set rather
-// than share the prototype's.
-func (h *Hypervisor) installBuiltins() {
-	h.builtins[pfHandlerVA] = func(vector uint8) error {
-		// The native #PF handler fixes up or reflects the fault to the
-		// guest; from the machine's point of view delivery succeeded.
+// builtinTraps are the native trap handlers, keyed by their hv-text
+// pseudo-address. They take the hypervisor they run on, so one table
+// serves every build and fork; Builtin binds them.
+var builtinTraps = map[uint64]func(*Hypervisor) error{
+	// The native #PF handler fixes up or reflects the fault to the
+	// guest; from the machine's point of view delivery succeeded.
+	pfHandlerVA: func(h *Hypervisor) error {
 		h.pfCount++
 		return nil
-	}
-	h.builtins[dfHandlerVA] = func(vector uint8) error {
+	},
+	dfHandlerVA: func(h *Hypervisor) error {
 		h.Crash("FATAL TRAP: vector = 8 (double fault)")
 		return cpu.ErrCrashed
-	}
-	h.builtins[gpHandlerVA] = func(vector uint8) error {
+	},
+	gpHandlerVA: func(h *Hypervisor) error {
 		h.pfCount++
 		return nil
-	}
+	},
 }
 
 // hardenedPolicy is the 4.13 page-walk policy: guest-initiated writes
@@ -522,8 +517,11 @@ func (h *Hypervisor) Hung() bool { return h.hung }
 
 // Builtin resolves native trap handlers. Implements cpu.Platform.
 func (h *Hypervisor) Builtin(va uint64) (cpu.BuiltinHandler, bool) {
-	f, ok := h.builtins[va]
-	return f, ok
+	f, ok := builtinTraps[va]
+	if !ok {
+		return nil, false
+	}
+	return func(uint8) error { return f(h) }, true
 }
 
 // Ring0Context returns the execution context IDT-dispatched payloads run

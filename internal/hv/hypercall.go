@@ -61,8 +61,13 @@ type Hypercall func(d *Domain, arg any) error
 // RegisterHypercall installs a handler at the given number, the hook the
 // injector uses to add HYPERVISOR_arbitrary_access to the build ("small
 // changes in the hypercalls table had to be done to add the new hypercall
-// into the code base", Section V-B).
+// into the code base", Section V-B). It serves a freshly booted build
+// only: a snapshot fork dispatches through its sealed build's table, so
+// registering on a fork returns ErrInval and leaves that table as it is.
 func (h *Hypervisor) RegisterHypercall(nr int, fn Hypercall) error {
+	if h.snap != nil {
+		return fmt.Errorf("%w: hypercall %d: a snapshot fork shares its build's table", ErrInval, nr)
+	}
 	if fn == nil {
 		return fmt.Errorf("%w: nil hypercall handler", ErrInval)
 	}
@@ -73,47 +78,49 @@ func (h *Hypervisor) RegisterHypercall(nr int, fn Hypercall) error {
 	return nil
 }
 
-// registerCoreHypercalls fills the dispatch table with this build's
-// standard handlers.
-func (h *Hypervisor) registerCoreHypercalls() {
-	h.hypercalls[HypercallMMUUpdate] = func(d *Domain, arg any) error {
+// coreHypercalls is every build's standard dispatch table. Its handlers
+// reach their hypervisor through the calling domain, so one table
+// serves every build: New copies it, and a snapshot fork shares its
+// prototype's copy.
+var coreHypercalls = map[int]Hypercall{
+	HypercallMMUUpdate: func(d *Domain, arg any) error {
 		a, ok := arg.(*MMUUpdateArgs)
 		if !ok {
 			return fmt.Errorf("%w: mmu_update wants *MMUUpdateArgs, got %T", ErrInval, arg)
 		}
-		return h.mmuUpdate(d, a)
-	}
-	h.hypercalls[HypercallMMUExtOp] = func(d *Domain, arg any) error {
+		return d.hv.mmuUpdate(d, a)
+	},
+	HypercallMMUExtOp: func(d *Domain, arg any) error {
 		a, ok := arg.(*MMUExtArgs)
 		if !ok {
 			return fmt.Errorf("%w: mmuext_op wants *MMUExtArgs, got %T", ErrInval, arg)
 		}
-		return h.mmuExtOp(d, a)
-	}
-	h.hypercalls[HypercallMemoryOp] = func(d *Domain, arg any) error {
-		return h.memoryOp(d, arg)
-	}
-	h.hypercalls[HypercallConsoleIO] = func(d *Domain, arg any) error {
+		return d.hv.mmuExtOp(d, a)
+	},
+	HypercallMemoryOp: func(d *Domain, arg any) error {
+		return d.hv.memoryOp(d, arg)
+	},
+	HypercallConsoleIO: func(d *Domain, arg any) error {
 		s, ok := arg.(string)
 		if !ok {
 			return fmt.Errorf("%w: console_io wants string, got %T", ErrInval, arg)
 		}
-		h.Logf("[%s] %s", d.Name(), s)
+		d.hv.Logf("[%s] %s", d.Name(), s)
 		return nil
-	}
-	h.hypercalls[HypercallGrantTableOp] = func(d *Domain, arg any) error {
-		return h.grantTableOp(d, arg)
-	}
-	h.hypercalls[HypercallEventChannelOp] = func(d *Domain, arg any) error {
-		return h.eventChannelOp(d, arg)
-	}
-	h.hypercalls[HypercallDomctl] = func(d *Domain, arg any) error {
+	},
+	HypercallGrantTableOp: func(d *Domain, arg any) error {
+		return d.hv.grantTableOp(d, arg)
+	},
+	HypercallEventChannelOp: func(d *Domain, arg any) error {
+		return d.hv.eventChannelOp(d, arg)
+	},
+	HypercallDomctl: func(d *Domain, arg any) error {
 		a, ok := arg.(*DomctlArgs)
 		if !ok {
 			return fmt.Errorf("%w: domctl wants *DomctlArgs, got %T", ErrInval, arg)
 		}
-		return h.domctl(d, a)
-	}
+		return d.hv.domctl(d, a)
+	},
 }
 
 // Hypercall is the guest-side entry point: dispatch through the build's
@@ -157,9 +164,6 @@ func (d *Domain) Hypercall(nr int, arg any) error {
 		if flt.Hit(faults.SiteWedge) {
 			flt.Block()
 		}
-	}
-	if h.cfg.trace {
-		h.Logf("hypercall %d from dom%d (%T)", nr, d.id, arg)
 	}
 	if tel := h.cfg.tel; tel != nil {
 		op := hypercallOp(nr)

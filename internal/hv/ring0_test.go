@@ -114,25 +114,4 @@ func TestVersionString(t *testing.T) {
 	}
 }
 
-func TestWithTraceLogsHypercalls(t *testing.T) {
-	mem, err := newTestMem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(mem, Version46(), WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := h.CreateDomain("guest01", 64, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Hypercall(HypercallConsoleIO, "traced"); err != nil {
-		t.Fatal(err)
-	}
-	if !h.ConsoleContains("hypercall 18 from dom1") {
-		t.Error("trace line missing")
-	}
-}
-
 func newTestMem() (*mm.Memory, error) { return mm.NewMemory(testMachineFrames) }

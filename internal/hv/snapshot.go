@@ -36,25 +36,21 @@ func (s *Snapshot) FrameClassifier() coverage.FrameClassifier {
 
 // Fork stamps out a per-cell hypervisor instance on a forked machine
 // (a fork of the machine the prototype was sealed on). It builds the
-// fork's shell — the handler tables, walker, builder, and per domain
-// the P2M view, TLB and vCPU — and then resets it to the prototype's
-// state (see Reset). The fork starts with no telemetry, span or fault
-// sinks; attach the cell's own with AttachSinks and AttachFaults.
+// fork's shell — the walker, builder, and per domain the P2M view, TLB
+// and vCPU — and then resets it to the prototype's state (see Reset).
+// The fork dispatches hypercalls through the prototype's table and
+// traps through the shared builtin table; their handlers reach the
+// fork through the calling domain or Builtin, never the prototype. The
+// fork starts with no telemetry, span or fault sinks; attach the
+// cell's own with AttachSinks and AttachFaults.
 func (s *Snapshot) Fork(mem *mm.Memory) *Hypervisor {
 	p := s.proto
 	h := &Hypervisor{
 		mem:        mem,
 		snap:       s,
-		builtins:   make(map[uint64]cpu.BuiltinHandler, len(p.builtins)),
 		domains:    make(map[mm.DomID]*Domain, len(s.doms)),
-		hypercalls: make(map[int]Hypercall, len(p.hypercalls)),
+		hypercalls: p.hypercalls,
 	}
-	// Handlers close over their hypervisor, so each fork installs its
-	// own set once; sharing the prototype's closures would route a
-	// fork's traps and hypercalls into the prototype. A reset keeps
-	// them, since they close over the same shell.
-	h.installBuiltins()
-	h.registerCoreHypercalls()
 	h.walker = pagetable.NewWalker(mem, p.policy)
 	h.builder = pagetable.NewBuilder(mem, func() (mm.MFN, error) { return mem.Alloc(mm.DomXen) })
 	h.shell = make([]*Domain, len(s.doms))
@@ -74,10 +70,9 @@ func (s *Snapshot) Fork(mem *mm.Memory) *Hypervisor {
 // each domain's P2M and page-table map read the prototype's again; the
 // domain table lists exactly the prototype's domains, whatever the cell
 // created or destroyed. Reset keeps what the shell allocated: the
-// handler tables (minus any handler a cell registered), the walker and
-// builder, the vCPUs, and the grant tables, event channels, P2M clones
-// and TLB storage the last cell built, which are cleared instead of
-// reallocated. The telemetry, span and fault sinks are detached. Reset
+// walker and builder, the vCPUs, and the grant tables, event channels,
+// P2M clones and TLB storage the last cell built, which are cleared
+// instead of reallocated. The telemetry, span and fault sinks are detached. Reset
 // the fork's machine with mm.Snapshot.Reset as well; Reset panics on a
 // hypervisor that is not a fork of s.
 func (s *Snapshot) Reset(h *Hypervisor) {
@@ -99,13 +94,6 @@ func (s *Snapshot) Reset(h *Hypervisor) {
 	h.crashed, h.crashMsg, h.hung = p.crashed, p.crashMsg, p.hung
 	h.pfCount, h.clockTicks = p.pfCount, p.clockTicks
 	h.walker.AttachTelemetry(nil)
-	if len(h.hypercalls) != len(p.hypercalls) {
-		for nr := range h.hypercalls {
-			if _, ok := p.hypercalls[nr]; !ok {
-				delete(h.hypercalls, nr)
-			}
-		}
-	}
 	clear(h.domains)
 	for i, pd := range s.doms {
 		d := h.shell[i]

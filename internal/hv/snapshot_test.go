@@ -1,7 +1,6 @@
 package hv
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -11,9 +10,9 @@ import (
 
 // TestSnapshotResetClearsWhatTheCellChanged: a fork dirtied in every
 // way a cell can dirty it — event flood, grant-status leak, a zombied
-// domain, a paused one, a filled TLB, an extra hypercall, a crash, a
-// fault plane — comes back from Reset with the prototype's state, its
-// own shell objects and none of the cell's leftovers.
+// domain, a paused one, a filled TLB, a crash, a fault plane — comes
+// back from Reset with the prototype's state, its own shell objects and
+// none of the cell's leftovers.
 func TestSnapshotResetClearsWhatTheCellChanged(t *testing.T) {
 	h := bootVersion(t, Version46())
 	mustDomain(t, h, "dom0", 64, true)
@@ -46,9 +45,6 @@ func TestSnapshotResetClearsWhatTheCellChanged(t *testing.T) {
 	if err := f.InjectZombie(fd); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.RegisterHypercall(99, func(*Domain, any) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
 	f.Crash("cell crash")
 
 	ms.Reset(fm)
@@ -74,9 +70,6 @@ func TestSnapshotResetClearsWhatTheCellChanged(t *testing.T) {
 	}
 	if fd.tlb.Len() != 0 || fd.TLBStats() != (pagetable.TLBStats{}) {
 		t.Errorf("TLB after reset: %d entries, stats %+v", fd.tlb.Len(), fd.TLBStats())
-	}
-	if err := fd.Hypercall(99, nil); !errors.Is(err, ErrNoSys) {
-		t.Errorf("a cell's extra hypercall survived the reset: err %v", err)
 	}
 	if err := fd.Hypercall(HypercallConsoleIO, "hello"); err != nil {
 		t.Errorf("core hypercall after reset: %v", err)

@@ -73,32 +73,27 @@ type AccessArgs struct {
 // Enable compiles the injector into a hypervisor build by adding the
 // arbitrary_access hypercall to its dispatch table — the per-version
 // "small changes in the hypercalls table" of Section V-B. The core of
-// the injector is identical across versions.
+// the injector is identical across versions. Enable a freshly booted
+// build: its snapshot forks share the table, injector included.
 func Enable(h *hv.Hypervisor) error {
-	if err := Attach(h); err != nil {
-		return err
+	if err := h.RegisterHypercall(hv.HypercallArbitraryAccess, arbitraryAccessHypercall); err != nil {
+		return fmt.Errorf("inject: enabling injector: %w", err)
 	}
 	h.Logf("intrusion injector enabled (hypercall %d)", hv.HypercallArbitraryAccess)
 	return nil
 }
 
-// Attach registers the arbitrary_access hypercall without logging.
-// Snapshot forks use it: the prototype's console already carries the
-// boot-time "injector enabled" line, so a fork re-attaching the handler
-// (its dispatch table is rebuilt per fork) must not log a second one.
-func Attach(h *hv.Hypervisor) error {
-	handler := func(d *hv.Domain, arg any) error {
-		a, ok := arg.(*AccessArgs)
-		if !ok {
-			return fmt.Errorf("%w: arbitrary_access wants *AccessArgs, got %T", hv.ErrInval, arg)
-		}
-		h.Telemetry().InjectorOp(uint16(d.ID()), a.Action.String(), a.Addr, len(a.Buf))
-		return arbitraryAccess(h, a)
+// arbitraryAccessHypercall is the dispatch-table entry. It runs on the
+// calling domain's hypervisor, so the one entry serves every fork of
+// the build.
+func arbitraryAccessHypercall(d *hv.Domain, arg any) error {
+	a, ok := arg.(*AccessArgs)
+	if !ok {
+		return fmt.Errorf("%w: arbitrary_access wants *AccessArgs, got %T", hv.ErrInval, arg)
 	}
-	if err := h.RegisterHypercall(hv.HypercallArbitraryAccess, handler); err != nil {
-		return fmt.Errorf("inject: enabling injector: %w", err)
-	}
-	return nil
+	h := d.Hypervisor()
+	h.Telemetry().InjectorOp(uint16(d.ID()), a.Action.String(), a.Addr, len(a.Buf))
+	return arbitraryAccess(h, a)
 }
 
 // arbitraryAccess is the in-hypervisor implementation: deliberately free

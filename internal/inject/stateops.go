@@ -76,38 +76,32 @@ type StateArgs struct {
 }
 
 // EnableStateOps compiles the state injector into the build alongside
-// (or independently of) the arbitrary-access injector.
+// (or independently of) the arbitrary-access injector. Like Enable, it
+// takes a freshly booted build whose snapshot forks share the table.
 func EnableStateOps(h *hv.Hypervisor) error {
-	if err := AttachStateOps(h); err != nil {
-		return err
+	if err := h.RegisterHypercall(HypercallStateInject, stateInjectHypercall); err != nil {
+		return fmt.Errorf("inject: enabling state injector: %w", err)
 	}
 	h.Logf("state injector enabled (hypercall %d)", HypercallStateInject)
 	return nil
 }
 
-// AttachStateOps registers the state-injection hypercall without
-// logging. Snapshot forks use it: the prototype's console already
-// carries the boot-time "state injector enabled" line, so a fork
-// re-attaching the handler must not log a second one.
-func AttachStateOps(h *hv.Hypervisor) error {
-	handler := func(d *hv.Domain, arg any) error {
-		a, ok := arg.(*StateArgs)
-		if !ok {
-			return fmt.Errorf("%w: state_inject wants *StateArgs, got %T", hv.ErrInval, arg)
-		}
-		h.Telemetry().InjectorOp(uint16(d.ID()), a.Op.String(), 0, a.Count)
-		err := stateInject(h, d, a)
-		if err == nil {
-			// A successful state injection is the abstract machine's one
-			// abusive-functionality edge, taken operationally.
-			h.Telemetry().InjectorTransition(uint16(d.ID()), "initial", "erroneous", a.Op.String())
-		}
-		return err
+// stateInjectHypercall is the dispatch-table entry, run on the calling
+// domain's hypervisor.
+func stateInjectHypercall(d *hv.Domain, arg any) error {
+	a, ok := arg.(*StateArgs)
+	if !ok {
+		return fmt.Errorf("%w: state_inject wants *StateArgs, got %T", hv.ErrInval, arg)
 	}
-	if err := h.RegisterHypercall(HypercallStateInject, handler); err != nil {
-		return fmt.Errorf("inject: enabling state injector: %w", err)
+	h := d.Hypervisor()
+	h.Telemetry().InjectorOp(uint16(d.ID()), a.Op.String(), 0, a.Count)
+	err := stateInject(h, d, a)
+	if err == nil {
+		// A successful state injection is the abstract machine's one
+		// abusive-functionality edge, taken operationally.
+		h.Telemetry().InjectorTransition(uint16(d.ID()), "initial", "erroneous", a.Op.String())
 	}
-	return nil
+	return err
 }
 
 func stateInject(h *hv.Hypervisor, d *hv.Domain, a *StateArgs) error {
