@@ -12,8 +12,11 @@
 # stream byte for byte.
 # `chaos` runs the fault-injection suite under the race detector (the
 # chaos tests exercise panic recovery, watchdog abandonment and
-# cancellation across worker pools — exactly where races would hide)
-# and then drives a seeded full-matrix chaos run through the CLI. It
+# cancellation across worker pools — exactly where races would hide),
+# the runner's guard tests three times over so the race between a
+# cell's own settle and the watchdog or cancellation abandoning it runs
+# several times per CI run, and then drives a seeded full-matrix chaos
+# run through the CLI. It
 # then runs `-json -chaos 7 -continue-on-error` twice, forked in
 # chaos-fork/ and booted fresh (-no-snapshot) in chaos-fresh/, and
 # fails unless the two JSON outputs cmp equal and the two sets of
@@ -161,7 +164,7 @@ trace-demo:
 
 chaos:
 	$(GO) test -race ./internal/faults/
-	$(GO) test -race -run 'Chaos|Panic|Watchdog|Cancel' ./internal/campaign/
+	$(GO) test -race -count=3 -run 'Chaos|Panic|Watchdog|Cancel' ./internal/campaign/
 	$(GO) run ./cmd/repro -matrix -chaos 7 -continue-on-error -workers 4 > /dev/null
 	rm -rf chaos-fork chaos-fresh
 	mkdir chaos-fork chaos-fresh

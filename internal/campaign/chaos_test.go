@@ -12,10 +12,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"regexp"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,6 +257,23 @@ func TestPanicIsolationGoldenErrorRecord(t *testing.T) {
 	if i := strings.Index(ce.Stack, "0x"); i >= 0 && !strings.HasPrefix(ce.Stack[i:], "0x?") {
 		t.Errorf("stack carries an unnormalized hex literal near %q", ce.Stack[i:min(i+20, len(ce.Stack))])
 	}
+	// The stack is the cell body's, independent of the checkout and of
+	// the worker goroutine that ran the cell.
+	if strings.Contains(ce.Stack, "(*Runner).") {
+		t.Errorf("stack carries a runner frame:\n%s", ce.Stack)
+	}
+	if strings.Contains(ce.Stack, "created by") {
+		t.Errorf("stack carries a goroutine creator:\n%s", ce.Stack)
+	}
+	if lines := strings.Split(ce.Stack, "\n"); len(lines) < 2 || !strings.HasPrefix(lines[len(lines)-2], "repro/internal/campaign.runScenario(") {
+		t.Errorf("stack does not end at the cell body:\n%s", ce.Stack)
+	}
+	if root := checkoutRoot(t); filepath.IsAbs(root) && strings.Contains(ce.Stack, root) {
+		t.Errorf("stack carries the absolute module path %s:\n%s", root, ce.Stack)
+	}
+	if !strings.Contains(ce.Stack, "\tinternal/hv/") {
+		t.Errorf("stack carries no module-relative hv frame:\n%s", ce.Stack)
+	}
 	// The record is golden: a second run reproduces it byte for byte.
 	again := record()
 	if again.Message != ce.Message || again.Stack != ce.Stack {
@@ -278,6 +299,223 @@ func TestWatchdogClassifiesWedgedCellAsHang(t *testing.T) {
 	}
 	// Releasing the plan unparks the abandoned cell so it drains.
 	plan.ReleaseAll()
+	awaitGoroutineBaseline(t, base)
+}
+
+// checkoutRoot is the module's directory in this checkout, with its
+// trailing separator (the module path under -trimpath).
+func checkoutRoot(t *testing.T) string {
+	t.Helper()
+	_, file, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("no caller information")
+	}
+	return filepath.Dir(filepath.Dir(filepath.Dir(file))) + "/"
+}
+
+// workerLanes is a SchedObserver that keeps the worker indices cells
+// were dispatched and settled on.
+type workerLanes struct {
+	mu      sync.Mutex
+	workers map[int]int
+}
+
+func (l *workerLanes) BatchQueued([]string) {}
+
+func (l *workerLanes) CellDispatched(_ string, worker int, _ int64) { l.add(worker) }
+
+func (l *workerLanes) CellSettled(_ string, worker int, _, _ int64, _ *telemetry.CellProfile, _ *campaign.CellError) {
+	l.add(worker)
+}
+
+func (l *workerLanes) add(worker int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.workers[worker]++
+}
+
+// cellLabels returns the label sets of the live goroutines that carry
+// a cell label, one entry per goroutine, from the goroutine profile.
+func cellLabels(t *testing.T) []string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	var sets []string
+	lines := strings.Split(b.String(), "\n")
+	for i := 1; i < len(lines); i++ {
+		set, ok := strings.CutPrefix(lines[i], "# labels: ")
+		if !ok || !strings.Contains(set, `"cell":`) {
+			continue
+		}
+		n, err := strconv.Atoi(strings.Fields(lines[i-1])[0])
+		if err != nil {
+			t.Fatalf("goroutine profile group header %q: %v", lines[i-1], err)
+		}
+		for ; n > 0; n-- {
+			sets = append(sets, set)
+		}
+	}
+	return sets
+}
+
+// TestWatchdogReplacesAbandonedWorker: the watchdog abandons a wedged
+// cell on a two-worker pool and hands its lane to a replacement worker
+// with the same index, so the other 101 cells still run on lanes 0 and
+// 1. While the abandoned cell stays wedged, its goroutine alone carries
+// cell labels, and they are that cell's; every worker that finished a
+// cell has dropped them. Released, the abandoned cell drains.
+func TestWatchdogReplacesAbandonedWorker(t *testing.T) {
+	// Build the snapshots outside the watchdog's 50 ms deadline.
+	if _, err := (&campaign.Runner{Workers: 2}).RunMatrixContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	const target = "4.6/XSA-182-test/exploit"
+	plan := faults.NewPlan(0, 0).ArmCell(target, faults.SiteWedge, 1)
+	lanes := &workerLanes{workers: make(map[int]int)}
+	r := &campaign.Runner{Workers: 2, CellTimeout: 50 * time.Millisecond, ContinueOnError: true, Faults: plan, Sched: lanes}
+	entries, err := r.RunMatrixContext(context.Background())
+	if err != nil {
+		plan.ReleaseAll()
+		t.Fatal(err)
+	}
+	results := 0
+	for _, e := range entries {
+		id := e.Version + "/" + e.UseCase + "/" + string(e.Mode)
+		switch {
+		case id == target:
+			if e.Err == nil || e.Err.Class != campaign.FailHang {
+				t.Errorf("wedged cell %s settled as %+v, want a hang", id, e.Err)
+			}
+		case e.Result != nil:
+			results++
+		default:
+			t.Errorf("cell %s failed: %v", id, e.Err)
+		}
+	}
+	if results != 101 {
+		t.Errorf("%d cells returned results, want 101", results)
+	}
+	lanes.mu.Lock()
+	for w, n := range lanes.workers {
+		if w != 0 && w != 1 {
+			t.Errorf("%d dispatch and settle hooks on worker %d, want only workers 0 and 1", n, w)
+		}
+	}
+	lanes.mu.Unlock()
+
+	want := `{"cell":"` + target + `", "scenario":"XSA-182-test", "version":"4.6"}`
+	if sets := cellLabels(t); len(sets) != 1 || sets[0] != want {
+		t.Errorf("goroutines carrying cell labels while the wedged cell is held: %q, want only %s", sets, want)
+	}
+	plan.ReleaseAll()
+	awaitGoroutineBaseline(t, base)
+	if sets := cellLabels(t); len(sets) != 0 {
+		t.Errorf("goroutines still carry cell labels after the wedged cell drained: %q", sets)
+	}
+}
+
+// settleCounts is a CellObserver that counts each cell's settles.
+type settleCounts struct {
+	mu    sync.Mutex
+	cells map[string]int
+}
+
+func (o *settleCounts) CellSettled(ref campaign.CellRef, _ *campaign.RunResult, _ *campaign.CellError, _ *telemetry.CellProfile, _ *coverage.Map, _ uint64, _ time.Duration) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.cells[ref.Version+"/"+ref.UseCase+"/"+string(ref.Mode)]++
+}
+
+// TestWatchdogRacesCellSettle sets the watchdog deadline near a cell's
+// own run time, so cells finish while their watchdog fires and
+// replacement workers take over lanes throughout the matrix. Whichever
+// side wins, every cell settles exactly once, as a result or a hang,
+// and every abandoned cell drains once it finishes.
+func TestWatchdogRacesCellSettle(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, timeout := range []time.Duration{5 * time.Microsecond, 20 * time.Microsecond, 100 * time.Microsecond} {
+		o := &settleCounts{cells: make(map[string]int)}
+		r := &campaign.Runner{Workers: 4, CellTimeout: timeout, ContinueOnError: true, Observer: o}
+		entries, err := r.RunMatrixContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hangs := 0
+		for _, e := range entries {
+			id := e.Version + "/" + e.UseCase + "/" + string(e.Mode)
+			switch {
+			case e.Err != nil && e.Err.Class == campaign.FailHang && e.Result == nil:
+				hangs++
+			case e.Err != nil || e.Result == nil:
+				t.Errorf("timeout %s: cell %s settled as %+v", timeout, id, e.Err)
+			}
+			if n := o.cells[id]; n != 1 {
+				t.Errorf("timeout %s: cell %s settled %d times", timeout, id, n)
+			}
+		}
+		if len(o.cells) != len(entries) {
+			t.Errorf("timeout %s: %d cells settled, %d entries", timeout, len(o.cells), len(entries))
+		}
+		t.Logf("timeout %s: %d of %d cells hung", timeout, hangs, len(entries))
+	}
+	awaitGoroutineBaseline(t, base)
+}
+
+// cancelAfter is a SchedObserver that cancels the run at the n-th
+// dispatch.
+type cancelAfter struct {
+	n      atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) BatchQueued([]string) {}
+
+func (c *cancelAfter) CellDispatched(string, int, int64) {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+}
+
+func (c *cancelAfter) CellSettled(string, int, int64, int64, *telemetry.CellProfile, *campaign.CellError) {
+}
+
+// TestCancellationRacesCellSettle cancels a four-worker matrix midway,
+// while cells are running on every lane: whichever side wins each
+// running cell, every cell settles exactly once, as a result or a
+// cancel, and nothing leaks.
+func TestCancellationRacesCellSettle(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, at := range []int64{1, 7, 50, 95} {
+		ctx, cancel := context.WithCancel(context.Background())
+		o := &settleCounts{cells: make(map[string]int)}
+		sched := &cancelAfter{cancel: cancel}
+		sched.n.Store(at)
+		r := &campaign.Runner{Workers: 4, ContinueOnError: true, Observer: o, Sched: sched}
+		entries, err := r.RunMatrixContext(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canceled := 0
+		for _, e := range entries {
+			id := e.Version + "/" + e.UseCase + "/" + string(e.Mode)
+			switch {
+			case e.Err != nil && e.Err.Class == campaign.FailCanceled && e.Result == nil:
+				canceled++
+			case e.Err != nil || e.Result == nil:
+				t.Errorf("cancel at dispatch %d: cell %s settled as %+v", at, id, e.Err)
+			}
+			if n := o.cells[id]; n != 1 {
+				t.Errorf("cancel at dispatch %d: cell %s settled %d times", at, id, n)
+			}
+		}
+		if canceled == 0 {
+			t.Errorf("cancel at dispatch %d: no cell was canceled", at)
+		}
+	}
 	awaitGoroutineBaseline(t, base)
 }
 

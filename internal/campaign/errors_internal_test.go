@@ -82,3 +82,73 @@ func TestSerialAndParallelFailureSemanticsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSanitizeStack holds panic records to the frames from the panic
+// site down to the cell body, with module-relative source paths: the
+// same fault gives the same record on an original worker, on a
+// replacement worker and from any checkout.
+func TestSanitizeStack(t *testing.T) {
+	if moduleRoot == "" {
+		t.Fatal("moduleRoot is empty: the runner's source path does not end in internal/campaign/runner.go")
+	}
+	root := moduleRoot
+	top := "goroutine 42 [running]:\n" +
+		"runtime/debug.Stack()\n" +
+		"\t/usr/local/go/src/runtime/debug/stack.go:26 +0x5e\n" +
+		"repro/internal/campaign.runBody.func1()\n" +
+		"\t" + root + "internal/campaign/runner.go:480 +0x8d\n" +
+		"panic({0x5a1b20?, 0xc0001a2b30?})\n" +
+		"\t/usr/local/go/src/runtime/panic.go:785 +0x132\n"
+	body := "repro/internal/hv.(*Domain).Hypercall(0xc000123400, 0x24, {0x5b2c40, 0xc0002f1e00})\n" +
+		"\t" + root + "internal/hv/hypercall.go:158 +0x2a5\n" +
+		"repro/internal/campaign.runScenario({{{0x6a, 0x3}, 0x1}, ...}, ...)\n" +
+		"\t" + root + "internal/campaign/runner.go:423 +0x1c5\n"
+	want := "repro/internal/hv.(*Domain).Hypercall(0x?, 0x?, {0x?, 0x?})\n" +
+		"\tinternal/hv/hypercall.go:158 +0x?\n" +
+		"repro/internal/campaign.runScenario({{{0x?, 0x?}, 0x?}, ...}, ...)\n" +
+		"\tinternal/campaign/runner.go:423 +0x?"
+	for _, tc := range []struct {
+		name, stack, want string
+	}{{
+		name: "original worker",
+		stack: top + body +
+			"repro/internal/campaign.runBody({...}, ...)\n" +
+			"\t" + root + "internal/campaign/runner.go:488 +0x9a\n" +
+			"repro/internal/campaign.(*worker).run(0xc000010030, 0x4)\n" +
+			"\t" + root + "internal/campaign/runner.go:700 +0x3f5\n" +
+			"repro/internal/campaign.(*batch).work(0xc0000b4000, 0x0, 0x0)\n" +
+			"\t" + root + "internal/campaign/runner.go:640 +0xa5\n" +
+			"created by repro/internal/campaign.(*Runner).runCells in goroutine 7\n" +
+			"\t" + root + "internal/campaign/runner.go:610 +0x2d1\n",
+		want: want,
+	}, {
+		name: "replacement worker",
+		stack: strings.Replace(top, "goroutine 42", "goroutine 311", 1) + body +
+			"repro/internal/campaign.runBody({...}, ...)\n" +
+			"\t" + root + "internal/campaign/runner.go:488 +0x9a\n" +
+			"repro/internal/campaign.(*worker).run(0xc0004e6000, 0x9)\n" +
+			"\t" + root + "internal/campaign/runner.go:700 +0x3f5\n" +
+			"repro/internal/campaign.(*batch).work(0xc0000b4000, 0x1, 0xffffffffffffffff)\n" +
+			"\t" + root + "internal/campaign/runner.go:640 +0xa5\n" +
+			"created by repro/internal/campaign.(*batch).abandon in goroutine 298\n" +
+			"\t" + root + "internal/campaign/runner.go:830 +0x1f0\n",
+		want: want,
+	}, {
+		name: "no panic frame or cell body",
+		stack: "goroutine 9 [running]:\n" +
+			"repro/internal/hv.(*Domain).Hypercall(0xc000123400)\n" +
+			"\t" + root + "internal/hv/hypercall.go:158 +0x2a5\n" +
+			"strings.Join({0xc0000a0000, 0x2, 0x2}, {0x0, 0x0})\n" +
+			"\t/usr/local/go/src/strings/strings.go:429 +0x4f\n" +
+			"created by repro/internal/campaign.(*Runner).runCells in goroutine 7\n" +
+			"\t" + root + "internal/campaign/runner.go:610 +0x2d1\n",
+		want: "repro/internal/hv.(*Domain).Hypercall(0x?)\n" +
+			"\tinternal/hv/hypercall.go:158 +0x?\n" +
+			"strings.Join({0x?, 0x?, 0x?}, {0x?, 0x?})\n" +
+			"\t/usr/local/go/src/strings/strings.go:429 +0x?",
+	}} {
+		if got := sanitizeStack([]byte(tc.stack)); got != tc.want {
+			t.Errorf("%s:\ngot\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+	}
+}

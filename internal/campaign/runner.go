@@ -25,19 +25,19 @@ import (
 // The parallel campaign engine. Every cell of the paper's evaluation
 // runs "in a fresh environment" by design — no state is shared between
 // runs — so the registry-sized matrix is embarrassingly parallel. The
-// Runner
-// fans cells out to a worker pool of goroutine-owned environments and
-// reassembles the results in deterministic cell order, so the rendered
-// tables are byte-identical to the serial path no matter how many
-// workers raced to produce them.
+// Runner runs cells on a pool of long-lived worker goroutines, each
+// running the cells it claims in place, and reassembles the results in
+// deterministic cell order, so the rendered tables are byte-identical
+// to the serial path no matter how many workers raced to produce them.
 //
 // The engine is also fault-tolerant, because a campaign that injects
 // erroneous states for a living must survive its own substrate
 // misbehaving: every cell runs under a recover() barrier (a panicking
 // cell becomes a per-cell error record with a stack, and the pool keeps
 // draining), under a watchdog deadline (a runaway cell is classified as
-// a hang instead of wedging the run), and under a context (cancellation
-// classifies unfinished cells instead of abandoning the batch).
+// a hang and its worker replaced instead of wedging the run), and under
+// a context (cancellation classifies unfinished cells instead of
+// abandoning the batch).
 
 // Runner executes campaign cells on a configurable worker pool.
 // The zero value uses one worker per available CPU.
@@ -138,10 +138,11 @@ type Runner struct {
 }
 
 // CellObserver observes settled cells with their full outcomes. The
-// hook fires on the worker goroutine that settled the cell — once per
-// cell, every outcome class included (canceled cells carry only their
-// failure record) — so implementations must synchronize internally and
-// return quickly.
+// hook fires once per cell, every outcome class included (canceled
+// cells carry only their failure record), on the goroutine that settled
+// the cell: the worker that ran it, the watchdog's timer goroutine for
+// a hang, the context's cancellation goroutine for a cancel. So
+// implementations must synchronize internally and return quickly.
 type CellObserver interface {
 	// CellSettled delivers one cell's settled outcome. Exactly one of
 	// res/cerr is non-nil. profile and cov are the cell's telemetry
@@ -153,8 +154,10 @@ type CellObserver interface {
 
 // SchedObserver observes the engine's wall-clock scheduling decisions:
 // which worker ran which cell, how long the cell waited in the queue,
-// and how long it ran. The hooks fire on the worker goroutines, so
-// implementations must synchronize internally and return quickly.
+// and how long it ran. The hooks fire on the worker goroutines, and a
+// hang or cancel settles on the timer or context goroutine that
+// abandoned the cell, so implementations must synchronize internally
+// and return quickly.
 // Everything it sees is wall-clock observability — feeding it back into
 // campaign results or artifacts would break their determinism.
 type SchedObserver interface {
@@ -173,14 +176,15 @@ type SchedObserver interface {
 }
 
 // Progress observes a running campaign's settled cells. The hook fires
-// on the worker goroutine that settled the cell, so implementations
-// must synchronize internally and return quickly. It sees no batch
-// announcement and no dispatch; a SchedObserver does.
+// on the goroutine that settled the cell — the worker that ran it, or
+// the timer or context goroutine that abandoned it as a hang or cancel
+// — so implementations must synchronize internally and return quickly.
+// It sees no batch announcement and no dispatch; a SchedObserver does.
 type Progress interface {
 	// CellFinished fires when the engine settles the cell's outcome:
 	// cerr is nil on success; profile is the cell's telemetry snapshot
-	// when the runner profiles cells and the cell's goroutine could be
-	// snapshotted (success, error and panic outcomes — hung and
+	// when the runner profiles cells and the cell's worker could
+	// snapshot it (success, error and panic outcomes — hung and
 	// canceled cells are abandoned with their recorder, so their
 	// profile is nil). It fires exactly once per cell, every outcome
 	// class included.
@@ -223,7 +227,7 @@ type FailureClass string
 const (
 	// FailError is an ordinary error return from the cell.
 	FailError FailureClass = "error"
-	// FailPanic is a recovered panic in the cell's worker.
+	// FailPanic is a recovered panic in the cell body.
 	FailPanic FailureClass = "panic"
 	// FailHang is a cell that exceeded the watchdog deadline.
 	FailHang FailureClass = "hang"
@@ -233,7 +237,7 @@ const (
 
 // CellError is the per-cell failure record a fault-tolerant campaign
 // carries instead of dying: which cell, how it failed, and — for panics
-// — the sanitized stack of the worker goroutine.
+// — the sanitized stack of the cell body.
 type CellError struct {
 	// Cell is the failing cell's "version/use-case/mode" identity.
 	Cell string `json:"cell"`
@@ -241,9 +245,10 @@ type CellError struct {
 	Class FailureClass `json:"class"`
 	// Message is the error or panic text.
 	Message string `json:"message"`
-	// Stack is the panicking goroutine's stack, with goroutine header
-	// and hex addresses normalized so identical faults produce
-	// identical records at any worker count. Empty unless Class is
+	// Stack is the panicking stack from the panic site down to the
+	// cell body, with module-relative source paths and hex literals
+	// normalized, so identical faults produce identical records at any
+	// worker count and from any checkout. Empty unless Class is
 	// FailPanic.
 	Stack string `json:"stack,omitempty"`
 
@@ -256,26 +261,63 @@ func (e *CellError) Error() string { return string(e.Class) + ": " + e.Message }
 // Unwrap exposes the underlying error (nil for panics and hangs).
 func (e *CellError) Unwrap() error { return e.cause }
 
-// hexLiteral and goroutineID match the parts of a panic stack that vary
-// run to run (argument values, frame pointers, scheduler-assigned
-// goroutine numbers in "created by ... in goroutine N" lines) —
-// everything else in the stack is a property of the binary, so
-// normalizing these makes the record deterministic at any worker count.
-var (
-	hexLiteral  = regexp.MustCompile(`0x[0-9a-fA-F]+`)
-	goroutineID = regexp.MustCompile(`goroutine \d+`)
-)
+// hexLiteral matches the parts of a panic stack that vary run to run:
+// argument values and pc offsets. Everything else in the kept frames is
+// a property of the binary, so normalizing these makes the record
+// deterministic at any worker count.
+var hexLiteral = regexp.MustCompile(`0x[0-9a-fA-F]+`)
 
-// sanitizeStack strips the "goroutine N [running]:" header and
-// normalizes hex literals and goroutine numbers, keeping the function
-// names and file:line frames a diagnosis needs.
+// moduleRoot is the prefix of this module's source paths in stack
+// frames: the checkout's directory, or the module path in a -trimpath
+// build. sanitizeStack trims it, so a record reads the same from any
+// checkout.
+var moduleRoot = func() string {
+	_, file, _, _ := runtime.Caller(0)
+	root, ok := strings.CutSuffix(file, "internal/campaign/runner.go")
+	if !ok {
+		return ""
+	}
+	return root
+}()
+
+// sanitizeStack turns a recovered panic's goroutine stack into the
+// record's deterministic form: the frames from the panic site down to
+// the cell body, runScenario. What lies above them (the goroutine
+// header, the stack capture, the recovery and panic frames) and below
+// them (the runner frames and the "created by" trailer) belongs to the
+// worker that happened to run the cell, not to the fault. It trims the
+// module root from every source path and normalizes hex literals.
 func sanitizeStack(stack []byte) string {
 	lines := strings.Split(strings.TrimRight(string(stack), "\n"), "\n")
-	if len(lines) > 0 && strings.HasPrefix(lines[0], "goroutine ") {
+	if i := frameIndex(lines, "panic("); i >= 0 {
+		lines = lines[min(i+2, len(lines)):]
+	} else if len(lines) > 0 && strings.HasPrefix(lines[0], "goroutine ") {
 		lines = lines[1:]
 	}
-	s := hexLiteral.ReplaceAllString(strings.Join(lines, "\n"), "0x?")
-	return goroutineID.ReplaceAllString(s, "goroutine ?")
+	if i := frameIndex(lines, "repro/internal/campaign.runScenario("); i >= 0 {
+		lines = lines[:min(i+2, len(lines))]
+	} else if i := frameIndex(lines, "created by "); i >= 0 {
+		lines = lines[:i]
+	}
+	if moduleRoot != "" {
+		for i, l := range lines {
+			if rest, ok := strings.CutPrefix(l, "\t"+moduleRoot); ok {
+				lines[i] = "\t" + rest
+			}
+		}
+	}
+	return hexLiteral.ReplaceAllString(strings.Join(lines, "\n"), "0x?")
+}
+
+// frameIndex returns the index of the first function line of a stack
+// (its file lines are tab-indented) that starts with prefix, or -1.
+func frameIndex(lines []string, prefix string) int {
+	for i, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			return i
+		}
+	}
+	return -1
 }
 
 // cell is one (version, use case, mode) coordinate of a campaign,
@@ -350,7 +392,7 @@ func (c cell) String() string {
 
 // runScenario executes one cell's lifecycle in its own fresh
 // environment: boot (or fork), run the scenario in the cell's mode,
-// assess. It is the cell body runGuarded owns; nothing it touches
+// assess. It is the cell body runBody guards; nothing it touches
 // outlives the cell or is shared with another cell. rec and inj are the
 // cell's own recorder and fault injector (either may be nil). tree,
 // when non-nil, is the cell's span tree: the lifecycle phases (boot,
@@ -420,9 +462,8 @@ func (r *Runner) instrumentation() instrumentation {
 // one of res/err is set. profile carries the cell's telemetry snapshot
 // when one exists — on failure it is the salvage profile the flight
 // recorder dumps. tree carries the cell's span capture when the runner
-// collects spans; sending it over the outcome channel is what hands
-// tree ownership from the cell goroutine back to the worker (an
-// abandoned cell keeps its tree, and the worker records a stub).
+// collects spans; an abandoned cell keeps its tree, and the goroutine
+// that abandoned it records a stub.
 type cellOutcome struct {
 	res     *RunResult
 	err     *CellError
@@ -431,15 +472,15 @@ type cellOutcome struct {
 	cov     *coverage.Map
 }
 
-// finishCell assembles a cell's outcome on its own goroutine, the one
-// place every exit of the cell body — clean return, error, recovered
-// panic — passes through. It closes the span tree (Finish on success,
-// Abort marking the failing phase otherwise), snapshots the telemetry
-// profile, returns a cleanly completed cell's environment to the
-// snapshot pool, and attaches a successful profile to the result and
-// the registry when the runner has a registry. A failed cell carries
-// its salvage profile for the flight recorder.
-func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func(), abandoned *atomic.Bool) cellOutcome {
+// finishCell assembles the outcome of a cell its worker settled: every
+// exit of the cell body — clean return, error, recovered panic — passes
+// through it. It closes the span tree (Finish on success, Abort marking
+// the failing phase otherwise), snapshots the telemetry profile,
+// returns a cleanly completed cell's environment to the snapshot pool,
+// and attaches a successful profile to the result and the registry when
+// the runner has a registry. A failed cell carries its salvage profile
+// for the flight recorder.
+func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr *CellError, rec *telemetry.Recorder, tree *span.Tree, start time.Time, recycle func()) cellOutcome {
 	out := cellOutcome{res: res, err: cerr, tree: tree, cov: rec.Coverage()}
 	if cerr != nil {
 		tree.Abort()
@@ -448,14 +489,14 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 		if in.profile {
 			out.profile = rec.Profile(id, time.Since(start).Nanoseconds())
 		}
-		// Only a cleanly completed cell that the runner is still waiting
-		// for returns its environment to the snapshot pool; a failed cell
-		// — and a cell the watchdog or a cancellation already wrote off,
-		// even if it later unwedges and finishes — abandons a possibly
-		// poisoned environment to the collector instead. The reset runs
+		// Only a cleanly completed cell returns its environment to the
+		// snapshot pool; a failed cell abandons a possibly poisoned
+		// environment to the collector instead, and so does a cell the
+		// watchdog or a cancellation settled first, which never gets
+		// here even if it later unwedges and finishes. The reset runs
 		// before the profile reaches the registry, so a cell whose
 		// profile is visible there has only its tree left to close.
-		if recycle != nil && !abandoned.Load() {
+		if recycle != nil {
 			recycle()
 		}
 		if out.profile != nil && r.Telemetry != nil {
@@ -467,109 +508,26 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 	return out
 }
 
-// runGuarded executes one cell behind the engine's fault barriers: a
-// recover() that converts a worker panic into a FailPanic record (with
-// sanitized stack), a watchdog that classifies a runaway cell as
-// FailHang, and the context, which classifies a cancelled cell as
-// FailCanceled. The cell body runs on its own goroutine so the worker
-// can abandon it; an abandoned body parks on a buffered channel and
-// exits when it eventually finishes (or is released from a wedge), so
-// nothing leaks once the campaign's injectors are released. The Sched
-// and Log hooks hear of the dispatch before the body starts.
-func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, worker int, queuedAt time.Time) cellOutcome {
-	id := c.String()
-	if err := ctx.Err(); err != nil {
-		return r.settle(c, id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
-	}
-	var inj *faults.Injector
-	if r.Faults != nil {
-		inj = r.Faults.ForCell(id)
-	}
-	began := time.Now()
-	queueNS := began.Sub(queuedAt).Nanoseconds()
-	if queueNS < 0 {
-		queueNS = 0
-	}
-	if r.Sched != nil {
-		r.Sched.CellDispatched(id, worker, queueNS)
-	}
-	if r.Log != nil {
-		r.Log.Debug("cell dispatched", "cell", id, "worker", worker, "queue_ns", queueNS)
-	}
-	done := make(chan cellOutcome, 1)
-	// abandoned flips once the worker stops waiting (watchdog, cancel):
-	// from then on the cell body, should it ever finish, must not
-	// recycle its machine fork into the snapshot pool.
-	var abandoned atomic.Bool
-	// The cell body runs under pprof labels so CPU and goroutine
-	// profiles of a live campaign attribute samples to the cell, its
-	// scenario and its hypervisor version.
-	go pprof.Do(ctx, pprof.Labels(
-		"cell", id,
-		"scenario", c.spec.Name,
-		"version", c.version.Name,
-	), func(context.Context) {
-		// The cell's recorder and span tree live on this goroutine so a
-		// panicking or erroring cell can still be snapshotted for the
-		// flight recorder and the span forest. The watchdog/cancel paths
-		// abandon the goroutine, the recorder and the tree with it —
-		// they must never touch them.
-		var rec *telemetry.Recorder
-		var tree *span.Tree
-		var start time.Time
-		if in.recorder {
-			rec = telemetry.NewRecorder(0)
-			start = time.Now()
-		}
-		if in.coverage {
-			rec.AttachCoverage(coverage.NewMap())
-		}
-		if in.spans {
-			tree = span.NewTree(id, rec.Emitted)
-		}
-		var (
-			res     *RunResult
-			recycle func()
-			cerr    *CellError
-		)
-		defer func() {
-			if p := recover(); p != nil {
-				res, cerr = nil, &CellError{
-					Cell:    id,
-					Class:   FailPanic,
-					Message: fmt.Sprint(p),
-					Stack:   sanitizeStack(debug.Stack()),
-				}
+// runBody runs the cell body behind the engine's recover() barrier: a
+// panic becomes a FailPanic record with the sanitized stack, an error
+// return a FailError record. The recycle func is nil unless a forked
+// cell completed cleanly.
+func runBody(c cell, id string, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree) (res *RunResult, recycle func(), cerr *CellError) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, recycle, cerr = nil, nil, &CellError{
+				Cell:    id,
+				Class:   FailPanic,
+				Message: fmt.Sprint(p),
+				Stack:   sanitizeStack(debug.Stack()),
 			}
-			done <- r.finishCell(id, in, res, cerr, rec, tree, start, recycle, &abandoned)
-		}()
-		var err error
-		if res, recycle, err = runScenario(c, rec, inj, tree); err != nil {
-			cerr = &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err}
 		}
-	})
-
-	var watchdog <-chan time.Time
-	if d := r.cellTimeout(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		watchdog = t.C
+	}()
+	res, recycle, err := runScenario(c, rec, inj, tree)
+	if err != nil {
+		return nil, nil, &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err}
 	}
-	var out cellOutcome
-	select {
-	case out = <-done:
-	case <-watchdog:
-		abandoned.Store(true)
-		out.err = &CellError{
-			Cell:    id,
-			Class:   FailHang,
-			Message: fmt.Sprintf("cell exceeded the %s watchdog deadline", r.cellTimeout()),
-		}
-	case <-ctx.Done():
-		abandoned.Store(true)
-		out.err = &CellError{Cell: id, Class: FailCanceled, Message: ctx.Err().Error(), cause: ctx.Err()}
-	}
-	return r.settle(c, id, worker, began, queueNS, time.Since(began), out)
+	return res, recycle, nil
 }
 
 // settle notifies the observers of a cell's settled outcome, files its
@@ -581,8 +539,8 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, in instrumentation, wor
 // (non-zero began) also files its span capture with the collector; an
 // abandoned cell (hang, cancel while running) carries no tree — its
 // stub records only worker, wall placement and failure class, and the
-// racing goroutine keeps its tree. Cells canceled before dispatch file
-// no spans. id is c's trace identity, rendered once by the caller.
+// abandoned cell body keeps its tree. Cells canceled before dispatch
+// file no spans. id is c's trace identity, rendered once by the caller.
 func (r *Runner) settle(c cell, id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
 	if r.Spans != nil && !began.IsZero() {
 		cs := &span.CellSpans{
@@ -639,14 +597,25 @@ func rootSpanV(t *span.Tree) uint64 {
 
 // runCells executes a batch of cells and returns one outcome per cell,
 // in cell order, never failing as a whole: panics, hangs and
-// cancellation all land as per-cell records. On cancellation, cells
-// never dispatched are marked FailCanceled without running, on worker
-// -1. A one-worker pool runs the cells strictly in cell order on
-// worker 0.
+// cancellation all land as per-cell records. Each cell runs on the
+// worker goroutine that claims it: worker w runs cell w first, so n
+// workers start on n lanes, then claims the next unclaimed cell from
+// one counter. A one-worker pool runs the cells strictly in cell order
+// on worker 0. runCells returns once every cell has settled; a wedged
+// cell body the watchdog or a cancellation abandoned may outlive it. On
+// cancellation, cells never dispatched are marked FailCanceled without
+// running, on worker -1.
 func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
-	outs := make([]cellOutcome, len(cells))
-	in := r.instrumentation()
-	if in.announce {
+	b := &batch{
+		r:       r,
+		ctx:     ctx,
+		in:      r.instrumentation(),
+		cells:   cells,
+		outs:    make([]cellOutcome, len(cells)),
+		slots:   make([]slot, len(cells)),
+		timeout: r.cellTimeout(),
+	}
+	if b.in.announce {
 		ids := make([]string, len(cells))
 		for i, c := range cells {
 			ids[i] = c.String()
@@ -667,41 +636,237 @@ func (r *Runner) runCells(ctx context.Context, cells []cell) []cellOutcome {
 	// queuedAt anchors every cell's queue-wait measurement: a cell is
 	// runnable from the moment its batch is announced, so its dispatch
 	// latency is pickup time minus this.
-	queuedAt := time.Now()
-	n := r.workers()
-	if n > len(cells) {
-		n = len(cells)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(n)
+	b.queuedAt = time.Now()
+	n := min(r.workers(), len(cells))
+	b.next.Store(int64(n))
+	b.pending.Add(len(cells))
+	stop := context.AfterFunc(ctx, b.cancel)
 	for w := 0; w < n; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				outs[i] = r.runGuarded(ctx, cells[i], in, w, queuedAt)
-			}
-		}(w)
+		go b.work(w, w)
 	}
-	for i := range cells {
+	b.pending.Wait()
+	stop()
+	return b.outs
+}
+
+// Slot states. Every cell of a batch moves idle → running → settled,
+// or idle → settled when a cancellation settles it before any worker
+// claims it. Exactly one goroutine wins the move to settled — the
+// cell's worker, its watchdog or the cancellation — and only that one
+// records the cell's outcome, so an abandoned cell that finishes late
+// can neither overwrite its record nor pool its environment.
+const (
+	slotIdle uint32 = iota
+	slotRunning
+	slotSettled
+)
+
+// slot is one cell's claim. The claiming worker writes worker, began
+// and queueNS before moving it to running, so the goroutine that
+// settles it reads them.
+type slot struct {
+	state   atomic.Uint32
+	worker  int
+	began   time.Time
+	queueNS int64
+}
+
+// batch is one runCells call: its cells with their outcomes and slots,
+// the counter workers claim cells from, and the cells not yet settled.
+type batch struct {
+	r        *Runner
+	ctx      context.Context
+	in       instrumentation
+	cells    []cell
+	outs     []cellOutcome
+	slots    []slot
+	next     atomic.Int64
+	timeout  time.Duration
+	queuedAt time.Time
+	pending  sync.WaitGroup
+}
+
+// claim hands out the next unclaimed cell index.
+func (b *batch) claim() int { return int(b.next.Add(1) - 1) }
+
+// work is one worker lane's goroutine. It runs cell first — or, for a
+// replacement worker (first < 0), a claimed one — then claims cells
+// until none is left or the context is done. It exits early when the
+// watchdog or a cancellation abandons its running cell: a replacement
+// worker has the lane then, or the batch is over.
+func (b *batch) work(id, first int) {
+	w := &worker{b: b, id: id}
+	defer w.disarm()
+	i := first
+	if i < 0 {
+		i = b.claim()
+	}
+	for ; i < len(b.cells); i = b.claim() {
 		select {
-		case next <- i:
-		case <-ctx.Done():
-			err := ctx.Err()
-			for j := i; j < len(cells); j++ {
-				id := cells[j].String()
-				outs[j] = r.settle(cells[j], id, -1, time.Time{}, 0, 0, cellOutcome{err: &CellError{
-					Cell: id, Class: FailCanceled, Message: err.Error(), cause: err,
-				}})
-			}
-			close(next)
-			wg.Wait()
-			return outs
+		case <-b.ctx.Done():
+			return
+		default:
+		}
+		if !w.run(i) {
+			return
 		}
 	}
-	close(next)
-	wg.Wait()
-	return outs
+}
+
+// worker is one lane's goroutine state: its index and its watchdog.
+type worker struct {
+	b   *batch
+	id  int
+	dog *watchdog
+}
+
+// watchdog is a worker's deadline timer, reused from cell to cell. It
+// holds the index of the cell it is armed for and, when it fires,
+// abandons that cell as a hang.
+type watchdog struct {
+	timer *time.Timer
+	cell  atomic.Int64
+}
+
+// arm starts the watchdog on cell i; it does nothing with the watchdog
+// off.
+func (w *worker) arm(i int) {
+	if w.b.timeout <= 0 {
+		return
+	}
+	if w.dog == nil {
+		d := &watchdog{}
+		d.cell.Store(int64(i))
+		d.timer = time.AfterFunc(w.b.timeout, func() { w.b.expire(w.id, int(d.cell.Load())) })
+		w.dog = d
+		return
+	}
+	w.dog.cell.Store(int64(i))
+	w.dog.timer.Reset(w.b.timeout)
+}
+
+// disarm stops the watchdog. A timer that already fired may still be
+// reading the cell it was armed for, so the next cell gets a new one.
+func (w *worker) disarm() {
+	if w.dog != nil && !w.dog.timer.Stop() {
+		w.dog = nil
+	}
+}
+
+// run runs cell i on the worker's goroutine and settles it, unless the
+// watchdog or a cancellation settles it first. It reports whether the
+// worker still holds its lane. The Sched and Log hooks hear of the
+// dispatch before the body starts. The body runs under pprof labels so
+// CPU and goroutine profiles of a live campaign attribute samples to
+// the cell, its scenario and its hypervisor version.
+func (w *worker) run(i int) bool {
+	b, r := w.b, w.b.r
+	c, s := b.cells[i], &b.slots[i]
+	id := c.String()
+	began := time.Now()
+	queueNS := max(began.Sub(b.queuedAt).Nanoseconds(), 0)
+	s.worker, s.began, s.queueNS = w.id, began, queueNS
+	if !s.state.CompareAndSwap(slotIdle, slotRunning) {
+		return true // a cancellation settled it first
+	}
+	var inj *faults.Injector
+	if r.Faults != nil {
+		inj = r.Faults.ForCell(id)
+	}
+	if r.Sched != nil {
+		r.Sched.CellDispatched(id, w.id, queueNS)
+	}
+	if r.Log != nil {
+		r.Log.Debug("cell dispatched", "cell", id, "worker", w.id, "queue_ns", queueNS)
+	}
+	w.arm(i)
+	pprof.SetGoroutineLabels(pprof.WithLabels(b.ctx, pprof.Labels(
+		"cell", id,
+		"scenario", c.spec.Name,
+		"version", c.version.Name,
+	)))
+	// The cell's recorder and span tree live on this goroutine so a
+	// panicking or erroring cell can still be snapshotted for the flight
+	// recorder and the span forest. The watchdog and cancel paths
+	// abandon the recorder and the tree with the cell; they never touch
+	// them.
+	var rec *telemetry.Recorder
+	var tree *span.Tree
+	var start time.Time
+	if b.in.recorder {
+		rec = telemetry.NewRecorder(0)
+		start = time.Now()
+	}
+	if b.in.coverage {
+		rec.AttachCoverage(coverage.NewMap())
+	}
+	if b.in.spans {
+		tree = span.NewTree(id, rec.Emitted)
+	}
+	res, recycle, cerr := runBody(c, id, rec, inj, tree)
+	pprof.SetGoroutineLabels(b.ctx)
+	// Settle before recycling: a cell the watchdog or a cancellation
+	// settled first is written off with its environment.
+	if !s.state.CompareAndSwap(slotRunning, slotSettled) {
+		return false
+	}
+	w.disarm()
+	out := r.finishCell(id, b.in, res, cerr, rec, tree, start, recycle)
+	b.outs[i] = r.settle(c, id, w.id, began, queueNS, time.Since(began), out)
+	b.pending.Done()
+	return true
+}
+
+// expire is worker's watchdog firing on cell i: a cell still running
+// is abandoned as a hang, and a replacement worker takes the lane over.
+func (b *batch) expire(worker, i int) {
+	if b.slots[i].state.Load() != slotRunning {
+		return
+	}
+	b.abandon(i, &CellError{
+		Cell:    b.cells[i].String(),
+		Class:   FailHang,
+		Message: fmt.Sprintf("cell exceeded the %s watchdog deadline", b.timeout),
+	}, true)
+}
+
+// cancel settles every cell still unsettled when the context is done,
+// on the context's goroutine: unclaimed cells as never dispatched, on
+// worker -1, and running cells abandoned on their worker. The workers
+// stop claiming, so no lane is replaced.
+func (b *batch) cancel() {
+	err := b.ctx.Err()
+	for i := range b.cells {
+		s := &b.slots[i]
+		if s.state.Load() == slotSettled {
+			continue
+		}
+		id := b.cells[i].String()
+		cerr := &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}
+		if s.state.CompareAndSwap(slotIdle, slotSettled) {
+			b.outs[i] = b.r.settle(b.cells[i], id, -1, time.Time{}, 0, 0, cellOutcome{err: cerr})
+			b.pending.Done()
+		} else {
+			b.abandon(i, cerr, false)
+		}
+	}
+}
+
+// abandon settles running cell i with cerr on the calling goroutine,
+// unless the cell settled first. The cell body keeps running until it
+// finishes or its wedge is released, then finds its slot settled and
+// exits with its worker. With replace, a new worker takes over the
+// lane once the abandoned cell has settled on it.
+func (b *batch) abandon(i int, cerr *CellError, replace bool) {
+	s := &b.slots[i]
+	if !s.state.CompareAndSwap(slotRunning, slotSettled) {
+		return
+	}
+	b.outs[i] = b.r.settle(b.cells[i], cerr.Cell, s.worker, s.began, s.queueNS, time.Since(s.began), cellOutcome{err: cerr})
+	if replace {
+		go b.work(s.worker, -1)
+	}
+	b.pending.Done()
 }
 
 // RunContext executes one cell under the runner's configuration: the

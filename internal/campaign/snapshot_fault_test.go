@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/coverage"
 	"repro/internal/faults"
@@ -91,33 +90,6 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	}
 	if got := s.poolSize(); got != 1 {
 		t.Errorf("pool size %d after recovery run, want 1", got)
-	}
-}
-
-func TestWedgedForkIsAbandonedNotPooled(t *testing.T) {
-	v := poolVersion(t)
-	s := snapshotFor(campaignPlan(), v, ModeExploit)
-	if s.err != nil {
-		t.Fatal(s.err)
-	}
-	id := v.Name + "/XSA-182-test/exploit"
-	plan := faults.NewPlan(0, 0).ArmCell(id, faults.SiteWedge, 1)
-	r := &Runner{Workers: 1, CellTimeout: 50 * time.Millisecond, Faults: plan}
-	_, err := r.RunContext(context.Background(), v, "XSA-182-test", ModeExploit)
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Class != FailHang {
-		t.Fatalf("err = %v, want a FailHang record", err)
-	}
-	plan.ReleaseAll()
-	// Give the released goroutine a moment to drain; it must not
-	// recycle its fork even after release (its runScenario unwound
-	// through the wedged hypercall's error path).
-	time.Sleep(50 * time.Millisecond)
-	if got := s.poolSize(); got != 0 {
-		t.Errorf("pool size %d after a wedged cell, want 0", got)
-	}
-	if _, err := runPoolCell(nil, v, "XSA-182-test"); err != nil {
-		t.Fatalf("clean run after wedged fork: %v", err)
 	}
 }
 
