@@ -16,7 +16,7 @@
 # the runner's guard tests three times over so the race between a
 # cell's own settle and the watchdog or cancellation abandoning it runs
 # several times per CI run, and then drives a seeded full-matrix chaos
-# run through the CLI. It
+# run through the CLI in chaos-matrix/, which keeps its flight dumps. It
 # then runs `-json -chaos 7 -continue-on-error` twice, forked in
 # chaos-fork/ and booted fresh (-no-snapshot) in chaos-fresh/, and
 # fails unless the two JSON outputs cmp equal and the two sets of
@@ -165,9 +165,9 @@ trace-demo:
 chaos:
 	$(GO) test -race ./internal/faults/
 	$(GO) test -race -count=3 -run 'Chaos|Panic|Watchdog|Cancel' ./internal/campaign/
-	$(GO) run ./cmd/repro -matrix -chaos 7 -continue-on-error -workers 4 > /dev/null
-	rm -rf chaos-fork chaos-fresh
-	mkdir chaos-fork chaos-fresh
+	rm -rf chaos-matrix chaos-fork chaos-fresh
+	mkdir chaos-matrix chaos-fork chaos-fresh
+	cd chaos-matrix && $(GO) run ../cmd/repro -matrix -chaos 7 -continue-on-error -workers 4 > /dev/null
 	cd chaos-fork && $(GO) run ../cmd/repro -json -chaos 7 -continue-on-error > out.json
 	cd chaos-fresh && $(GO) run ../cmd/repro -json -chaos 7 -continue-on-error -no-snapshot > out.json
 	cmp chaos-fork/out.json chaos-fresh/out.json
@@ -240,5 +240,5 @@ clean:
 	rm -f BENCH_*.new.json trace-demo*.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
 	rm -f cov-matrix.json cov-diff.txt ledger-diff.txt
 	rm -f sched-demo.json sched-summary.txt
-	rm -rf ledger-ci chaos-fork chaos-fresh
+	rm -rf ledger-ci chaos-matrix chaos-fork chaos-fresh
 	$(GO) clean ./...

@@ -64,23 +64,35 @@ func TestCLISmoke(t *testing.T) {
 		})
 	}
 
+	// The examples fork their environments the way campaign cells do.
 	// The assessment example drives every extension intrusion model
-	// through the state injector and prints the health probe's findings.
-	t.Run("assessment-example", func(t *testing.T) {
-		bin := filepath.Join(dir, "assessment")
-		if out, err := exec.Command("go", "build", "-o", bin, "./examples/assessment").CombinedOutput(); err != nil {
-			t.Fatalf("building examples/assessment: %v\n%s", err, out)
-		}
-		out, err := exec.Command(bin).CombinedOutput()
-		if err != nil {
-			t.Fatalf("examples/assessment: %v\n%s", err, out)
-		}
-		for _, want := range []string{"unconsumed events", "grant-status-leak", "fatal-exception", "hang-state", "interrupt-flood"} {
-			if !strings.Contains(string(out), want) {
-				t.Errorf("assessment output missing %q:\n%s", want, out)
+	// through the state injector and prints the health probe's findings;
+	// each of the others is checked for one landmark line.
+	for _, ex := range []struct {
+		name string
+		want []string
+	}{
+		{"assessment", []string{"unconsumed events", "grant-status-leak", "fatal-exception", "hang-state", "interrupt-flood"}},
+		{"quickstart", []string{"injector ready"}},
+		{"acid", []string{"silent-consistency-violation"}},
+		{"pagetable-attack", []string{"=== XSA-148-priv, injection mode"}},
+	} {
+		t.Run(ex.name+"-example", func(t *testing.T) {
+			bin := filepath.Join(dir, ex.name)
+			if out, err := exec.Command("go", "build", "-o", bin, "./examples/"+ex.name).CombinedOutput(); err != nil {
+				t.Fatalf("building examples/%s: %v\n%s", ex.name, err, out)
 			}
-		}
-	})
+			out, err := exec.Command(bin).CombinedOutput()
+			if err != nil {
+				t.Fatalf("examples/%s: %v\n%s", ex.name, err, out)
+			}
+			for _, want := range ex.want {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("%s output missing %q:\n%s", ex.name, want, out)
+				}
+			}
+		})
+	}
 
 	// Out-of-range flag values die with a one-line usage error before
 	// any experiment (or profile file) is started.

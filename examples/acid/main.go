@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("--------------------------------------------------------------------------------------------")
 
 	for _, target := range txstore.AllTargets() {
-		env, err := campaign.NewEnvironment(hv.Version413(), campaign.ModeInjection)
+		env, recycle, err := campaign.NewForkedEnvironment(hv.Version413(), campaign.ModeInjection)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,6 +55,9 @@ func main() {
 			detected = "yes"
 		}
 		fmt.Printf("%-24s %-10s %-30s %v\n", target, detected, report.Classify(), report)
+		if !env.HV.Crashed() && !env.HV.Hung() {
+			recycle()
+		}
 	}
 	fmt.Println()
 	fmt.Println("The forged-record row is the headline: hypervisor-level intrusions can")

@@ -25,14 +25,14 @@ func main() {
 	log.SetFlags(0)
 
 	// --- Part 1: the state injector on a hardened build ---
-	// Each extension model runs in its own fresh injection-mode
+	// Each extension model runs in its own forked injection-mode
 	// environment, so the hang and fatal states do not leak into the
 	// next model; the health probe then reports what the state did.
 	v := hv.Version413()
 	models := inject.ExtensionModels()
 	fmt.Printf("state injector on Xen %s — models: %d\n", v.Name, len(models))
 	for _, m := range models {
-		e, err := campaign.NewEnvironment(v, campaign.ModeInjection)
+		e, recycle, err := campaign.NewForkedEnvironment(v, campaign.ModeInjection)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,6 +43,9 @@ func main() {
 		probe := strings.TrimSuffix(monitor.Probe(e.HV, e.Guests).Summary(), "\n")
 		fmt.Printf("\n%s\n  erroneous state: %s\n  injected: %s\n  health probe:\n    %s\n",
 			m, m.ErroneousState, injected, strings.ReplaceAll(probe, "\n", "\n    "))
+		if !e.HV.Crashed() && !e.HV.Hung() {
+			recycle()
+		}
 	}
 
 	// --- Part 2: randomized campaign vs hypercall-attack baseline ---

@@ -18,7 +18,7 @@ import (
 )
 
 func runCase(v hv.Version, mode campaign.Mode) {
-	e, err := campaign.NewEnvironment(v, mode)
+	e, recycle, err := campaign.NewForkedEnvironment(v, mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,6 +56,9 @@ func runCase(v hv.Version, mode campaign.Mode) {
 	verdict := monitor.Assess(e.HV, e.Guests, o)
 	fmt.Println("  " + verdict.String())
 	fmt.Println()
+	if !e.HV.Crashed() && !e.HV.Hung() {
+		recycle()
+	}
 }
 
 func main() {

@@ -1,27 +1,26 @@
-// Quickstart: boot a hypervisor with the injector compiled in, create a
-// guest, inject one memory-corruption erroneous state, and read the
-// monitor's verdict. This is the minimal end-to-end tour of the public
-// surface: hv (the system under test), inject (the contribution),
-// exploits (the injection script), and monitor (the oracle).
+// Quickstart: fork a hypervisor with the injector compiled in, read
+// through the injector, run one memory-corruption injection script as a
+// campaign cell, and read the monitor's verdict. This is the minimal
+// end-to-end tour of the public surface: hv (the system under test),
+// inject (the contribution) and campaign (cells and their verdicts).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/campaign"
-	"repro/internal/exploits"
 	"repro/internal/hv"
-	"repro/internal/monitor"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// 1. Build the standard experimental environment on a hardened
+	// 1. Fork the standard experimental environment on a hardened
 	// hypervisor (Xen 4.13 profile) with the injector hypercall added to
-	// its dispatch table.
-	env, err := campaign.NewEnvironment(hv.Version413(), campaign.ModeInjection)
+	// its dispatch table, the way every campaign cell gets its own.
+	env, recycle, err := campaign.NewForkedEnvironment(hv.Version413(), campaign.ModeInjection)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,32 +35,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	recycle()
 	fmt.Printf("IDT #PF descriptor (low word) = %#x\n", val)
 
-	// 3. Run a full injection script: the XSA-182 erroneous state
-	// (writable recursive page-table mapping) on a version where the
-	// vulnerability does not exist.
-	spec, err := exploits.SpecByName("XSA-182-test")
+	// 3. Run a full injection script as a campaign cell: the XSA-182
+	// erroneous state (writable recursive page-table mapping) on a
+	// version where the vulnerability does not exist.
+	res, err := (&campaign.Runner{Workers: 1}).RunContext(context.Background(),
+		hv.Version413(), "XSA-182-test", campaign.ModeInjection)
 	if err != nil {
 		log.Fatal(err)
 	}
-	senv, err := env.ScenarioEnv(campaign.ModeInjection)
-	if err != nil {
-		log.Fatal(err)
-	}
-	outcome := spec.Run(senv)
 	fmt.Println("\ninjection transcript:")
-	for _, line := range outcome.Log {
+	for _, line := range res.Outcome.Log {
 		fmt.Println("  " + line)
 	}
 
-	// 4. Ask the monitor what actually happened.
-	verdict := monitor.Assess(env.HV, env.Guests, outcome)
-	fmt.Println("\nverdict:", verdict)
-	for _, e := range verdict.Evidence {
+	// 4. The monitor's verdict on what actually happened.
+	fmt.Println("\nverdict:", res.Verdict)
+	for _, e := range res.Verdict.Evidence {
 		fmt.Println("  evidence:", e)
 	}
-	if verdict.Handled {
+	if res.Verdict.Handled {
 		fmt.Println("\nthe hardened version handled the injected state — the Table III shield")
 	}
 }

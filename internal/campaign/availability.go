@@ -1,9 +1,9 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/exploits"
 	"repro/internal/hv"
 	"repro/internal/workload"
 )
@@ -15,10 +15,9 @@ import (
 type AvailabilityRow struct {
 	Version string
 	UseCase string
-	// Injected reports whether the erroneous state landed.
+	// Injected reports whether the monitor's audit found the erroneous
+	// state in place.
 	Injected bool
-	// Violation reports the monitor's verdict.
-	Violation bool
 	// VictimCompletion is the victim guest's workload completion rate
 	// after the injection, in [0, 1].
 	VictimCompletion float64
@@ -28,44 +27,35 @@ type AvailabilityRow struct {
 }
 
 // AvailabilityUnderInjection runs the injection campaign on one version
-// and, after each injection, drives the standard workload on a victim
-// guest (not the attacker). Each use case gets its environment the way
-// a campaign cell does (forked from the sealed snapshot, or booted
-// fresh under -no-snapshot) and leaves it corrupted; a row that
-// completes without error recycles the fork, whose reset restores the
-// sealed state for the next row. Crash-class states zero out
-// availability; handled states leave it intact — the
+// and, after each injection and its assessment, drives the standard
+// workload on a victim guest (not the attacker). The version's cells run
+// as one batch on a Runner with no observers, so they fork, run in
+// parallel behind the recover barrier and the watchdog, and recycle like
+// any cell, while the workload reaches no matrix artifact. Crash-class
+// states zero out availability; handled states leave it intact — the
 // dependability-benchmark view of Table III.
 func AvailabilityUnderInjection(v hv.Version, cfg workload.Config) ([]AvailabilityRow, error) {
-	specs := exploits.Specs()
-	rows := make([]AvailabilityRow, 0, len(specs))
-	c := cell{version: v, mode: ModeInjection}
-	for _, spec := range specs {
-		if !spec.AppliesTo(v.Name) {
-			continue
+	p := campaignPlan()
+	var cells []cell
+	for i := range p.specs {
+		if p.specs[i].AppliesTo(v.Name) {
+			cells = append(cells, cell{version: v, spec: &p.specs[i], mode: ModeInjection, bystander: &cfg})
 		}
-		e, recycle, err := cellEnvironment(campaignPlan(), c, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		env, err := e.ScenarioEnv(ModeInjection)
-		if err != nil {
-			return nil, err
-		}
-		outcome := spec.Run(env)
-		victim := e.Guests[1] // guest01: neither dom0 nor the attacker
-		res := workload.Run(victim, cfg)
-		rows = append(rows, AvailabilityRow{
+	}
+	entries, err := (&Runner{}).runEntries(context.Background(), cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AvailabilityRow, len(entries))
+	for i, en := range entries {
+		w := en.Result.bystander
+		rows[i] = AvailabilityRow{
 			Version:          v.Name,
-			UseCase:          spec.Name,
-			Injected:         outcome.ErroneousState,
-			Violation:        e.HV.Crashed(),
-			VictimCompletion: res.CompletionRate(cfg),
-			Stopped:          res.Stopped,
-			StopReason:       res.StopReason,
-		})
-		if recycle != nil {
-			recycle()
+			UseCase:          en.UseCase,
+			Injected:         en.Result.Verdict.ErroneousState,
+			VictimCompletion: w.CompletionRate(cfg),
+			Stopped:          w.Stopped,
+			StopReason:       w.StopReason,
 		}
 	}
 	return rows, nil

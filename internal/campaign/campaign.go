@@ -18,6 +18,7 @@ import (
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/vnet"
+	"repro/internal/workload"
 )
 
 // Fixed experimental-environment parameters.
@@ -57,15 +58,12 @@ type Environment struct {
 	Listener *vnet.Listener
 	Injector *inject.Client      // nil on exploit-mode builds
 	State    *inject.StateClient // nil on exploit-mode builds
-	// Tel is the environment's telemetry recorder, nil when tracing is
-	// disabled. The same recorder is installed on the hypervisor build,
-	// so everything the environment does lands in one trace.
-	Tel *telemetry.Recorder
 }
 
-// NewEnvironment boots the standard experimental environment. Injection
-// mode compiles the injector hypercall into the build, as the prototype
-// does per version.
+// NewEnvironment boots the standard experimental environment afresh.
+// Injection mode compiles the injector hypercall into the build, as the
+// prototype does per version. Cells and the examples fork instead; this
+// boot is the reference BenchmarkBootEnvironment measures forks against.
 func NewEnvironment(v hv.Version, mode Mode) (*Environment, error) {
 	return newEnvironment(campaignPlan(), v, mode, nil, nil)
 }
@@ -94,7 +92,7 @@ func newEnvironment(p *plan, v hv.Version, mode Mode, tel *telemetry.Recorder, t
 	if err != nil {
 		return nil, err
 	}
-	e := &Environment{HV: h, Net: vnet.New(), Tel: tel}
+	e := &Environment{HV: h, Net: vnet.New()}
 	if mode == ModeInjection {
 		if err := inject.Enable(h); err != nil {
 			return nil, err
@@ -171,4 +169,6 @@ type RunResult struct {
 	// Profile is the cell's telemetry snapshot, nil unless the Runner
 	// has a Telemetry registry (an Observer gets it via CellSettled).
 	Profile *telemetry.CellProfile
+	// bystander is the workload result of a cell that ran one.
+	bystander *workload.Result
 }

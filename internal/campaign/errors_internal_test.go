@@ -38,11 +38,11 @@ func batchWithFailures(t *testing.T) []cell {
 	}
 	v := hv.Version46()
 	return []cell{
-		{v, spec("XSA-182-test"), ModeExploit},
-		{v, panicking("first-panic"), ModeExploit},
-		{v, spec("XSA-182-test"), ModeInjection},
-		{v, panicking("second-panic"), ModeInjection},
-		{v, spec("XSA-148-priv"), ModeExploit},
+		{version: v, spec: spec("XSA-182-test"), mode: ModeExploit},
+		{version: v, spec: panicking("first-panic"), mode: ModeExploit},
+		{version: v, spec: spec("XSA-182-test"), mode: ModeInjection},
+		{version: v, spec: panicking("second-panic"), mode: ModeInjection},
+		{version: v, spec: spec("XSA-148-priv"), mode: ModeExploit},
 	}
 }
 

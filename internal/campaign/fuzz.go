@@ -106,9 +106,7 @@ func RandomInjectionCampaign(v hv.Version, trials int, seed int64) (Distribution
 		if err != nil {
 			return nil, fmt.Errorf("campaign: trial %d: %w", i, err)
 		}
-		if recycle != nil {
-			recycle()
-		}
+		recycle()
 		dist[class]++
 	}
 	return dist, nil
@@ -231,9 +229,7 @@ func HypercallFuzzCampaign(v hv.Version, trials int, seed int64) (Distribution, 
 	if n := auditWritablePTMappings(e); n > 0 {
 		dist[ClassStateInduced] += n
 	}
-	if recycle != nil {
-		recycle()
-	}
+	recycle()
 	return dist, nil
 }
 

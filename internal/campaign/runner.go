@@ -20,6 +20,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/span"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // The parallel campaign engine. Every cell of the paper's evaluation
@@ -323,11 +324,13 @@ func frameIndex(lines []string, prefix string) int {
 // cell is one (version, use case, mode) coordinate of a campaign,
 // resolved: spec points into the plan's registry copy, so a cell
 // carries its scenario from enumeration to settle without another
-// lookup.
+// lookup. bystander, set only by the availability rows, is a workload
+// run on guest01 (neither dom0 nor the attacker) after the assess.
 type cell struct {
-	version hv.Version
-	spec    *exploits.Spec
-	mode    Mode
+	version   hv.Version
+	spec      *exploits.Spec
+	mode      Mode
+	bystander *workload.Config
 }
 
 // plan is the version-independent part of the experimental setup,
@@ -392,16 +395,15 @@ func (c cell) String() string {
 
 // runScenario executes one cell's lifecycle in its own fresh
 // environment: boot (or fork), run the scenario in the cell's mode,
-// assess. It is the cell body runBody guards; nothing it touches
-// outlives the cell or is shared with another cell. rec and inj are the
-// cell's own recorder and fault injector (either may be nil). tree,
-// when non-nil, is the cell's span tree: the lifecycle phases (boot,
-// exploit/inject, assess) open under its root, and the environment is
-// built with the tree installed so hypercall and mm-op spans nest
-// inside them. Error returns leave the failing phase open — the
-// caller's Abort closes and marks it. The returned recycle func is
-// non-nil only for a forked environment; the caller invokes it once the
-// cell has settled cleanly.
+// assess, run the bystander workload if any. It is the cell body runBody
+// guards; nothing it touches outlives the cell or is shared with another
+// cell. rec and inj are the cell's own recorder and fault injector
+// (either may be nil). tree, when non-nil, is the cell's span tree: the
+// lifecycle phases (boot, exploit/inject, assess) open under its root,
+// and the environment is built with the tree installed so hypercall and
+// mm-op spans nest inside them. Error returns leave the failing phase
+// open — the caller's Abort closes and marks it. The caller invokes the
+// returned recycle func once the cell has settled cleanly.
 func runScenario(c cell, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree) (*RunResult, func(), error) {
 	boot := tree.Phase(span.PhaseBoot)
 	e, recycle, err := cellEnvironment(campaignPlan(), c, rec, inj, tree)
@@ -425,7 +427,12 @@ func runScenario(c cell, rec *telemetry.Recorder, inj *faults.Injector, tree *sp
 	as := tree.Phase(span.PhaseAssess)
 	verdict := monitor.Assess(e.HV, e.Guests, outcome)
 	tree.End(as)
-	return &RunResult{Outcome: outcome, Verdict: verdict, Console: e.HV.Console()}, recycle, nil
+	res := &RunResult{Outcome: outcome, Verdict: verdict, Console: e.HV.Console()}
+	if c.bystander != nil {
+		w := workload.Run(e.Guests[1], *c.bystander)
+		res.bystander = &w
+	}
+	return res, recycle, nil
 }
 
 // instrumentation is what every cell of a batch carries, resolved once
@@ -496,9 +503,7 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 		// here even if it later unwedges and finishes. The reset runs
 		// before the profile reaches the registry, so a cell whose
 		// profile is visible there has only its tree left to close.
-		if recycle != nil {
-			recycle()
-		}
+		recycle()
 		if out.profile != nil && r.Telemetry != nil {
 			res.Profile = out.profile
 			r.Telemetry.Record(out.profile)
@@ -510,8 +515,8 @@ func (r *Runner) finishCell(id string, in instrumentation, res *RunResult, cerr 
 
 // runBody runs the cell body behind the engine's recover() barrier: a
 // panic becomes a FailPanic record with the sanitized stack, an error
-// return a FailError record. The recycle func is nil unless a forked
-// cell completed cleanly.
+// return a FailError record. The recycle func is nil unless the cell
+// completed cleanly.
 func runBody(c cell, id string, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree) (res *RunResult, recycle func(), cerr *CellError) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -228,7 +228,6 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, tree *span.Tree) 
 		return nil, nil, err
 	}
 	e.HV.AttachSinks(tel, tree)
-	e.Tel = tel
 	return e, func() { s.recycle(e) }, nil
 }
 
@@ -293,7 +292,6 @@ func (s *envSnapshot) recycle(e *Environment) {
 	}
 	// A cell may have closed the listener; the reset bound a new one.
 	e.Listener, _ = e.Net.Listener(ListenerAddr)
-	e.Tel = nil
 	s.mu.Lock()
 	s.pool = append(s.pool, e)
 	s.mu.Unlock()
@@ -311,8 +309,8 @@ func (s *envSnapshot) poolSize() int {
 // attaches the cell's fault plane to the hypervisor, the machine and the
 // recorder. A snapshot build or fork error is the cell's error: the
 // sinks may already hold the boot prefix, so the cell never boots a
-// second time. The recycle func is non-nil only on the fork path;
-// callers invoke it after the cell completes cleanly.
+// second time. Callers invoke the recycle func after the cell completes
+// cleanly; a fresh boot's does nothing.
 func cellEnvironment(p *plan, c cell, tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, func(), error) {
 	var (
 		e       *Environment
@@ -328,6 +326,7 @@ func cellEnvironment(p *plan, c cell, tel *telemetry.Recorder, flt *faults.Injec
 		}
 	} else {
 		e, err = newEnvironment(p, c.version, c.mode, tel, tree)
+		recycle = func() {}
 	}
 	if err != nil {
 		return nil, nil, err
@@ -339,9 +338,9 @@ func cellEnvironment(p *plan, c cell, tel *telemetry.Recorder, flt *faults.Injec
 
 // NewForkedEnvironment boots (once) and forks the standard environment
 // for the given cell coordinates, regardless of the process-wide
-// snapshot toggle. The benchmarks use it to measure the fork path in
-// isolation; the recycle func resets the environment and returns it to
-// the pool.
+// snapshot toggle. The examples take their environments from it and
+// the benchmarks measure the fork path in isolation with it; the
+// recycle func resets the environment and returns it to the pool.
 func NewForkedEnvironment(v hv.Version, mode Mode) (*Environment, func(), error) {
 	s := snapshotFor(campaignPlan(), v, mode)
 	if s.err != nil {

@@ -287,7 +287,7 @@ func TestReusedEnvironmentCarriesNoSinks(t *testing.T) {
 	if e2 != e1 {
 		t.Fatal("second cell did not reuse the pooled environment")
 	}
-	if e2.Tel != nil || e2.HV.Telemetry() != nil || e2.HV.Spans() != nil {
+	if e2.HV.Telemetry() != nil || e2.HV.Spans() != nil {
 		t.Error("reused environment still carries the first cell's recorder or span tree")
 	}
 	run(e2)
