@@ -44,8 +44,11 @@
 # once (including under chaos), the canonical forest digest pinned —
 # then drives a full -spans matrix through the CLI, checks the summary
 # carries the critical path, and validates the Perfetto trace with
-# `tracecheck spans`. The trace (spans-demo.json) is left behind for CI
-# to attach on failure.
+# `tracecheck spans`. It then runs the same matrix booted fresh
+# (-no-snapshot) and fails unless the two summaries cmp equal, so every
+# forked cell's grafted boot spans shape the forest as a fresh boot's
+# do. The traces (spans-demo.json, spans-fresh.json) and summaries are
+# left behind for CI to attach on failure.
 # `lint-scenarios` is the registry gate: the scenario-registry
 # invariants, lookup pins and corpus-distribution goldens — cheap, so it
 # runs before the expensive campaign gates and fails fast on a
@@ -187,6 +190,8 @@ spans:
 	@grep -q 'CAUSAL SPAN SUMMARY' spans-summary.txt
 	@grep -q 'critical path: makespan=' spans-summary.txt
 	$(GO) run ./cmd/tracecheck spans spans-demo.json
+	$(GO) run ./cmd/repro -matrix -workers 4 -spans spans-fresh.json -no-snapshot > spans-fresh-summary.txt
+	cmp spans-summary.txt spans-fresh-summary.txt
 
 lint-scenarios:
 	$(GO) test -run 'Registry|SpecNames|ScenarioLookup|ScenariosMatch|Seed' ./internal/exploits/ ./internal/campaign/
@@ -238,6 +243,7 @@ check: build vet lint-scenarios test race pool-hygiene fuzz trace-demo chaos equ
 # targets generate.
 clean:
 	rm -f BENCH_*.new.json trace-demo*.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
+	rm -f spans-fresh.json spans-fresh-summary.txt
 	rm -f cov-matrix.json cov-diff.txt ledger-diff.txt
 	rm -f sched-demo.json sched-summary.txt
 	rm -rf ledger-ci chaos-matrix chaos-fork chaos-fresh

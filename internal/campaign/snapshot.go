@@ -26,9 +26,11 @@ import (
 // logs); and observably, because the snapshot boots into the same sinks
 // a fresh cell boot drives — a recorder with a coverage map and a span
 // tree — and keeps what they hold as its boot prefix, which every fork
-// restores into its cell's sinks. A fork adds the prefix's counter and
-// coverage totals in bulk, shares its events as the recorder's
-// read-only prefix instead of copying them, and walks only its spans.
+// restores into its cell's sinks. A fork adopts the prefix in four bulk
+// steps and re-enacts none of it: it adds the counter totals, merges the
+// coverage (and with it the boot's region classifier), shares the events
+// as the recorder's read-only prefix, and grafts the closed boot spans
+// under the cell's boot phase.
 //
 // A cleanly completed cell returns its whole environment — machine
 // fork, hypervisor with its domains, vCPUs, TLBs and P2Ms, guest
@@ -95,19 +97,10 @@ type bootPrefix struct {
 	counters []telemetry.CounterValue
 	cov      *coverage.Map
 	// events are the boot's events in order, the read-only prefix every
-	// fork's recorder shares, and spans the opens and closes of the
-	// boot's spans in the same order.
+	// fork's recorder shares, and spans the closed spans below the boot
+	// tree's root in creation order, which every fork's tree grafts.
 	events []telemetry.Event
-	spans  []spanOp
-}
-
-// spanOp is one boot span open or close, which the boot performed once
-// `at` of its events had been emitted.
-type spanOp struct {
-	at   uint64
-	kind span.Kind
-	name string
-	open bool
+	spans  []span.Span
 }
 
 var (
@@ -151,7 +144,7 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 		counters: rec.Counters(),
 		cov:      rec.Coverage(),
 		events:   rec.Events(),
-		spans:    flattenSpans(tree.Spans()),
+		spans:    append([]span.Span(nil), tree.Spans()[1:]...),
 	}
 	s.ms = e.HV.Memory().Seal()
 	s.hs = e.HV.Seal()
@@ -159,35 +152,16 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 	s.guests = e.Guests
 }
 
-// flattenSpans turns the spans below a tree's root, in creation order,
-// into the ordered opens and closes that built them.
-func flattenSpans(spans []span.Span) []spanOp {
-	var ops []spanOp
-	var open []int
-	closeTo := func(parent int) {
-		for n := len(open); n > 0 && open[n-1] != parent; n = len(open) {
-			ops = append(ops, spanOp{at: spans[open[n-1]].EndV})
-			open = open[:n-1]
-		}
-	}
-	for _, sp := range spans[1:] {
-		closeTo(sp.Parent)
-		ops = append(ops, spanOp{at: sp.StartV, kind: sp.Kind, name: sp.Name, open: true})
-		open = append(open, sp.ID)
-	}
-	closeTo(0)
-	return ops
-}
-
-// replay reproduces in a cell's sinks exactly the event stream, counter
-// readings, coverage edges and span structure a fresh boot would have
-// produced. The counters and the coverage map go in bulk. The events
-// are shared, not copied: the recorder adopts them as its read-only
-// prefix (Recorder.ShareBoot), which advances Seq and the span tree's
-// virtual clock past them, and the spans open and close at their
-// recorded clock. Both sinks are nil-safe; with neither attached the
-// replay is skipped entirely.
-func (b *bootPrefix) replay(tel *telemetry.Recorder, tree *span.Tree) {
+// restore puts in a cell's sinks exactly the counter readings, coverage
+// edges, event stream and span structure a fresh boot would have
+// produced, in bulk. The coverage merge carries the boot's region
+// classifier to the cell's map. The events are shared, not copied: the
+// recorder adopts them as its read-only prefix (Recorder.ShareBoot),
+// which advances Seq and the span tree's virtual clock past them. The
+// spans are grafted under the open boot phase with their recorded
+// virtual bounds. Both sinks are nil-safe; with neither attached the
+// restore is skipped entirely.
+func (b *bootPrefix) restore(tel *telemetry.Recorder, tree *span.Tree) {
 	if tel == nil && tree == nil {
 		return
 	}
@@ -195,21 +169,12 @@ func (b *bootPrefix) replay(tel *telemetry.Recorder, tree *span.Tree) {
 		tel.Add(c.Name, c.Value)
 	}
 	tel.Coverage().Merge(b.cov)
-	var stack []int
-	for _, op := range b.spans {
-		tel.ShareBoot(b.events[:op.at])
-		if op.open {
-			stack = append(stack, tree.Start(op.kind, op.name))
-		} else if n := len(stack); n > 0 {
-			tree.End(stack[n-1])
-			stack = stack[:n-1]
-		}
-	}
 	tel.ShareBoot(b.events)
+	tree.Graft(b.spans)
 }
 
 // forkEnvironment stamps out one cell's environment from the sealed
-// state: replay the boot prefix into the cell's sinks (the recorder
+// state: restore the boot prefix into the cell's sinks (the recorder
 // shares the boot's events instead of copying them, so its own ring
 // holds only the cell's events), take a pooled environment (or build a
 // new one), and attach the sinks to it. The returned recycle func
@@ -217,12 +182,7 @@ func (b *bootPrefix) replay(tel *telemetry.Recorder, tree *span.Tree) {
 // the cell completed cleanly — a poisoned environment must be abandoned
 // to the collector.
 func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, tree *span.Tree) (*Environment, func(), error) {
-	// The cell's own page-type events need the region classifier the
-	// boot's coverage was recorded with.
-	if cov := tel.Coverage(); cov != nil {
-		cov.SetFrameClassifier(s.hs.FrameClassifier())
-	}
-	s.boot.replay(tel, tree)
+	s.boot.restore(tel, tree)
 	e, err := s.take()
 	if err != nil {
 		return nil, nil, err

@@ -204,7 +204,7 @@ func TestForkHangFiresInForkOnly(t *testing.T) {
 // TestFailedForkFailsTheCell: a fork that fails after the boot prefix
 // went into the cell's sinks is the cell's error, and the cell does not
 // boot a second time into the same sinks. This snapshot's network has no
-// listener, so its forks fail on the listener lookup, after the replay.
+// listener, so its forks fail on the listener lookup, after the restore.
 func TestFailedForkFailsTheCell(t *testing.T) {
 	v := poolVersion(t)
 	s := snapshotFor(campaignPlan(), v, ModeExploit)

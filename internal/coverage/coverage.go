@@ -251,12 +251,16 @@ func (m *Map) DomctlOp(op string) {
 }
 
 // Merge adds every edge of o into m, exactly as if m had observed o's
-// events itself: edges share identity hashes, so counts add per edge.
-// A snapshot fork merges the coverage its snapshot's boot recorded
-// this way.
+// events itself: edges share identity hashes, so counts add per edge,
+// and a map with no region classifier adopts o's, the one installed
+// before o's events. A snapshot fork merges the coverage its snapshot's
+// boot recorded this way, classifier included.
 func (m *Map) Merge(o *Map) {
 	if m == nil || o == nil {
 		return
+	}
+	if m.frameClass == nil {
+		m.frameClass = o.frameClass
 	}
 	for h, oe := range o.edges {
 		if e, ok := m.edges[h]; ok {

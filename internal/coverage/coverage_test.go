@@ -78,6 +78,38 @@ func TestFrameClassifier(t *testing.T) {
 	}
 }
 
+// TestMergeAdoptsClassifier: a map with no region classifier takes the
+// merged map's, the one the boot installed before its events, and a map
+// that has one keeps it.
+func TestMergeAdoptsClassifier(t *testing.T) {
+	boot := NewMap()
+	boot.SetFrameClassifier(func(mfn uint64) string {
+		switch {
+		case mfn < 16:
+			return "hv-text"
+		case mfn < 32:
+			return "xen-heap"
+		}
+		return "general"
+	})
+	cell := NewMap()
+	cell.Merge(boot)
+	cell.PageType("get", 3, "writable")
+	cell.PageType("get", 20, "writable")
+	canon := Canonical(cell.Edges())
+	if !strings.Contains(canon, "get:writable@hv-text x1") || !strings.Contains(canon, "get:writable@xen-heap x1") {
+		t.Errorf("merged map did not adopt the classifier:\n%s", canon)
+	}
+
+	own := NewMap()
+	own.SetFrameClassifier(func(uint64) string { return "mine" })
+	own.Merge(boot)
+	own.PageType("get", 3, "writable")
+	if canon := Canonical(own.Edges()); !strings.Contains(canon, "get:writable@mine x1") {
+		t.Errorf("merge replaced an installed classifier:\n%s", canon)
+	}
+}
+
 func TestMaskReason(t *testing.T) {
 	cases := map[string]string{
 		"frame 0x2a refused":        "frame «x» refused",

@@ -26,6 +26,10 @@ const (
 	HypercallArbitraryAccess = 41
 	// HypercallStateInject is the injector's direct state-mutation
 	// hypercall; like arbitrary_access it exists only in injector builds.
+	// Where arbitrary_access covers memory-corruption erroneous states,
+	// state_inject covers the remaining Table I classes (Section IV-A:
+	// "different erroneous states may require different injection
+	// approaches and locations").
 	HypercallStateInject = 42
 )
 

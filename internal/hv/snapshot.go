@@ -1,7 +1,6 @@
 package hv
 
 import (
-	"repro/internal/coverage"
 	"repro/internal/cpu"
 	"repro/internal/mm"
 	"repro/internal/pagetable"
@@ -24,15 +23,6 @@ type Snapshot struct {
 // after the full environment (domains, guests, listeners) is built and
 // the machine has been sealed.
 func (h *Hypervisor) Seal() *Snapshot { return &Snapshot{proto: h, doms: h.DomainList()} }
-
-// FrameClassifier returns the prototype's coverage region classifier.
-// Forks share the prototype's reservation bases, so the classifier is
-// valid for every cell stamped from this snapshot; the campaign
-// installs it on each cell's coverage map, as the prototype's boot
-// installed it on the map it booted into.
-func (s *Snapshot) FrameClassifier() coverage.FrameClassifier {
-	return s.proto.FrameClassifier()
-}
 
 // Fork stamps out a per-cell hypervisor instance on a forked machine
 // (a fork of the machine the prototype was sealed on). It builds the
@@ -125,9 +115,9 @@ func (d *Domain) resetTo(pd *Domain) {
 
 // AttachSinks installs a cell's telemetry recorder and span tree on a
 // fork and its machine, as WithTelemetry and WithSpans install them on
-// a fresh build; nil detaches either. Coverage rides on the recorder:
-// install the snapshot's FrameClassifier on its map first, so fork-path
-// classification matches a fresh boot.
+// a fresh build; nil detaches either. Coverage rides on the recorder;
+// its map takes the boot's region classifier when it merges the boot's
+// coverage, so fork-path classification matches a fresh boot.
 func (h *Hypervisor) AttachSinks(tel *telemetry.Recorder, spans *span.Tree) {
 	h.cfg.tel, h.cfg.spans = tel, spans
 	h.walker.AttachTelemetry(tel)

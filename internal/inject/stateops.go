@@ -7,15 +7,6 @@ import (
 	"repro/internal/mm"
 )
 
-// HypercallStateInject is the dispatch-table slot of the second
-// prototype injector: where arbitrary_access covers memory-corruption
-// erroneous states, state_inject covers the remaining Table I classes —
-// page-lifecycle, exceptional-condition and non-memory states. The paper
-// anticipates exactly this: "several implementations of this component
-// may be needed, as different erroneous states may require different
-// injection approaches and locations" (Section IV-A).
-const HypercallStateInject = 42
-
 // StateOp selects which erroneous state the state injector induces.
 type StateOp uint8
 
@@ -79,10 +70,10 @@ type StateArgs struct {
 // (or independently of) the arbitrary-access injector. Like Enable, it
 // takes a freshly booted build whose snapshot forks share the table.
 func EnableStateOps(h *hv.Hypervisor) error {
-	if err := h.RegisterHypercall(HypercallStateInject, stateInjectHypercall); err != nil {
+	if err := h.RegisterHypercall(hv.HypercallStateInject, stateInjectHypercall); err != nil {
 		return fmt.Errorf("inject: enabling state injector: %w", err)
 	}
-	h.Logf("state injector enabled (hypercall %d)", HypercallStateInject)
+	h.Logf("state injector enabled (hypercall %d)", hv.HypercallStateInject)
 	return nil
 }
 
@@ -158,7 +149,7 @@ func NewStateClient(d *hv.Domain) *StateClient { return &StateClient{d: d} }
 // the leaked frame.
 func (c *StateClient) KeepPageAccess() (mm.MFN, error) {
 	args := &StateArgs{Op: OpKeepPageAccess}
-	if err := c.d.Hypercall(HypercallStateInject, args); err != nil {
+	if err := c.d.Hypercall(hv.HypercallStateInject, args); err != nil {
 		return 0, err
 	}
 	return args.LeakedFrame, nil
@@ -166,27 +157,27 @@ func (c *StateClient) KeepPageAccess() (mm.MFN, error) {
 
 // InterruptFlood marks count unsolicited pending events on the victim.
 func (c *StateClient) InterruptFlood(victim mm.DomID, port, count int) error {
-	return c.d.Hypercall(HypercallStateInject, &StateArgs{
+	return c.d.Hypercall(hv.HypercallStateInject, &StateArgs{
 		Op: OpInterruptFlood, Victim: victim, Port: port, Count: count,
 	})
 }
 
 // HangState wedges the hypervisor.
 func (c *StateClient) HangState() error {
-	return c.d.Hypercall(HypercallStateInject, &StateArgs{Op: OpHangState})
+	return c.d.Hypercall(hv.HypercallStateInject, &StateArgs{Op: OpHangState})
 }
 
 // FatalException drives the hypervisor into an abort path.
 func (c *StateClient) FatalException(site string) error {
-	return c.d.Hypercall(HypercallStateInject, &StateArgs{Op: OpFatalException, Site: site})
+	return c.d.Hypercall(hv.HypercallStateInject, &StateArgs{Op: OpFatalException, Site: site})
 }
 
 // PauseDomain suspends the victim with no toolstack intent.
 func (c *StateClient) PauseDomain(victim mm.DomID) error {
-	return c.d.Hypercall(HypercallStateInject, &StateArgs{Op: OpDomainPause, Victim: victim})
+	return c.d.Hypercall(hv.HypercallStateInject, &StateArgs{Op: OpDomainPause, Victim: victim})
 }
 
 // ZombieDomain destroys the victim and withholds the reap.
 func (c *StateClient) ZombieDomain(victim mm.DomID) error {
-	return c.d.Hypercall(HypercallStateInject, &StateArgs{Op: OpZombieDomain, Victim: victim})
+	return c.d.Hypercall(hv.HypercallStateInject, &StateArgs{Op: OpZombieDomain, Victim: victim})
 }

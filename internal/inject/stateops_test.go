@@ -129,10 +129,10 @@ func TestFatalExceptionInjection(t *testing.T) {
 
 func TestStateInjectValidation(t *testing.T) {
 	_, attacker, _, _ := newStateEnv(t, hv.Version48())
-	if err := attacker.Hypercall(HypercallStateInject, "nope"); !errors.Is(err, hv.ErrInval) {
+	if err := attacker.Hypercall(hv.HypercallStateInject, "nope"); !errors.Is(err, hv.ErrInval) {
 		t.Errorf("bad arg type: err = %v", err)
 	}
-	if err := attacker.Hypercall(HypercallStateInject, &StateArgs{Op: StateOp(99)}); !errors.Is(err, hv.ErrInval) {
+	if err := attacker.Hypercall(hv.HypercallStateInject, &StateArgs{Op: StateOp(99)}); !errors.Is(err, hv.ErrInval) {
 		t.Errorf("bad op: err = %v", err)
 	}
 }

@@ -96,7 +96,11 @@ func (m *Memory) AllocRange(n int, owner DomID) (MFN, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mm: AllocRange needs a positive count, got %d", n)
 	}
-	sp := m.spans.MMOp(fmt.Sprintf("alloc_range[%d]", n))
+	// Name the span only with a tree attached: formatting allocates.
+	sp := -1
+	if m.spans != nil {
+		sp = m.spans.MMOp(fmt.Sprintf("alloc_range[%d]", n))
+	}
 	defer m.spans.End(sp)
 	if err := m.allocFault(); err != nil {
 		return 0, err

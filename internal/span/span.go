@@ -202,8 +202,47 @@ func (t *Tree) Hypercall(name string) int { return t.Start(KindHypercall, name) 
 // MMOp opens a KindMMOp span.
 func (t *Tree) MMOp(name string) int { return t.Start(KindMMOp, name) }
 
-// Audit opens a KindAudit span.
-func (t *Tree) Audit(useCase string) int { return t.Start(KindAudit, "audit:"+useCase) }
+// Audit opens a KindAudit span. A nil tree returns before building the
+// name, so an assessment with spans off allocates nothing here.
+func (t *Tree) Audit(useCase string) int {
+	if t == nil {
+		return -1
+	}
+	return t.Start(KindAudit, "audit:"+useCase)
+}
+
+// Graft appends spans — the closed spans below another tree's root, in
+// creation order, as that tree's Spans()[1:] returns them — under the
+// currently open span, as if this tree had opened and closed each one
+// at its recorded virtual clock. IDs continue this tree's: the source
+// root's children hang from the open span and deeper parents shift
+// with them. Virtual bounds are kept; wall bounds become the graft
+// instant. The spans are copied, never aliased, so many trees may graft
+// one sealed slice at once.
+func (t *Tree) Graft(spans []Span) {
+	if t == nil || len(spans) == 0 {
+		return
+	}
+	ns := time.Since(t.epoch).Nanoseconds()
+	base := len(t.spans)
+	parent := -1
+	if n := len(t.stack); n > 0 {
+		parent = t.stack[n-1]
+	}
+	t.spans = append(t.spans, spans...)
+	for i := base; i < len(t.spans); i++ {
+		s := &t.spans[i]
+		s.ID = i
+		if s.Parent == 0 {
+			s.Parent = parent
+		} else {
+			s.Parent += base - 1
+		}
+		s.StartNS, s.EndNS, s.done = ns, ns, true
+	}
+	t.opened += len(spans)
+	t.closed += len(spans)
+}
 
 // Abort force-closes every open span, innermost first, marking each
 // aborted except the cell root (the cell did end; its contents were cut

@@ -104,6 +104,118 @@ func TestNilTreeNoops(t *testing.T) {
 	}
 }
 
+// Audit on a nil tree returns before it builds the span name, so an
+// assessment with spans off allocates nothing for it.
+func TestNilAuditAllocatesNothing(t *testing.T) {
+	var tr *span.Tree
+	if n := testing.AllocsPerRun(100, func() { tr.Audit("XSA-212-crash") }); n != 0 {
+		t.Errorf("nil Audit allocates %v times, want 0", n)
+	}
+}
+
+// graftSource builds the closed spans below a boot tree's root: two
+// phases, the first holding an mm op and a hypercall.
+func graftSource() []span.Span {
+	tr, v := clockTree("boot")
+	*v = 1
+	a := tr.Phase("a")
+	*v = 2
+	mm := tr.MMOp("alloc_range[8]")
+	*v = 3
+	tr.End(mm)
+	*v = 4
+	hc := tr.Hypercall("mmu_update")
+	*v = 5
+	tr.End(hc)
+	*v = 6
+	tr.End(a)
+	*v = 7
+	b := tr.Phase("b")
+	*v = 8
+	tr.End(b)
+	return append([]span.Span(nil), tr.Spans()[1:]...)
+}
+
+// Graft appends another tree's closed spans under the open span: IDs
+// continue the tree's, the source root's children hang from the open
+// span, virtual bounds are kept, and the result is a closed, valid tree
+// that shares nothing with the source.
+func TestGraft(t *testing.T) {
+	src := graftSource()
+	before := append([]span.Span(nil), src...)
+	cases := []struct {
+		name string
+		// prepare opens the graft point and returns the span the source
+		// root's children must hang from; done closes what it opened.
+		prepare func(tr *span.Tree) (under int, done func())
+	}{
+		{"under-root", func(tr *span.Tree) (int, func()) { return 0, func() {} }},
+		{"under-open-phase", func(tr *span.Tree) (int, func()) {
+			tr.End(tr.Hypercall("console_io"))
+			boot := tr.Phase(span.PhaseBoot)
+			return boot, func() { tr.End(boot) }
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, v := clockTree("cell")
+			under, done := c.prepare(tr)
+			base := len(tr.Spans())
+			tr.Graft(src)
+			*v = 9
+			done()
+			tr.Finish()
+			if tr.Open() != 0 {
+				t.Errorf("Open() = %d after Finish", tr.Open())
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+			got := tr.Spans()
+			if len(got) != base+len(src) {
+				t.Fatalf("got %d spans, want %d", len(got), base+len(src))
+			}
+			wantParent := []int{under, base, base, under}
+			for i, s := range got[base:] {
+				o := src[i]
+				if s.ID != base+i || s.Parent != wantParent[i] {
+					t.Errorf("span %d: ID %d parent %d, want ID %d parent %d", i, s.ID, s.Parent, base+i, wantParent[i])
+				}
+				if s.Kind != o.Kind || s.Name != o.Name || s.StartV != o.StartV || s.EndV != o.EndV || s.Aborted {
+					t.Errorf("span %d = %+v, want the source's %+v", i, s, o)
+				}
+				if s.StartNS != s.EndNS {
+					t.Errorf("span %d wall bounds [%d,%d], want the graft instant", i, s.StartNS, s.EndNS)
+				}
+			}
+			got[base].Name, got[base+1].Parent = "mutated", 99
+			if fmt.Sprint(src) != fmt.Sprint(before) {
+				t.Errorf("grafted tree aliases its source:\n%+v\nwant\n%+v", src, before)
+			}
+		})
+	}
+}
+
+// Grafting nothing, or into a nil tree, changes nothing.
+func TestGraftNoops(t *testing.T) {
+	var nilTree *span.Tree
+	nilTree.Graft(graftSource())
+	if nilTree.Spans() != nil {
+		t.Error("nil tree grew spans")
+	}
+	tr, _ := clockTree("cell")
+	tr.Phase(span.PhaseBoot)
+	tr.Graft(nil)
+	tr.Graft([]span.Span{})
+	if n, open := len(tr.Spans()), tr.Open(); n != 2 || open != 2 {
+		t.Errorf("after empty grafts: %d spans, %d open; want 2 and 2", n, open)
+	}
+	tr.Finish()
+	if err := tr.Check(); err != nil {
+		t.Errorf("Check: %v", err)
+	}
+}
+
 // Ending an outer span force-closes the children a failing path left
 // open, marking them (and only them) aborted.
 func TestEndClosesForgottenChildrenAborted(t *testing.T) {

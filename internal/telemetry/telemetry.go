@@ -260,12 +260,10 @@ func (r *Recorder) emit(e Event) {
 // len(boot)-1 — as the recorder's shared, read-only prefix instead of
 // emitting it: Emitted, and with it Seq and a span tree's virtual
 // clock, advances to len(boot), and the prefix retains the newest
-// bound of them, as a ring that had emitted them would. A later call
-// may extend the prefix to a longer view of the same events, so a
-// replay can open its boot spans at their recorded clock. Call it
-// before the recorder emits anything, and before a fault plane is
-// attached: the boot's events are the stream's first, and no fault
-// counts them.
+// bound of them, as a ring that had emitted them would. A fork calls it
+// once, with the whole boot, before the recorder emits anything and
+// before a fault plane is attached: the boot's events are the stream's
+// first, and no fault counts them.
 func (r *Recorder) ShareBoot(boot []Event) {
 	if r == nil {
 		return
