@@ -39,7 +39,7 @@
 # entries with no campaign) so the run ledger's persistence cost is
 # tracked apart from the cells. `benchdiff` is the CI regression gate: it
 # re-runs the tracked benchmarks and fails if any grew past 2x its
-# committed baseline in ns/op or B/op.
+# committed baseline in ns/op, B/op or allocs/op.
 # `spans` runs the causal-span suite — every opened span closed exactly
 # once (including under chaos), the canonical forest digest pinned —
 # then drives a full -spans matrix through the CLI, checks the summary
@@ -143,7 +143,7 @@ bench:
 	@echo "wrote BENCH_ledger.json"
 
 # The regression gate: re-run the tracked benchmarks and compare them
-# against the committed baselines, in time and in bytes. The thresholds
+# against the committed baselines, in time, bytes and allocations. The thresholds
 # are deliberately coarse (2x) — the gate exists to catch structural
 # regressions (e.g. losing the snapshot fork path puts FullMatrix ~9x
 # over its baseline, and an eagerly allocated 1 MiB event ring puts the

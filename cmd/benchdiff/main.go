@@ -1,10 +1,11 @@
 // Command benchdiff compares two benchmark artifacts produced by
 // `make bench` (test2json streams of `go test -bench`, e.g.
-// BENCH_matrix.json) benchmark by benchmark and reports the ns/op and
-// B/op deltas, so a perf regression shows up as a reviewable number
-// instead of a hunch. A benchmark whose ns/op or B/op grew beyond the
-// threshold ratio fails the comparison with a non-zero exit; B/op is
-// gated only where both sides recorded it (`-benchmem`).
+// BENCH_matrix.json) benchmark by benchmark and reports the ns/op, B/op
+// and allocs/op deltas, so a perf regression shows up as a reviewable
+// number instead of a hunch. A benchmark whose ns/op, B/op or allocs/op
+// grew beyond the threshold ratio fails the comparison with a non-zero
+// exit; B/op and allocs/op are each gated only where both sides
+// recorded a nonzero count (`-benchmem`).
 //
 // Usage:
 //
@@ -133,17 +134,27 @@ func trimProcs(results map[string]result) map[string]result {
 }
 
 // regressions names the measurements of one benchmark whose new/old
-// ratio exceeds threshold: "ns/op", and "B/op" when both runs recorded
-// a nonzero byte count.
+// ratio exceeds threshold: "ns/op", "B/op" when both runs recorded a
+// nonzero byte count, and "allocs/op" when both recorded a nonzero
+// allocation count.
 func regressions(o, n result, threshold float64) []string {
 	var out []string
 	if n.NsPerOp/o.NsPerOp > threshold {
 		out = append(out, "ns/op")
 	}
-	if o.BytesPerOp > 0 && n.BytesPerOp > 0 && n.BytesPerOp/o.BytesPerOp > threshold {
+	if grew(o.BytesPerOp, n.BytesPerOp, threshold) {
 		out = append(out, "B/op")
 	}
+	if grew(o.AllocsPerOp, n.AllocsPerOp, threshold) {
+		out = append(out, "allocs/op")
+	}
 	return out
+}
+
+// grew reports whether a -benchmem count recorded on both sides grew
+// past threshold; a side that recorded none gives no ratio.
+func grew(o, n, threshold float64) bool {
+	return o > 0 && n > 0 && n/o > threshold
 }
 
 // pct renders the new/old change of one measurement, "-" when the old
@@ -158,7 +169,7 @@ func pct(o, n float64) string {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
-	threshold := flag.Float64("threshold", 1.25, "fail when any benchmark's new/old ns/op or B/op ratio exceeds this")
+	threshold := flag.Float64("threshold", 1.25, "fail when any benchmark's new/old ns/op, B/op or allocs/op ratio exceeds this")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		log.Fatalf("usage: benchdiff [-threshold 1.25] old.json new.json")
@@ -189,24 +200,24 @@ func main() {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-52s %14s %14s %8s %14s %14s %8s\n", "Benchmark", "old ns/op", "new ns/op", "delta", "old B/op", "new B/op", "delta")
-	fmt.Println(strings.Repeat("-", 130))
+	fmt.Printf("%-52s %14s %14s %8s %14s %14s %8s %12s %12s %8s\n", "Benchmark", "old ns/op", "new ns/op", "delta", "old B/op", "new B/op", "delta", "old allocs", "new allocs", "delta")
+	fmt.Println(strings.Repeat("-", 165))
 	regressed := 0
 	for _, n := range names {
 		o, inOld := oldR[n]
 		nw, inNew := newR[n]
 		switch {
 		case !inOld:
-			fmt.Printf("%-52s %14s %14.0f %8s %14s %14.0f %8s\n", nw.Name, "-", nw.NsPerOp, "added", "-", nw.BytesPerOp, "added")
+			fmt.Printf("%-52s %14s %14.0f %8s %14s %14.0f %8s %12s %12.0f %8s\n", nw.Name, "-", nw.NsPerOp, "added", "-", nw.BytesPerOp, "added", "-", nw.AllocsPerOp, "added")
 		case !inNew:
-			fmt.Printf("%-52s %14.0f %14s %8s %14.0f %14s %8s\n", o.Name, o.NsPerOp, "-", "removed", o.BytesPerOp, "-", "removed")
+			fmt.Printf("%-52s %14.0f %14s %8s %14.0f %14s %8s %12.0f %12s %8s\n", o.Name, o.NsPerOp, "-", "removed", o.BytesPerOp, "-", "removed", o.AllocsPerOp, "-", "removed")
 		default:
 			mark := ""
 			if r := regressions(o, nw, *threshold); len(r) > 0 {
 				mark = " REGRESSED " + strings.Join(r, ",")
 				regressed++
 			}
-			fmt.Printf("%-52s %14.0f %14.0f %8s %14.0f %14.0f %8s%s\n", nw.Name, o.NsPerOp, nw.NsPerOp, pct(o.NsPerOp, nw.NsPerOp), o.BytesPerOp, nw.BytesPerOp, pct(o.BytesPerOp, nw.BytesPerOp), mark)
+			fmt.Printf("%-52s %14.0f %14.0f %8s %14.0f %14.0f %8s %12.0f %12.0f %8s%s\n", nw.Name, o.NsPerOp, nw.NsPerOp, pct(o.NsPerOp, nw.NsPerOp), o.BytesPerOp, nw.BytesPerOp, pct(o.BytesPerOp, nw.BytesPerOp), o.AllocsPerOp, nw.AllocsPerOp, pct(o.AllocsPerOp, nw.AllocsPerOp), mark)
 		}
 	}
 	if regressed > 0 {

@@ -33,6 +33,33 @@ func TestRegressionsGateBytes(t *testing.T) {
 	}
 }
 
+// TestRegressionsGateAllocs pins the allocs/op gate: the same threshold
+// as ns/op and B/op, checked only where both runs recorded a nonzero
+// allocation count.
+func TestRegressionsGateAllocs(t *testing.T) {
+	base := result{NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 100}
+	cases := []struct {
+		name string
+		new  result
+		want []string
+	}{
+		{"within threshold", result{NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 200}, nil},
+		{"more allocations", result{NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 201}, []string{"allocs/op"}},
+		{"all three", result{NsPerOp: 3000, BytesPerOp: 3 << 20, AllocsPerOp: 300}, []string{"ns/op", "B/op", "allocs/op"}},
+		{"fewer allocations", result{NsPerOp: 1000, BytesPerOp: 1 << 20, AllocsPerOp: 1}, nil},
+		{"none recorded on the new side", result{NsPerOp: 1000, BytesPerOp: 1 << 20}, nil},
+	}
+	for _, c := range cases {
+		if got := regressions(base, c.new, 2.0); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: regressions = %v, want %v", c.name, got, c.want)
+		}
+	}
+	noAllocs := result{NsPerOp: 1000, BytesPerOp: 1 << 20}
+	if got := regressions(noAllocs, base, 2.0); got != nil {
+		t.Errorf("old side without allocs/op: regressions = %v, want none", got)
+	}
+}
+
 // TestTrimProcsPairsAcrossCPUCounts checks that rows recorded at
 // GOMAXPROCS 2 pair with the suffix-free names of a one-CPU run, and
 // that a one-CPU run's own trailing numbers are left alone.

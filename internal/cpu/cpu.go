@@ -157,11 +157,11 @@ func (c *CPU) ExecutePayloadAt(va uint64, ctx ExecContext, guestInitiated bool) 
 		if remain := payloadFetchLimit - len(buf); chunk > remain {
 			chunk = remain
 		}
-		tmp := make([]byte, chunk)
-		if err := c.mem.ReadPhys(phys, tmp); err != nil {
+		n := len(buf)
+		buf = buf[:n+chunk]
+		if err := c.mem.ReadPhys(phys, buf[n:]); err != nil {
 			return err
 		}
-		buf = append(buf, tmp...)
 	}
 	prog, err := Disassemble(buf)
 	if err != nil {

@@ -129,6 +129,7 @@ type Hypervisor struct {
 	hypercalls map[int]Hypercall
 
 	console    []string
+	logBuf     []byte // Logf's line scratch, reused across lines and cells
 	crashed    bool
 	crashMsg   string
 	hung       bool
@@ -467,7 +468,8 @@ func (h *Hypervisor) ClockTicks() int { return h.clockTicks }
 // Logf appends a line to the hypervisor console, "(XEN)"-prefixed like
 // the serial output the paper's monitoring terminal captures.
 func (h *Hypervisor) Logf(format string, args ...any) {
-	h.console = append(h.console, "(XEN) "+fmt.Sprintf(format, args...))
+	h.logBuf = fmt.Appendf(append(h.logBuf[:0], "(XEN) "...), format, args...)
+	h.console = append(h.console, string(h.logBuf))
 }
 
 // Console returns a copy of the console log.

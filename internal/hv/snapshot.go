@@ -60,11 +60,12 @@ func (s *Snapshot) Fork(mem *mm.Memory) *Hypervisor {
 // each domain's P2M and page-table map read the prototype's again; the
 // domain table lists exactly the prototype's domains, whatever the cell
 // created or destroyed. Reset keeps what the shell allocated: the
-// walker and builder, the vCPUs, and the grant tables, event channels,
-// P2M clones and TLB storage the last cell built, which are cleared
-// instead of reallocated. The telemetry, span and fault sinks are detached. Reset
-// the fork's machine with mm.Snapshot.Reset as well; Reset panics on a
-// hypervisor that is not a fork of s.
+// walker and builder, the vCPUs, Logf's line buffer, and the grant
+// tables, event channels, P2M clones and TLB storage the last cell
+// built, which are cleared instead of reallocated. The telemetry, span
+// and fault sinks are detached. Reset the fork's machine with
+// mm.Snapshot.Reset as well; Reset panics on a hypervisor that is not a
+// fork of s.
 func (s *Snapshot) Reset(h *Hypervisor) {
 	if h == nil || h.snap != s {
 		panic("hv: Reset of a hypervisor that is not a fork of this snapshot")

@@ -84,14 +84,20 @@ func (PermissivePolicy) CheckLeaf(*mm.Memory, mm.MFN, Access, bool) error { retu
 // The erroneous-state auditors use it to compare the page linkage induced
 // by exploits against the one produced by injection ("a page-table walk
 // to audit the same erroneous state was performed", Section VI-C).
+// A Walk is a plain value with fixed-size arrays, so a translation
+// allocates nothing.
 type Walk struct {
 	// VA is the translated virtual address.
 	VA uint64
+	// Levels is how many tables the walk consulted: 4 for a 4 KiB leaf,
+	// 3 for a 2 MiB superpage. Only Tables[:Levels] and
+	// Entries[:Levels] are filled.
+	Levels int
 	// Tables[i] is the frame of the level-(4-i) table consulted, so
 	// Tables[0] is the L4 root.
-	Tables []mm.MFN
+	Tables [4]mm.MFN
 	// Entries[i] is the entry read from Tables[i].
-	Entries []Entry
+	Entries [4]Entry
 	// Superpage reports whether translation ended at a 2 MiB L2 leaf.
 	Superpage bool
 	// MFN is the target machine frame.
@@ -133,60 +139,57 @@ func (w *Walker) AttachTelemetry(r *telemetry.Recorder) { w.tel = r }
 // the policy) as opposed to hypervisor-internal accesses. A/D bits are
 // written back on success, mirroring hardware behaviour; flag-only A/D
 // updates are precisely the "safe" changes the XSA-182 fast path was
-// meant to allow.
-func (w *Walker) Translate(root mm.MFN, va uint64, acc Access, guestInitiated bool) (*Walk, error) {
-	walk, err := w.translate(root, va, acc, guestInitiated)
-	if err != nil {
+// meant to allow. On error the returned Walk is the zero value.
+func (w *Walker) Translate(root mm.MFN, va uint64, acc Access, guestInitiated bool) (Walk, error) {
+	walk := Walk{VA: va, Writable: true, User: true}
+	if err := w.translate(&walk, root, acc, guestInitiated); err != nil {
 		w.tel.WalkFault()
+		return Walk{}, err
 	}
-	return walk, err
+	return walk, nil
 }
 
-func (w *Walker) translate(root mm.MFN, va uint64, acc Access, guestInitiated bool) (*Walk, error) {
+// translate fills walk, whose VA is set, by walking the tree at root.
+func (w *Walker) translate(walk *Walk, root mm.MFN, acc Access, guestInitiated bool) error {
+	va := walk.VA
 	if !Canonical(va) {
-		return nil, &Fault{VA: va, Access: acc, Reason: "non-canonical address"}
+		return &Fault{VA: va, Access: acc, Reason: "non-canonical address"}
 	}
 	if !w.mem.ValidMFN(root) {
-		return nil, &Fault{VA: va, Access: acc, Level: 4, Reason: "page-table root outside machine memory"}
-	}
-	walk := &Walk{
-		VA:       va,
-		Tables:   make([]mm.MFN, 0, 4),
-		Entries:  make([]Entry, 0, 4),
-		Writable: true,
-		User:     true,
+		return &Fault{VA: va, Access: acc, Level: 4, Reason: "page-table root outside machine memory"}
 	}
 	table := root
 	for level := 4; level >= 1; level-- {
 		idx, err := Index(va, level)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e, err := ReadEntry(w.mem, table, idx)
 		if err != nil {
-			return nil, &Fault{VA: va, Access: acc, Level: level, Reason: fmt.Sprintf("table frame unreadable: %v", err)}
+			return &Fault{VA: va, Access: acc, Level: level, Reason: fmt.Sprintf("table frame unreadable: %v", err)}
 		}
-		walk.Tables = append(walk.Tables, table)
-		walk.Entries = append(walk.Entries, e)
+		walk.Tables[walk.Levels] = table
+		walk.Entries[walk.Levels] = e
+		walk.Levels++
 		if !e.Present() {
-			return nil, &Fault{VA: va, Access: acc, Level: level, Reason: "entry not present"}
+			return &Fault{VA: va, Access: acc, Level: level, Reason: "entry not present"}
 		}
 		walk.Writable = walk.Writable && e.Writable()
 		walk.User = walk.User && e.User()
 		walk.NoExec = walk.NoExec || e.NoExec()
 		if !w.mem.ValidMFN(e.MFN()) {
-			return nil, &Fault{VA: va, Access: acc, Level: level, Reason: "entry references frame outside machine memory"}
+			return &Fault{VA: va, Access: acc, Level: level, Reason: "entry references frame outside machine memory"}
 		}
 		if level == 2 && e.Superpage() {
 			// 2 MiB leaf: frame = base + L1 index.
 			l1, err := Index(va, 1)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			walk.Superpage = true
 			walk.MFN = e.MFN() + mm.MFN(l1)
 			if !w.mem.ValidMFN(walk.MFN) {
-				return nil, &Fault{VA: va, Access: acc, Level: level, Reason: "superpage extends past machine memory"}
+				return &Fault{VA: va, Access: acc, Level: level, Reason: "superpage extends past machine memory"}
 			}
 			break
 		}
@@ -198,10 +201,10 @@ func (w *Walker) translate(root mm.MFN, va uint64, acc Access, guestInitiated bo
 	}
 	walk.Phys = walk.MFN.Addr() + mm.PhysAddr(va&mm.PageMask)
 	if err := w.check(walk, acc, guestInitiated); err != nil {
-		return nil, err
+		return err
 	}
 	w.setAccessedDirty(walk, acc)
-	return walk, nil
+	return nil
 }
 
 func (w *Walker) check(walk *Walk, acc Access, guestInitiated bool) error {
@@ -233,14 +236,14 @@ func (w *Walker) check(walk *Walk, acc Access, guestInitiated bool) error {
 // on the leaf for writes. Failures are ignored: the entries were just
 // read successfully, and A/D write-back is best-effort on hardware too.
 func (w *Walker) setAccessedDirty(walk *Walk, acc Access) {
-	for i, e := range walk.Entries {
+	for i, e := range walk.Entries[:walk.Levels] {
 		level := 4 - i
 		idx, err := Index(walk.VA, level)
 		if err != nil {
 			return
 		}
 		updated := e.WithFlags(FlagAccessed)
-		leaf := i == len(walk.Entries)-1
+		leaf := i == walk.Levels-1
 		if leaf && acc == AccessWrite {
 			updated = updated.WithFlags(FlagDirty)
 		}

@@ -57,8 +57,8 @@ func TestWalkSimpleMapping(t *testing.T) {
 	if want := target.Addr() + 0x123; walk.Phys != want {
 		t.Errorf("walk.Phys = %#x, want %#x", uint64(walk.Phys), uint64(want))
 	}
-	if len(walk.Entries) != 4 || walk.Superpage {
-		t.Errorf("expected a 4-level walk, got %d levels superpage=%v", len(walk.Entries), walk.Superpage)
+	if walk.Levels != 4 || walk.Superpage {
+		t.Errorf("expected a 4-level walk, got %d levels superpage=%v", walk.Levels, walk.Superpage)
 	}
 	if !walk.Writable || !walk.User {
 		t.Errorf("permissions = RW:%v US:%v, want true/true", walk.Writable, walk.User)
@@ -142,8 +142,8 @@ func TestWalkSuperpage(t *testing.T) {
 	if want := base + 37; walk.MFN != want {
 		t.Errorf("walk.MFN = %#x, want %#x", uint64(walk.MFN), uint64(want))
 	}
-	if len(walk.Entries) != 3 {
-		t.Errorf("superpage walk consulted %d levels, want 3", len(walk.Entries))
+	if walk.Levels != 3 {
+		t.Errorf("superpage walk consulted %d levels, want 3", walk.Levels)
 	}
 }
 
@@ -191,6 +191,37 @@ func TestWalkSetsAccessedAndDirty(t *testing.T) {
 	e, _ = ReadEntry(env.mem, l1, idx)
 	if e.Flags()&FlagDirty == 0 {
 		t.Error("write did not set the Dirty bit")
+	}
+}
+
+// TestTranslateAllocatesNothing pins that a successful walk stays on
+// the caller's stack: the Walk is returned by value and its tables and
+// entries are fixed arrays, for guest and hypervisor walks alike.
+func TestTranslateAllocatesNothing(t *testing.T) {
+	env := newTestEnv(t, 64)
+	const userVA, supVA = 0xffff880000006000, 0xffff880000007000
+	if err := env.b.Map(env.root, userVA, env.mustAlloc(t), FlagRW|FlagUser); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.b.Map(env.root, supVA, env.mustAlloc(t), FlagRW); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		va    uint64
+		guest bool
+	}{
+		{"guest", userVA, true},
+		{"hypervisor", supVA, false},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			if _, err := env.walker.Translate(env.root, c.va, AccessWrite, c.guest); err != nil {
+				t.Fatalf("%s walk: %v", c.name, err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s walk allocates %.0f times, want 0", c.name, n)
+		}
 	}
 }
 
